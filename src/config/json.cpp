@@ -301,6 +301,11 @@ void dump_impl(std::string& out, const Json& value, int indent, int depth)
         out += std::to_string(value.as_int());
         break;
     case Json::kind::real: {
+        // JSON has no NaN or infinity; they are written as null.
+        if (!std::isfinite(value.as_double())) {
+            out += "null";
+            break;
+        }
         char buffer[32];
         std::snprintf(buffer, sizeof(buffer), "%.17g", value.as_double());
         std::string s{buffer};

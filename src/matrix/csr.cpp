@@ -15,6 +15,11 @@ namespace mgko {
 
 namespace kernels::csr {
 
+// Each kernel below is a row body; the strategies further down only decide
+// which rows each thread owns.  The body is picked from the operand's shape:
+// one right-hand side gets its own row-range loop, wider blocks walk their
+// columns per row.
+
 /// Computes one row of y = [alpha *] A * b [+ beta * y] for all b columns.
 template <typename V, typename I>
 inline void spmv_row(const V* values, const I* col_idxs, const I* row_ptrs,
@@ -40,44 +45,52 @@ inline void spmv_row(const V* values, const I* col_idxs, const I* row_ptrs,
 }
 
 
-/// Textbook serial kernel (reference executor ground truth).
-template <typename V, typename I>
-void spmv_serial(const V* values, const I* col_idxs, const I* row_ptrs,
-                 const V* b, size_type b_stride, V* x, size_type x_stride,
-                 size_type rows, size_type vec_cols, bool advanced, V alpha,
-                 V beta)
+/// Rows [begin, end) of y = [alpha *] A * b [+ beta * y] for a single
+/// right-hand side, accumulated in the same order as spmv_row.
+template <bool Advanced, typename V, typename I>
+inline void spmv_single(const V* values, const I* col_idxs, const I* row_ptrs,
+                        const V* b, size_type b_stride, V* x,
+                        size_type x_stride, size_type begin, size_type end,
+                        V alpha, V beta)
 {
-    for (size_type row = 0; row < rows; ++row) {
-        spmv_row(values, col_idxs, row_ptrs, b, b_stride, x, x_stride, row,
-                 vec_cols, advanced, alpha, beta);
+    using acc_t = accumulate_t<V>;
+    const bool read_out = Advanced && beta != zero<V>();
+    for (size_type row = begin; row < end; ++row) {
+        acc_t acc{};
+        const I row_end = row_ptrs[row + 1];
+        for (I k = row_ptrs[row]; k < row_end; ++k) {
+            acc += static_cast<acc_t>(values[k]) *
+                   static_cast<acc_t>(
+                       b[static_cast<size_type>(col_idxs[k]) * b_stride]);
+        }
+        auto& out = x[row * x_stride];
+        if constexpr (Advanced) {
+            // beta == 0 must not read `out` (may be uninitialized).
+            out = read_out ? alpha * V{acc} + beta * out : alpha * V{acc};
+        } else {
+            out = V{acc};
+        }
     }
 }
 
 
-/// Classical parallel kernel: contiguous equal-count row blocks per thread.
-template <typename V, typename I>
-void spmv_classical(int nt, const V* values, const I* col_idxs,
-                    const I* row_ptrs, const V* b, size_type b_stride, V* x,
-                    size_type x_stride, size_type rows, size_type vec_cols,
-                    bool advanced, V alpha, V beta)
+/// Classical parallel split: contiguous equal-count row blocks per thread.
+template <typename Body>
+void rows_classical(int nt, size_type rows, Body body)
 {
 #pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
     for (size_type row = 0; row < rows; ++row) {
-        spmv_row(values, col_idxs, row_ptrs, b, b_stride, x, x_stride, row,
-                 vec_cols, advanced, alpha, beta);
+        body(row, row + 1);
     }
 }
 
 
-/// Load-balanced kernel: rows are split so that every thread owns (nearly)
+/// Load-balanced split: rows are divided so that every thread owns (nearly)
 /// the same number of nonzeros — Ginkgo's balancing strategy for
 /// irregular matrices.  Row boundaries are found by binary search in the
 /// row-pointer array.
-template <typename V, typename I>
-void spmv_balanced(int nt, const V* values, const I* col_idxs,
-                   const I* row_ptrs, const V* b, size_type b_stride, V* x,
-                   size_type x_stride, size_type rows, size_type vec_cols,
-                   bool advanced, V alpha, V beta)
+template <typename I, typename Body>
+void rows_balanced(int nt, const I* row_ptrs, size_type rows, Body body)
 {
     const auto nnz = static_cast<size_type>(row_ptrs[rows]);
 #pragma omp parallel num_threads(nt) if (nt > 1)
@@ -105,32 +118,22 @@ void spmv_balanced(int nt, const V* values, const I* col_idxs,
                       std::lower_bound(row_ptrs, row_ptrs + rows,
                                        static_cast<I>(target_end)) -
                       row_ptrs);
-        for (size_type row = row_begin; row < row_end; ++row) {
-            spmv_row(values, col_idxs, row_ptrs, b, b_stride, x, x_stride,
-                     row, vec_cols, advanced, alpha, beta);
-        }
+        body(row_begin, row_end);
     }
 }
 
 
-/// Wavefront kernel (HIP path): rows processed in chunks of 64, chunks
+/// Wavefront split (HIP path): rows processed in chunks of 64, chunks
 /// distributed round-robin.
-template <typename V, typename I>
-void spmv_wavefront(int nt, const V* values, const I* col_idxs,
-                    const I* row_ptrs, const V* b, size_type b_stride, V* x,
-                    size_type x_stride, size_type rows, size_type vec_cols,
-                    bool advanced, V alpha, V beta)
+template <typename Body>
+void rows_wavefront(int nt, size_type rows, Body body)
 {
     const size_type chunk = 64;
     const size_type num_chunks = ceildiv(rows, chunk);
 #pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static, 1)
     for (size_type c = 0; c < num_chunks; ++c) {
         const size_type begin = c * chunk;
-        const size_type end = std::min(rows, begin + chunk);
-        for (size_type row = begin; row < end; ++row) {
-            spmv_row(values, col_idxs, row_ptrs, b, b_stride, x, x_stride,
-                     row, vec_cols, advanced, alpha, beta);
-        }
+        body(begin, std::min(rows, begin + chunk));
     }
 }
 
@@ -255,7 +258,36 @@ void csr_apply_dispatch(const Csr<V, I>* mat, const Dense<V>* b, Dense<V>* x,
     const auto exec = mat->get_executor();
     const auto classical =
         mat->get_strategy() == Csr<V, I>::strategy::classical;
+    const auto* bv = b->get_const_values();
+    const auto b_stride = b->get_stride();
+    auto* xv = x->get_values();
+    const auto x_stride = x->get_stride();
 
+    // Hands `split` the row body that fits the operand: a single right-hand
+    // side runs the row-range kernel, wider blocks the per-row column loop.
+    auto run_rows = [&](auto split) {
+        if (vec_cols != 1) {
+            split([&](size_type begin, size_type end) {
+                for (auto row = begin; row < end; ++row) {
+                    kernels::csr::spmv_row(values, col_idxs, row_ptrs, bv,
+                                           b_stride, xv, x_stride, row,
+                                           vec_cols, advanced, alpha, beta);
+                }
+            });
+        } else if (advanced) {
+            split([&](size_type begin, size_type end) {
+                kernels::csr::spmv_single<true>(values, col_idxs, row_ptrs,
+                                                bv, b_stride, xv, x_stride,
+                                                begin, end, alpha, beta);
+            });
+        } else {
+            split([&](size_type begin, size_type end) {
+                kernels::csr::spmv_single<false>(values, col_idxs, row_ptrs,
+                                                 bv, b_stride, xv, x_stride,
+                                                 begin, end, alpha, beta);
+            });
+        }
+    };
     auto tick_strategy = [&](const Executor* e, sim::spmv_strategy s) {
         kernels::tick(e, mat->spmv_profile(s, e->model(), vec_cols, advanced));
     };
@@ -263,43 +295,37 @@ void csr_apply_dispatch(const Csr<V, I>* mat, const Dense<V>* b, Dense<V>* x,
     exec->run(make_operation(
         "csr_spmv",
         [&](const ReferenceExecutor* e) {
-            kernels::csr::spmv_serial(values, col_idxs, row_ptrs,
-                                      b->get_const_values(), b->get_stride(),
-                                      x->get_values(), x->get_stride(), rows,
-                                      vec_cols, advanced, alpha, beta);
+            // Textbook serial order (reference executor ground truth).
+            run_rows([&](auto body) { body(size_type{0}, rows); });
             tick_strategy(e, sim::spmv_strategy::serial);
         },
         [&](const OmpExecutor* e) {
             const int nt = kernels::exec_threads(e);
             if (classical) {
-                kernels::csr::spmv_classical(
-                    nt, values, col_idxs, row_ptrs, b->get_const_values(),
-                    b->get_stride(), x->get_values(), x->get_stride(), rows,
-                    vec_cols, advanced, alpha, beta);
+                run_rows([&](auto body) {
+                    kernels::csr::rows_classical(nt, rows, body);
+                });
                 tick_strategy(e, sim::spmv_strategy::classical_rows);
             } else {
-                kernels::csr::spmv_balanced(
-                    nt, values, col_idxs, row_ptrs, b->get_const_values(),
-                    b->get_stride(), x->get_values(), x->get_stride(), rows,
-                    vec_cols, advanced, alpha, beta);
+                run_rows([&](auto body) {
+                    kernels::csr::rows_balanced(nt, row_ptrs, rows, body);
+                });
                 tick_strategy(e, sim::spmv_strategy::balanced_nnz);
             }
         },
         [&](const CudaExecutor* e) {
             const int nt = kernels::exec_threads(e);
-            kernels::csr::spmv_balanced(nt, values, col_idxs, row_ptrs,
-                                        b->get_const_values(), b->get_stride(),
-                                        x->get_values(), x->get_stride(), rows,
-                                        vec_cols, advanced, alpha, beta);
+            run_rows([&](auto body) {
+                kernels::csr::rows_balanced(nt, row_ptrs, rows, body);
+            });
             tick_strategy(e, classical ? sim::spmv_strategy::classical_rows
                                        : sim::spmv_strategy::balanced_nnz);
         },
         [&](const HipExecutor* e) {
             const int nt = kernels::exec_threads(e);
-            kernels::csr::spmv_wavefront(
-                nt, values, col_idxs, row_ptrs, b->get_const_values(),
-                b->get_stride(), x->get_values(), x->get_stride(), rows,
-                vec_cols, advanced, alpha, beta);
+            run_rows([&](auto body) {
+                kernels::csr::rows_wavefront(nt, rows, body);
+            });
             tick_strategy(e, sim::spmv_strategy::wavefront64);
         }));
 }

@@ -13,14 +13,27 @@ namespace kernels::dense {
 // identical, and the performance difference between backends is carried by
 // each executor's MachineModel when the cost profile is ticked.
 
+// fill/scale/add_scaled pick their loop from the operand's shape: when
+// every operand is contiguous (stride == cols) and alpha is 1x1, the block
+// is one flat run of rows * cols values; strided views and per-column alpha
+// walk rows and columns.  Both loops do the same arithmetic per element.
+
 template <typename V>
 void fill(const Executor* exec, V* values, size_type rows, size_type cols,
           size_type stride, V value)
 {
     const int nt = kernels::exec_threads(exec);
+    if (stride == cols) {
+        const size_type n = rows * cols;
 #pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type r = 0; r < rows; ++r) {
-        std::fill_n(values + r * stride, cols, value);
+        for (size_type i = 0; i < n; ++i) {
+            values[i] = value;
+        }
+    } else {
+#pragma omp parallel for num_threads(nt) if (nt > 1)
+        for (size_type r = 0; r < rows; ++r) {
+            std::fill_n(values + r * stride, cols, value);
+        }
     }
     kernels::tick(exec, sim::profile_stream(
                             static_cast<double>(rows * cols * sizeof(V)), 0.0));
@@ -31,10 +44,19 @@ void scale(const Executor* exec, V* x, size_type rows, size_type cols,
            size_type stride, const V* alpha, size_type alpha_cols)
 {
     const int nt = kernels::exec_threads(exec);
+    if (alpha_cols == 1 && stride == cols) {
+        const V a = alpha[0];
+        const size_type n = rows * cols;
 #pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type r = 0; r < rows; ++r) {
-        for (size_type c = 0; c < cols; ++c) {
-            x[r * stride + c] *= alpha[alpha_cols == 1 ? 0 : c];
+        for (size_type i = 0; i < n; ++i) {
+            x[i] *= a;
+        }
+    } else {
+#pragma omp parallel for num_threads(nt) if (nt > 1)
+        for (size_type r = 0; r < rows; ++r) {
+            for (size_type c = 0; c < cols; ++c) {
+                x[r * stride + c] *= alpha[alpha_cols == 1 ? 0 : c];
+            }
         }
     }
     const double bytes = static_cast<double>(2 * rows * cols * sizeof(V));
@@ -42,21 +64,33 @@ void scale(const Executor* exec, V* x, size_type rows, size_type cols,
                                             static_cast<double>(rows * cols)));
 }
 
-template <typename V>
+/// x += alpha * b, or x -= alpha * b when Subtract.
+template <bool Subtract, typename V>
 void add_scaled(const Executor* exec, V* x, const V* b, size_type rows,
                 size_type cols, size_type x_stride, size_type b_stride,
-                const V* alpha, size_type alpha_cols, bool subtract)
+                const V* alpha, size_type alpha_cols)
 {
+    auto update = [](V& out, V term) {
+        if constexpr (Subtract) {
+            out -= term;
+        } else {
+            out += term;
+        }
+    };
     const int nt = kernels::exec_threads(exec);
+    if (alpha_cols == 1 && x_stride == cols && b_stride == cols) {
+        const V a = alpha[0];
+        const size_type n = rows * cols;
 #pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type r = 0; r < rows; ++r) {
-        for (size_type c = 0; c < cols; ++c) {
-            const V a = alpha[alpha_cols == 1 ? 0 : c];
-            const V term = a * b[r * b_stride + c];
-            if (subtract) {
-                x[r * x_stride + c] -= term;
-            } else {
-                x[r * x_stride + c] += term;
+        for (size_type i = 0; i < n; ++i) {
+            update(x[i], a * b[i]);
+        }
+    } else {
+#pragma omp parallel for num_threads(nt) if (nt > 1)
+        for (size_type r = 0; r < rows; ++r) {
+            for (size_type c = 0; c < cols; ++c) {
+                update(x[r * x_stride + c],
+                       alpha[alpha_cols == 1 ? 0 : c] * b[r * b_stride + c]);
             }
         }
     }
@@ -366,11 +400,10 @@ void Dense<ValueType>::add_scaled(const Dense* alpha, const Dense* b)
     MGKO_ASSERT_EQUAL_DIMENSIONS("add_scaled", get_size(), b->get_size());
     run_uniform(get_executor().get(), "dense_add_scaled",
                 [&](const Executor* e) {
-                    kernels::dense::add_scaled(
+                    kernels::dense::add_scaled<false>(
                         e, get_values(), b->get_const_values(),
                         get_size().rows, get_size().cols, stride_, b->stride_,
-                        alpha->get_const_values(), alpha->get_size().cols,
-                        false);
+                        alpha->get_const_values(), alpha->get_size().cols);
                 });
 }
 
@@ -381,11 +414,10 @@ void Dense<ValueType>::sub_scaled(const Dense* alpha, const Dense* b)
     MGKO_ASSERT_EQUAL_DIMENSIONS("sub_scaled", get_size(), b->get_size());
     run_uniform(get_executor().get(), "dense_sub_scaled",
                 [&](const Executor* e) {
-                    kernels::dense::add_scaled(
+                    kernels::dense::add_scaled<true>(
                         e, get_values(), b->get_const_values(),
                         get_size().rows, get_size().cols, stride_, b->stride_,
-                        alpha->get_const_values(), alpha->get_size().cols,
-                        true);
+                        alpha->get_const_values(), alpha->get_size().cols);
                 });
 }
 

@@ -329,7 +329,7 @@ template <typename ValueType, typename IndexType>
 void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
                                              const Dense<ValueType>* b,
                                              Dense<ValueType>* x,
-                                             bool backward) const
+                                             bool backward, bool x_zero) const
 {
     const auto& l = levels_[lvl];
     const auto n = l.op->get_size().rows;
@@ -341,23 +341,42 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
 
     if (params_.smoother == smoother_type::jacobi) {
         // x += w * D^{-1} (b - A x), with the SpMV charged by Csr::apply
-        // and the fused update charged here.
-        auto* tmp = workspace_.vec(slots_per_level * lvl + ws_tmp, dim2{n, 1});
-        l.op->apply(x, tmp);
-        const auto* tv = tmp->get_const_values();
+        // and the fused update charged here.  From x = 0 the sweep is
+        // x = 0 + w * D^{-1} (b - 0): the same arithmetic with A * 0 and x
+        // read as the zeros they are, so neither is computed nor loaded.
+        const ValueType* tv = nullptr;
+        if (!x_zero) {
+            auto* tmp =
+                workspace_.vec(slots_per_level * lvl + ws_tmp, dim2{n, 1});
+            l.op->apply(x, tmp);
+            tv = tmp->get_const_values();
+        }
         const auto w = params_.jacobi_weight;
         auto kernel = [&](const Executor* e) {
             const int nt = kernels::exec_threads(e);
+            if (x_zero) {
 #pragma omp parallel for num_threads(nt) if (nt > 1)
-            for (size_type i = 0; i < n; ++i) {
-                xv[i * x_stride] += static_cast<ValueType>(
-                    w * to_float(inv_diag[i]) *
-                    (to_float(bv[i * b_stride]) - to_float(tv[i])));
+                for (size_type i = 0; i < n; ++i) {
+                    auto xi = zero<ValueType>();
+                    xi += static_cast<ValueType>(w * to_float(inv_diag[i]) *
+                                                 to_float(bv[i * b_stride]));
+                    xv[i * x_stride] = xi;
+                }
+            } else {
+#pragma omp parallel for num_threads(nt) if (nt > 1)
+                for (size_type i = 0; i < n; ++i) {
+                    xv[i * x_stride] += static_cast<ValueType>(
+                        w * to_float(inv_diag[i]) *
+                        (to_float(bv[i * b_stride]) - to_float(tv[i])));
+                }
             }
+            // From zero only b and 1/a_ii are read and x written, and the
+            // subtraction is gone.
+            const double streams = x_zero ? 3.0 : 4.0;
             kernels::tick(
                 e, sim::profile_stream(
-                       4.0 * static_cast<double>(n) * sizeof(ValueType),
-                       4.0 * static_cast<double>(n), 0.9));
+                       streams * static_cast<double>(n) * sizeof(ValueType),
+                       streams * static_cast<double>(n), 0.9));
         };
         exec_->run(make_operation(
             "amg_jacobi_relax", [&](const ReferenceExecutor* e) { kernel(e); },
@@ -407,28 +426,38 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
 template <typename ValueType, typename IndexType>
 void Hierarchy<ValueType, IndexType>::run_level(
     size_type lvl, const Dense<ValueType>* b, Dense<ValueType>* x,
-    const log::EnableLogging* owner) const
+    const log::EnableLogging* owner, bool x_zero) const
 {
     log::ScopedSpan span{owner, exec_.get(), levels_[lvl].cycle_span.c_str()};
     const auto& l = levels_[lvl];
     const auto n = l.op->get_size().rows;
+    const bool coarsest = lvl + 1 == num_levels();
 
-    if (lvl + 1 == levels_.size()) {
-        if (coarse_solver_) {
-            coarse_solver_->apply(b, x);
-        } else {
-            // Coarsest level too large to densify: relax instead.
-            for (size_type s = 0; s < 2 * (params_.pre_sweeps +
-                                           params_.post_sweeps);
-                 ++s) {
-                smooth(lvl, b, x, s % 2 == 1);
-            }
+    if (coarsest && coarse_solver_) {
+        // The direct solve overwrites x without reading it.
+        coarse_solver_->apply(b, x);
+        return;
+    }
+    // From zero, the first Jacobi pre-sweep writes x; any other first
+    // relaxation reads x, so it is zeroed here.
+    const bool sweep_from_zero = x_zero &&
+                                 params_.smoother == smoother_type::jacobi &&
+                                 params_.pre_sweeps > 0;
+    if (x_zero && !sweep_from_zero) {
+        x->fill(zero<ValueType>());
+    }
+    if (coarsest) {
+        // Coarsest level too large to densify: relax instead.
+        for (size_type s = 0; s < 2 * (params_.pre_sweeps +
+                                       params_.post_sweeps);
+             ++s) {
+            smooth(lvl, b, x, s % 2 == 1, sweep_from_zero && s == 0);
         }
         return;
     }
 
     for (size_type s = 0; s < params_.pre_sweeps; ++s) {
-        smooth(lvl, b, x, false);
+        smooth(lvl, b, x, false, sweep_from_zero && s == 0);
     }
 
     const auto base = slots_per_level * lvl;
@@ -443,13 +472,12 @@ void Hierarchy<ValueType, IndexType>::run_level(
     auto* coarse_b = workspace_.vec(base + ws_coarse_b, dim2{nc, 1});
     auto* coarse_x = workspace_.vec(base + ws_coarse_x, dim2{nc, 1});
     l.restrict_op->apply(r, coarse_b);
-    coarse_x->fill(zero<ValueType>());
-    run_level(lvl + 1, coarse_b, coarse_x, owner);
+    run_level(lvl + 1, coarse_b, coarse_x, owner, true);
     // x += P x_c
     l.prolong->apply(one_s, coarse_x, one_s, x);
 
     for (size_type s = 0; s < params_.post_sweeps; ++s) {
-        smooth(lvl, b, x, true);
+        smooth(lvl, b, x, true, false);
     }
 }
 
@@ -459,6 +487,15 @@ void Hierarchy<ValueType, IndexType>::cycle(
     const Dense<ValueType>* b, Dense<ValueType>* x,
     const log::EnableLogging* owner) const
 {
+    run_cycle(b, x, owner, false);
+}
+
+
+template <typename ValueType, typename IndexType>
+void Hierarchy<ValueType, IndexType>::run_cycle(
+    const Dense<ValueType>* b, Dense<ValueType>* x,
+    const log::EnableLogging* owner, bool x_zero) const
+{
     MGKO_ENSURE(b != nullptr && x != nullptr,
                 "AMG cycle requires non-null vectors");
     MGKO_ENSURE(b->get_size() == x->get_size() &&
@@ -467,7 +504,7 @@ void Hierarchy<ValueType, IndexType>::cycle(
     if (b->get_size().cols != 1) {
         MGKO_NOT_SUPPORTED("AMG cycles support a single right-hand side");
     }
-    run_level(0, b, x, owner);
+    run_level(0, b, x, owner, x_zero);
 }
 
 

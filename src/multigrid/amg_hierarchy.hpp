@@ -105,11 +105,23 @@ public:
                const log::EnableLogging* owner = nullptr) const;
 
 private:
+    template <typename V, typename I>
+    friend class AmgPreconditioner;
+
+    /// One V-cycle; `x_zero` means x enters as the zero vector, whatever
+    /// its storage holds.  The result is bitwise the one of zeroing x and
+    /// calling cycle(), but a level entered at zero skips work on it: the
+    /// first Jacobi pre-sweep writes x = w D^{-1} b, replacing the fill,
+    /// the A * 0 SpMV and the relax pass, and the direct coarse solve
+    /// overwrites x anyway.  Every coarse correction enters at zero.
+    void run_cycle(const Dense<ValueType>* b, Dense<ValueType>* x,
+                   const log::EnableLogging* owner, bool x_zero) const;
     void run_level(size_type lvl, const Dense<ValueType>* b,
-                   Dense<ValueType>* x,
-                   const log::EnableLogging* owner) const;
+                   Dense<ValueType>* x, const log::EnableLogging* owner,
+                   bool x_zero) const;
+    /// One relaxation sweep; `x_zero` (Jacobi only) reads x as zero.
     void smooth(size_type lvl, const Dense<ValueType>* b,
-                Dense<ValueType>* x, bool backward) const;
+                Dense<ValueType>* x, bool backward, bool x_zero) const;
 
     std::shared_ptr<const Executor> exec_;
     amg_parameters params_;

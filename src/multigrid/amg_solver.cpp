@@ -113,8 +113,9 @@ void AmgPreconditioner<ValueType, IndexType>::apply_impl(const LinOp* b,
 {
     auto dense_b = as_dense<ValueType>(b);
     auto dense_x = as_dense<ValueType>(x);
-    dense_x->fill(zero<ValueType>());
-    for (size_type c = 0; c < params_.cycles; ++c) {
+    // The first cycle starts from x = 0 whatever x holds on entry.
+    hierarchy_->run_cycle(dense_b, dense_x, this, true);
+    for (size_type c = 1; c < params_.cycles; ++c) {
         hierarchy_->cycle(dense_b, dense_x, this);
     }
 }

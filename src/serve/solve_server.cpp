@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -801,7 +802,9 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
 
     Json response = Json::make_object();
     Json solution = Json::make_array();
+    bool non_finite = !std::isfinite(report.residual_norm);
     for (const double v : report.solution) {
+        non_finite |= !std::isfinite(v);
         solution.push_back(Json{v});
     }
     response["x"] = std::move(solution);
@@ -809,6 +812,10 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
         Json{static_cast<std::int64_t>(report.iterations)};
     response["converged"] = Json{report.converged};
     response["residual_norm"] = Json{report.residual_norm};
+    // Non-finite numbers are dumped as null; the flag says so explicitly.
+    if (non_finite) {
+        response["non_finite"] = Json{true};
+    }
     response["stop_reason"] = Json{report.stop_reason};
     response["cache"] = Json{cache_outcome};
     if (!handle_name.empty()) {
@@ -830,7 +837,11 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
     cost.reserve(256 + totals.per_kernel.size() * 128);
     const auto number = [&cost](const char* key, double value) {
         char buffer[48];
-        std::snprintf(buffer, sizeof(buffer), "\"%s\": %.6g", key, value);
+        if (std::isfinite(value)) {
+            std::snprintf(buffer, sizeof(buffer), "\"%s\": %.6g", key, value);
+        } else {
+            std::snprintf(buffer, sizeof(buffer), "\"%s\": null", key);
+        }
         cost += buffer;
     };
     cost += ",\"cost\": {\"trace_id\": \"" + ctx.trace_id_hex() + "\", ";

@@ -1,6 +1,8 @@
 // JSON parser/serializer and generic config-solver tests.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "matrix/csr.hpp"
@@ -66,6 +68,32 @@ TEST(Json, RoundTripsThroughDump)
     EXPECT_EQ(doc, again);
     // pretty-printing also round-trips
     EXPECT_EQ(Json::parse(doc.dump(2)), doc);
+}
+
+TEST(Json, NonFiniteRealsDumpAsNullAndStillParse)
+{
+    Json doc = Json::make_object();
+    doc["x"] = Json{std::numeric_limits<double>::quiet_NaN()};
+    doc["y"] = Json{std::numeric_limits<double>::infinity()};
+    Json list = Json::make_array();
+    list.push_back(Json{-std::numeric_limits<double>::infinity()});
+    list.push_back(Json{1.5});
+    doc["z"] = std::move(list);
+
+    for (const int indent : {0, 2}) {
+        const auto text = doc.dump(indent);
+        EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+        EXPECT_EQ(text.find("inf"), std::string::npos) << text;
+        Json again;
+        ASSERT_NO_THROW(again = Json::parse(text)) << text;
+        EXPECT_TRUE(again.at("x").is_null());
+        EXPECT_TRUE(again.at("y").is_null());
+        EXPECT_TRUE(again.at("z").elements()[0].is_null());
+        EXPECT_EQ(again.at("z").elements()[1].as_double(), 1.5);
+        // Once the non-finite values are null, dump and parse are inverse.
+        EXPECT_EQ(again.dump(indent), text);
+        EXPECT_EQ(Json::parse(again.dump(indent)), again);
+    }
 }
 
 TEST(Json, RejectsMalformedInput)

@@ -3,8 +3,15 @@
 // swept across all executors and value/index type combinations.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/mtx_io.hpp"
 #include "matrix/coo.hpp"
@@ -126,6 +133,75 @@ TEST(Dense, ViewWrapsExternalBuffer)
     view->at(0, 0) = 9.0;
     EXPECT_DOUBLE_EQ(buffer[0], 9.0);
 }
+
+// fill/scale/add_scaled/sub_scaled run one flat loop over contiguous
+// operands with a 1x1 alpha; strided views and per-column alpha must keep
+// walking rows and columns.
+class DenseLoopShapes : public ::testing::TestWithParam<int> {
+protected:
+    std::shared_ptr<Executor> exec_ = OmpExecutor::create(GetParam());
+
+    /// rows x 3 block with m(r, c) = r + 100 c.
+    std::unique_ptr<Dense<double>> numbered(size_type rows)
+    {
+        auto m = Dense<double>::create(exec_, dim2{rows, 3});
+        for (size_type r = 0; r < rows; ++r) {
+            for (size_type c = 0; c < 3; ++c) {
+                m->at(r, c) = static_cast<double>(r + 100 * c);
+            }
+        }
+        return m;
+    }
+};
+
+TEST_P(DenseLoopShapes, ColumnViewUpdatesLeaveOtherColumnsUntouched)
+{
+    const size_type n = 1000;
+    auto m = numbered(n);
+    auto other = numbered(n);
+    auto contiguous = Dense<double>::create_filled(exec_, dim2{n, 1}, 4.0);
+    auto half = Dense<double>::create_scalar(exec_, 0.5);
+    auto two = Dense<double>::create_scalar(exec_, 2.0);
+    auto col = m->column_view(1);
+
+    col->fill(3.0);
+    col->scale(two.get());                          // 6
+    col->add_scaled(half.get(), contiguous.get());  // 6 + 2 = 8
+    // 8 - 2 * other(r, 2), with both operands strided
+    col->sub_scaled(two.get(), other->column_view(2).get());
+    for (size_type r = 0; r < n; ++r) {
+        EXPECT_EQ(m->at(r, 0), static_cast<double>(r)) << r;
+        EXPECT_EQ(m->at(r, 1), 8.0 - 2.0 * static_cast<double>(r + 200))
+            << r;
+        EXPECT_EQ(m->at(r, 2), static_cast<double>(r + 200)) << r;
+    }
+}
+
+TEST_P(DenseLoopShapes, PerColumnAlphaScalesEachColumnByItsOwnFactor)
+{
+    const size_type n = 1000;
+    auto m = numbered(n);
+    auto b = numbered(n);
+    auto alpha = Dense<double>::create(exec_, dim2{1, 3});
+    alpha->at(0, 0) = 2.0;
+    alpha->at(0, 1) = -1.0;
+    alpha->at(0, 2) = 0.5;
+
+    m->scale(alpha.get());                // m = a_c v
+    m->add_scaled(alpha.get(), b.get());  // m = 2 a_c v
+    m->sub_scaled(alpha.get(), b.get());  // m = a_c v
+    m->add_scaled(alpha.get(), b.get());  // m = 2 a_c v
+    for (size_type r = 0; r < n; ++r) {
+        for (size_type c = 0; c < 3; ++c) {
+            EXPECT_EQ(m->at(r, c), 2.0 * alpha->at(0, c) *
+                                       static_cast<double>(r + 100 * c))
+                << r << ", " << c;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(OneAndFourThreads, DenseLoopShapes,
+                         ::testing::Values(1, 4));
 
 TEST(Dense, ApplyValidatesDimensions)
 {
@@ -385,6 +461,206 @@ TEST(Csr, StrategySelectionDoesNotChangeResults)
     classical->apply(b.get(), x2.get());
     for (size_type i = 0; i < n; ++i) {
         EXPECT_NEAR(x1->at(i, 0), x2->at(i, 0), 1e-13);
+    }
+}
+
+// --- Single right-hand-side SpMV: bitwise against the reference -----------
+
+/// Element-wise bitwise equality (signed zeros and NaN payloads included).
+template <typename V>
+::testing::AssertionResult same_bits(const Dense<V>* expected,
+                                     const Dense<V>* actual)
+{
+    for (size_type r = 0; r < expected->get_size().rows; ++r) {
+        for (size_type c = 0; c < expected->get_size().cols; ++c) {
+            const V e = expected->at(r, c);
+            const V a = actual->at(r, c);
+            if (std::memcmp(&e, &a, sizeof(V)) != 0) {
+                return ::testing::AssertionFailure()
+                       << "differs at (" << r << ", " << c << "): expected "
+                       << to_float(e) << ", got " << to_float(a);
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/// Row 2 holds every column; of the other rows only every eighth has an
+/// entry.  The long row starts in the first quarter of the nonzeros and
+/// ends past three quarters, so threads 1 and 2 of a 4-way nnz-balanced
+/// split own no rows.
+template <typename V, typename I>
+matrix_data<V, I> one_long_row(size_type n)
+{
+    std::mt19937_64 engine{99};
+    std::uniform_real_distribution<double> dist{-1.0, 1.0};
+    matrix_data<V, I> data{dim2{n}};
+    for (size_type r = 0; r < n; ++r) {
+        if (r == 2) {
+            for (size_type c = 0; c < n; ++c) {
+                data.add(static_cast<I>(r), static_cast<I>(c),
+                         static_cast<V>(dist(engine)));
+            }
+        } else if (r % 8 == 0) {
+            data.add(static_cast<I>(r), static_cast<I>((r * 7 + 1) % n),
+                     static_cast<V>(dist(engine)));
+        }
+    }
+    return data;
+}
+
+/// The matrix on every non-reference row split: OpenMP on 1 and 4 threads
+/// under both strategies, the CUDA executor's nnz-balanced split and the
+/// HIP executor's 64-row wavefront chunks.
+template <typename V, typename I>
+std::vector<std::pair<std::string, std::unique_ptr<Csr<V, I>>>>
+csr_on_every_split(const matrix_data<V, I>& data)
+{
+    std::vector<std::pair<std::string, std::unique_ptr<Csr<V, I>>>> result;
+    for (const int threads : {1, 4}) {
+        for (const auto strategy : {Csr<V, I>::strategy::load_balanced,
+                                    Csr<V, I>::strategy::classical}) {
+            auto mat = Csr<V, I>::create_from_data(
+                OmpExecutor::create(threads), data);
+            mat->set_strategy(strategy);
+            result.emplace_back(
+                "omp" + std::to_string(threads) +
+                    (strategy == Csr<V, I>::strategy::classical
+                         ? "/classical"
+                         : "/load_balanced"),
+                std::move(mat));
+        }
+    }
+    result.emplace_back("cuda",
+                        Csr<V, I>::create_from_data(CudaExecutor::create(),
+                                                    data));
+    result.emplace_back("hip", Csr<V, I>::create_from_data(
+                                   HipExecutor::create(), data));
+    return result;
+}
+
+TYPED_TEST(SparseFormats, SingleColumnSpmvMatchesReferenceBitwise)
+{
+    using V = typename TestFixture::value_type;
+    using I = typename TestFixture::index_type;
+    const size_type n = 512;
+    const auto data = one_long_row<V, I>(n);
+    auto ref = ReferenceExecutor::create();
+    auto ref_mat = Csr<V, I>::create_from_data(ref, data);
+    {
+        const auto* row_ptrs = ref_mat->get_const_row_ptrs();
+        const auto nnz = static_cast<size_type>(row_ptrs[n]);
+        ASSERT_LT(4 * static_cast<size_type>(row_ptrs[2]), nnz);
+        ASSERT_GT(4 * static_cast<size_type>(row_ptrs[3]), 3 * nnz);
+    }
+    const V nan = std::numeric_limits<V>::quiet_NaN();
+
+    // Operands live in a 3-column block so the strided case can use the
+    // middle column; the contiguous case uses a 1-column block.
+    auto block = [&](std::shared_ptr<const Executor> exec, size_type cols,
+                     std::uint64_t seed) {
+        std::mt19937_64 engine{seed};
+        std::uniform_real_distribution<double> dist{-1.0, 1.0};
+        auto m = Dense<V>::create(std::move(exec), dim2{n, cols});
+        for (size_type r = 0; r < n; ++r) {
+            for (size_type c = 0; c < cols; ++c) {
+                m->at(r, c) = static_cast<V>(dist(engine));
+            }
+        }
+        return m;
+    };
+    auto column = [](Dense<V>* m) {
+        return m->get_size().cols == 1 ? m->column_view(0)
+                                       : m->column_view(1);
+    };
+
+    // The single-column kernel keeps the n x k kernel's accumulation
+    // order: its result is bitwise the matching column of a block product.
+    {
+        auto alpha = Dense<V>::create_scalar(ref, static_cast<V>(0.75));
+        auto beta = Dense<V>::create_scalar(ref, static_cast<V>(-1.5));
+        auto b = block(ref, 3, 5);
+        auto x = block(ref, 3, 7);
+        auto x_single = column(x.get())->clone();
+        ref_mat->apply(alpha.get(), b.get(), beta.get(), x.get());
+        ref_mat->apply(alpha.get(), column(b.get()).get(), beta.get(),
+                       x_single.get());
+        EXPECT_TRUE(same_bits(column(x.get()).get(), x_single.get()));
+    }
+
+    for (const size_type cols : {size_type{1}, size_type{3}}) {
+        SCOPED_TRACE(cols == 1 ? "contiguous" : "strided column view");
+        for (auto& [name, mat] : csr_on_every_split(data)) {
+            SCOPED_TRACE(name);
+            const auto exec = mat->get_executor();
+            auto alpha = Dense<V>::create_scalar(exec, static_cast<V>(0.75));
+            auto beta = Dense<V>::create_scalar(exec, static_cast<V>(-1.5));
+            auto beta0 = Dense<V>::create_scalar(exec, zero<V>());
+            auto b = block(exec, cols, 5);
+            auto ref_b = block(ref, cols, 5);
+
+            // Plain apply and beta == 0 must not read the NaN-filled output.
+            for (const bool advanced : {false, true}) {
+                auto x = block(exec, cols, 6);
+                auto ref_x = block(ref, cols, 6);
+                column(x.get())->fill(nan);
+                column(ref_x.get())->fill(nan);
+                if (advanced) {
+                    mat->apply(alpha.get(), column(b.get()).get(),
+                               beta0.get(), column(x.get()).get());
+                    ref_mat->apply(alpha.get(), column(ref_b.get()).get(),
+                                   beta0.get(), column(ref_x.get()).get());
+                } else {
+                    mat->apply(column(b.get()).get(), column(x.get()).get());
+                    ref_mat->apply(column(ref_b.get()).get(),
+                                   column(ref_x.get()).get());
+                }
+                EXPECT_TRUE(same_bits(ref_x.get(), x.get()))
+                    << (advanced ? "beta == 0" : "plain");
+                for (size_type r = 0; r < n; ++r) {
+                    ASSERT_FALSE(std::isnan(to_float(x->at(r, cols / 2))))
+                        << "row " << r;
+                }
+            }
+            // beta != 0 reads and scales the output.
+            auto x = block(exec, cols, 7);
+            auto ref_x = block(ref, cols, 7);
+            mat->apply(alpha.get(), column(b.get()).get(), beta.get(),
+                       column(x.get()).get());
+            ref_mat->apply(alpha.get(), column(ref_b.get()).get(), beta.get(),
+                           column(ref_x.get()).get());
+            EXPECT_TRUE(same_bits(ref_x.get(), x.get())) << "beta != 0";
+        }
+    }
+}
+
+TEST(Csr, MultiColumnSpmvMatchesReferenceBitwise)
+{
+    const size_type n = 512;
+    const auto data = one_long_row<double, int32>(n);
+    auto ref = ReferenceExecutor::create();
+    auto ref_mat = Csr<double, int32>::create_from_data(ref, data);
+    auto b = Dense<double>::create(ref, dim2{n, 3});
+    for (size_type r = 0; r < n; ++r) {
+        for (size_type c = 0; c < 3; ++c) {
+            b->at(r, c) =
+                0.25 * static_cast<double>((r * 13 + c * 7) % 17) - 2.0;
+        }
+    }
+    auto alpha = Dense<double>::create_scalar(ref, 0.75);
+    auto beta = Dense<double>::create_scalar(ref, -1.5);
+    auto expected = Dense<double>::create_filled(ref, dim2{n, 3}, 1.0);
+    ref_mat->apply(b.get(), expected.get());
+    ref_mat->apply(alpha.get(), b.get(), beta.get(), expected.get());
+
+    for (auto& [name, mat] : csr_on_every_split(data)) {
+        const auto exec = mat->get_executor();
+        auto b_here = b->clone_to(exec);
+        auto x = Dense<double>::create_filled(exec, dim2{n, 3}, 1.0);
+        mat->apply(b_here.get(), x.get());
+        mat->apply(alpha->clone_to(exec).get(), b_here.get(),
+                   beta->clone_to(exec).get(), x.get());
+        EXPECT_TRUE(same_bits(expected.get(), x.get())) << name;
     }
 }
 

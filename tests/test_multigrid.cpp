@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -476,6 +479,70 @@ TEST(AmgPreconditioner, SecondApplyPerformsZeroExecutorAllocations)
     precond->apply(b.get(), x.get());
     EXPECT_EQ(exec->num_allocations(), system_allocs)
         << "steady-state preconditioner apply() hit the system allocator";
+}
+
+
+// --- zero initial guess ------------------------------------------------------
+
+/// AmgPreconditioner::apply starts from x = 0 and skips the work on it.  On
+/// a 4-thread OmpExecutor its result must be bitwise that of zeroing x and
+/// running Hierarchy::cycle, whatever x held on entry.  The cases cover the
+/// Jacobi path that writes x directly, the schemes that zero x first
+/// (Gauss-Seidel, no pre-sweep), repeated cycles, and a single level too
+/// large for the direct solver, which relaxes instead.
+TEST(AmgZeroGuess, PreconditionerMatchesFillThenCycleBitwise)
+{
+    struct zero_guess_case {
+        const char* name;
+        multigrid::smoother_type smoother;
+        size_type pre_sweeps;
+        size_type cycles;
+        size_type max_levels;
+        size_type grid;
+    };
+    constexpr auto jacobi = multigrid::smoother_type::jacobi;
+    constexpr auto gauss_seidel = multigrid::smoother_type::gauss_seidel;
+    const zero_guess_case cases[] = {
+        {"jacobi", jacobi, 1, 1, 12, 48},
+        {"jacobi, 2 pre-sweeps, 2 cycles", jacobi, 2, 2, 12, 48},
+        {"jacobi, no pre-sweep", jacobi, 0, 1, 12, 48},
+        {"gauss_seidel", gauss_seidel, 1, 1, 12, 48},
+        {"jacobi, one relaxed level", jacobi, 1, 1, 1, 130},
+    };
+    auto exec = OmpExecutor::create(4);
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.name);
+        auto a = poisson_2d(exec, c.grid, c.grid);
+        const auto n = a->get_size().rows;
+        auto builder = multigrid::AmgPreconditioner<double, int32>::build()
+                           .with_smoother(c.smoother)
+                           .with_cycles(c.cycles)
+                           .with_max_levels(c.max_levels);
+        builder.pre_sweeps = c.pre_sweeps;
+        auto precond = builder.on(exec)->generate(a);
+        const auto& hierarchy =
+            dynamic_cast<const multigrid::AmgPreconditioner<double, int32>&>(
+                *precond)
+                .get_hierarchy();
+        auto b = test::random_vector<double>(exec, n, 11);
+
+        auto expected = Vec::create(exec, dim2{n, 1});
+        expected->fill(0.0);
+        for (size_type k = 0; k < c.cycles; ++k) {
+            hierarchy.cycle(b.get(), expected.get());
+        }
+        for (const double initial :
+             {0.0, 7.0, std::numeric_limits<double>::quiet_NaN()}) {
+            auto x = Vec::create_filled(exec, dim2{n, 1}, initial);
+            precond->apply(b.get(), x.get());
+            for (size_type i = 0; i < n; ++i) {
+                ASSERT_TRUE(std::isfinite(x->at(i, 0))) << "row " << i;
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(x->at(i, 0)),
+                          std::bit_cast<std::uint64_t>(expected->at(i, 0)))
+                    << "row " << i << ", x = " << initial << " on entry";
+            }
+        }
+    }
 }
 
 

@@ -528,6 +528,39 @@ TEST(SolveServerTracing, AdoptsTheCallersTraceIdAndEchoesIt)
     server->stop();
 }
 
+TEST(SolveServer, DivergingSolveAnswersParseableJsonFlaggedNonFinite)
+{
+    auto server = serve::SolveServer::start({});
+    // IR with relaxation 5 on the Laplacian (eigenvalues up to ~4) blows
+    // up to inf/nan; the sampled trace adds the hand-written cost block.
+    Json ir = Json::make_object();
+    ir["type"] = Json{"solver::Ir"};
+    ir["relaxation_factor"] = Json{5.0};
+    ir["max_iters"] = Json{std::int64_t{2000}};
+    ir["reduction_factor"] = Json{1e-10};
+    Json solve = Json::make_object();
+    solve["triplet"] = laplacian_triplet(16);
+    solve["config"] = ir;
+    const auto header = std::string{"traceparent: "} + kTraceparent + "\r\n";
+    const auto diverged = http_request(server->port(), "POST", "/v1/solve",
+                                       solve.dump(), header);
+    ASSERT_EQ(status_of(diverged), 200) << diverged;
+    Json result;
+    ASSERT_NO_THROW(result = Json::parse(body_of(diverged)))
+        << body_of(diverged);
+    EXPECT_TRUE(result.at("non_finite").as_bool());
+    EXPECT_FALSE(result.at("converged").as_bool());
+    EXPECT_TRUE(result.at("residual_norm").is_null());
+    EXPECT_TRUE(result.contains("cost"));
+
+    solve["config"] = cg_config();
+    const auto converged = http_request(server->port(), "POST", "/v1/solve",
+                                        solve.dump(), header);
+    ASSERT_EQ(status_of(converged), 200) << converged;
+    EXPECT_FALSE(Json::parse(body_of(converged)).contains("non_finite"));
+    server->stop();
+}
+
 TEST(SolveServerTracing, UnsampledCallerContextSkipsTheCostBlock)
 {
     auto server = serve::SolveServer::start({});
