@@ -14,10 +14,15 @@
 // MGKO_SOLVER_ITERS scales the iteration budget (default 50; the paper's
 // 1000 produces identical per-iteration numbers but a long serial run on
 // this one-core build host).
+//
+// MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT start the live endpoints for the
+// length of the run (README, "Production telemetry" and
+// "Solve-as-a-service").
 #include <cstdio>
 
 #include "baselines/baselines.hpp"
 #include "bench/common/harness.hpp"
+#include "serve/solve_server.hpp"
 #include "sim/machine_model.hpp"
 #include "solver/cg.hpp"
 #include "solver/cgs.hpp"
@@ -53,6 +58,7 @@ double mgko_seconds_per_iter(std::shared_ptr<Executor> exec,
 
 int main()
 {
+    serve::start_from_env();
     auto device = CudaExecutor::create();
     const auto iters = static_cast<size_type>(
         sim::env_override("MGKO_SOLVER_ITERS", 50.0));

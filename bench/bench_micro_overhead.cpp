@@ -23,6 +23,7 @@
 #include "log/profiler.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
+#include "serve/solve_server.hpp"
 #include "solver/cg.hpp"
 #include "solver/gmres.hpp"
 #include "stop/criterion.hpp"
@@ -366,8 +367,10 @@ void measure_flight_recorder_overhead()
 // bind.* tags (per-name wall time and the GIL-wait/lookup/boxing/
 // interpreter breakdown) and the JSON is dumped at exit.  Unset, no
 // logger is attached and the measured numbers are unaffected.
+// MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT start the live endpoints first.
 int main(int argc, char** argv)
 {
+    serve::start_from_env();
     auto profiler = log::profiler_from_env();
     if (profiler) {
         bind::add_logger(profiler);

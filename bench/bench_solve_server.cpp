@@ -230,16 +230,16 @@ int main(int argc, char** argv)
         }
     }
 
-    // Telemetry must be live before the server creates its executor so the
+    // Telemetry must be live before any server creates its executor so the
     // shared metrics registry records executor-level series — the global
     // side of the request-attribution reconciliation below.  Honour a
-    // CI-provided fixed port, fall back to an ephemeral one.
+    // CI-provided fixed port, fall back to an ephemeral one; the
+    // environment's MGKO_SOLVE_PORT server starts after it.
     if (const char* env_port = std::getenv("MGKO_TELEMETRY_PORT");
-        env_port != nullptr && *env_port != '\0') {
-        serve::telemetry_from_env();
-    } else {
+        env_port == nullptr || *env_port == '\0') {
         serve::telemetry_start(0);
     }
+    serve::start_from_env();
 
     serve::SolveServerOptions options;
     options.port = fixed_port;

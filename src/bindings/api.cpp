@@ -5,6 +5,7 @@
 
 #include "bindings/registry.hpp"
 #include "matrix/dense.hpp"
+#include "serve/solve_server.hpp"
 #include "solver/solver_base.hpp"
 
 namespace mgko::bind {
@@ -81,6 +82,9 @@ std::string normalize_format(const std::string& format)
 
 Device device(const std::string& name, int id)
 {
+    // Servers first: the solve server's executor and this one then both
+    // feed the metrics an env-started telemetry server exports.
+    serve::start_from_env();
     return Device{create_executor(name, id)};
 }
 

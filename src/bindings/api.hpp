@@ -45,6 +45,9 @@ private:
     std::shared_ptr<Executor> exec_;
 };
 
+/// Creates the executor `name` names.  The first call also starts the
+/// servers MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT ask for
+/// (serve::start_from_env).
 Device device(const std::string& name, int id = 0);
 
 

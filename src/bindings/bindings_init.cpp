@@ -827,8 +827,8 @@ void register_observability_bindings(Module& m)
     });
 
     // args: [rate] — sets the request-trace sampling probability (the
-    // binding twin of MGKO_TRACE_SAMPLE / the "trace_sample" config key);
-    // with no argument just returns the current rate.
+    // binding twin of MGKO_TRACE_SAMPLE); with no argument just returns
+    // the current rate.
     m.def("trace_sample", [](const List& args) -> Value {
         if (!args.empty() && !args.at(0).is_none()) {
             log::set_trace_sample_rate(args.at(0).as_double());
@@ -919,7 +919,8 @@ void register_observability_bindings(Module& m)
 
     // args: [mode] — enables the hardware-counter tier: "auto" (default)
     // probes perf_event_open and falls back to rusage, "rusage" forces
-    // the fallback, "off" disables.  Returns the active source.
+    // the fallback, "off" disables; any other mode throws BadParameter
+    // (see log::hw_counters_enable).  Returns the active source.
     m.def("hw_counters", [](const List& args) -> Value {
         std::string mode = "auto";
         if (!args.empty() && !args.at(0).is_none()) {

@@ -14,8 +14,6 @@
 #include "log/trace.hpp"
 #include "log/trace_context.hpp"
 #include "log/work_model.hpp"
-#include "serve/solve_server.hpp"
-#include "serve/telemetry_server.hpp"
 
 namespace mgko {
 
@@ -38,10 +36,12 @@ double now_wall_ns()
 /// Observability wiring for every factory-created executor.  The opt-in
 /// tiers (MGKO_TRACE / MGKO_METRICS) attach the process-wide tracer and
 /// metrics logger; the always-on tier attaches the flight recorder
-/// unconditionally (opt out with MGKO_FLIGHT_RECORDER=0) and, when the
-/// telemetry server is live, the shared metrics registry so /metrics has
-/// executor-level series to serve.  MGKO_TELEMETRY_PORT and
-/// MGKO_FLIGHT_POSTMORTEM take effect on the first executor creation.
+/// unconditionally (opt out with MGKO_FLIGHT_RECORDER=0) and, while the
+/// telemetry server exports it, the shared metrics registry so /metrics
+/// has executor-level series to serve.  MGKO_FLIGHT_POSTMORTEM,
+/// MGKO_SAMPLING_HZ and MGKO_HW_COUNTERS take effect on the first
+/// executor creation; the servers' MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT
+/// are read by serve::start_from_env, which executors never call.
 /// add_logger deduplicates, so repeated attachment points are harmless.
 template <typename ExecPtr>
 ExecPtr with_env_observers(ExecPtr exec)
@@ -49,12 +49,10 @@ ExecPtr with_env_observers(ExecPtr exec)
     log::install_crash_handler_from_env();
     log::sampling_from_env();
     log::hw_counters_from_env();
-    serve::telemetry_from_env();
-    serve::solve_server_from_env();
     exec->add_logger(log::tracer_from_env());
     exec->add_logger(log::metrics_from_env());
     exec->add_logger(log::flight_recorder_from_env());
-    if (serve::telemetry_active()) {
+    if (log::shared_metrics_exported()) {
         exec->add_logger(log::shared_metrics());
     }
     return exec;

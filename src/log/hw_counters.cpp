@@ -16,10 +16,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <sstream>
+
+#include "core/exception.hpp"
 
 namespace mgko::log {
 
@@ -222,7 +225,12 @@ void hw_counters_from_env_impl()
         std::strcmp(value, "off") == 0 || std::strcmp(value, "OFF") == 0) {
         return;
     }
-    hw_counters_enable(value);
+    try {
+        hw_counters_enable(value);
+    } catch (const BadParameter&) {
+        std::fprintf(stderr, "mgko: MGKO_HW_COUNTERS='%s' is not a mode\n",
+                     value);
+    }
 }
 
 }  // namespace
@@ -280,6 +288,12 @@ bool hw_counters_enable(const std::string& mode)
     if (mode == "rusage") {
         active_rung.store(rung::rusage, std::memory_order_release);
         return true;
+    }
+    if (mode != "auto" && mode != "perf" && mode != "on" && mode != "1") {
+        throw BadParameter(__FILE__, __LINE__,
+                           "hw_counters mode must be \"auto\", \"perf\", "
+                           "\"on\", \"1\" or \"rusage\", got \"" +
+                               mode + "\"");
     }
     active_rung.store(probe_perf_event() ? rung::perf_event : rung::rusage,
                       std::memory_order_release);

@@ -83,8 +83,10 @@ private:
 
 /// Enables the measured tier.  mode "auto" (default) probes
 /// perf_event_open and demotes to the rusage rung when the kernel refuses;
-/// mode "rusage" forces the fallback rung (CI determinism); mode "perf"
-/// behaves like "auto".  Returns true — the rusage rung always works.
+/// mode "rusage" forces the fallback rung (CI determinism); "perf", "on"
+/// and "1" behave like "auto".  Any other mode throws BadParameter and
+/// leaves the tier as it was.  Returns true — the rusage rung always
+/// works.
 bool hw_counters_enable(const std::string& mode = "auto");
 
 /// Disables the tier (accumulated totals stay readable).
@@ -121,7 +123,8 @@ std::string hw_counters_prometheus();
 
 /// Reads MGKO_HW_COUNTERS once per process: "1"/"on"/"auto"/"perf"
 /// enable with the probe, "rusage" forces the fallback rung, unset /
-/// "0" / "off" leave the tier disabled.
+/// "0" / "off" leave the tier disabled.  Any other value is reported on
+/// stderr and leaves the tier disabled.
 void hw_counters_from_env();
 
 

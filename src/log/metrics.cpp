@@ -1,6 +1,7 @@
 #include "log/metrics.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -499,6 +500,22 @@ std::shared_ptr<MetricsLogger> metrics_from_env()
     }
     return shared_metrics();
 }
+
+
+namespace {
+
+std::atomic<bool> metrics_exported{false};
+
+}  // namespace
+
+
+void set_shared_metrics_exported(bool exported)
+{
+    metrics_exported.store(exported);
+}
+
+
+bool shared_metrics_exported() { return metrics_exported.load(); }
 
 
 void dump_metrics(const MetricsLogger& metrics, const std::string& name)

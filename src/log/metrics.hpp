@@ -187,6 +187,13 @@ std::shared_ptr<MetricsLogger> shared_metrics();
 /// attach the result to every new executor.
 std::shared_ptr<MetricsLogger> metrics_from_env();
 
+/// Whether a live endpoint exports shared_metrics():
+/// serve::telemetry_start sets the flag and telemetry_stop clears it.
+/// Executor factories attach shared_metrics() to every executor created
+/// while it is set, so /metrics has executor-level series to serve.
+void set_shared_metrics_exported(bool exported);
+bool shared_metrics_exported();
+
 /// Writes the registry's Prometheus text where MGKO_METRICS points: "-",
 /// "1" or "stdout" print it under a banner; a directory or path prefix
 /// derives a per-run file name from `name` (see log/dump_path.hpp).

@@ -20,13 +20,15 @@
 // complete bracketing dispatch); well_nested() verifies the invariant and
 // the concurrency stress tests assert it under contention.
 //
-// Enabled two ways, mirroring MGKO_PROFILE:
-//   * environment — MGKO_TRACE=<dest> makes tracer_from_env() return the
-//     process-wide shared_tracer(), which executor factories auto-attach
-//     to every new executor; dump_trace() writes the JSON to <dest>
-//     ("-"/"1"/"stdout" print to stdout, anything else is a file path),
-//   * config — a `"trace": true` key in a solver config attaches
-//     shared_tracer() to the generated solver (config/config_solver.cpp).
+// Enabled by environment, mirroring MGKO_PROFILE: MGKO_TRACE=<dest> makes
+// tracer_from_env() return the process-wide shared_tracer(), which
+// executor factories auto-attach to every new executor; dump_trace()
+// writes the JSON to <dest> ("-"/"1"/"stdout" print to stdout, anything
+// else is a file path).  Code can also attach a TraceLogger to one
+// executor or solver with add_logger.  Solver configs carry no tracing
+// key; without MGKO_TRACE, the always-on flight recorder answers the same
+// question (the `flight_dump` binding, or /trace.json on the telemetry
+// server).
 #pragma once
 
 #include <memory>
@@ -129,8 +131,8 @@ private:
 };
 
 
-/// The process-wide tracer the MGKO_TRACE switch and the `"trace"` config
-/// key attach; also what the `trace_dump` binding exports.
+/// The process-wide tracer the MGKO_TRACE switch attaches; also what the
+/// `trace_dump` binding exports.
 std::shared_ptr<TraceLogger> shared_tracer();
 
 /// Returns shared_tracer() when the MGKO_TRACE environment variable is set

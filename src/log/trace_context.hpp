@@ -23,8 +23,8 @@
 //     /v1/solve response can answer "what did *this* request cost" with
 //     flops, bytes, kernel launches, pool-allocation bytes, and a
 //     per-kernel breakdown;
-//   * sampling: MGKO_TRACE_SAMPLE (or the "trace_sample" config key)
-//     sets the probability that a *minted* context is sampled; a caller
+//   * sampling: MGKO_TRACE_SAMPLE (or the `trace_sample` binding) sets
+//     the probability that a *minted* context is sampled; a caller
 //     supplied traceparent's sampled flag is adopted as-is, per W3C.
 //
 // The wire format is the W3C `traceparent` header
@@ -210,8 +210,8 @@ std::uint64_t mint_span_id();
 /// The probability ([0, 1]) that make_trace_context() returns a sampled
 /// context.  Defaults to MGKO_TRACE_SAMPLE (1.0 when unset).
 double trace_sample_rate();
-/// Overrides the sample rate (clamped to [0, 1]); the "trace_sample"
-/// config key and the trace_sample binding land here.
+/// Overrides the sample rate (clamped to [0, 1]); the trace_sample
+/// binding lands here.
 void set_trace_sample_rate(double rate);
 
 /// The low 64 bits of the calling thread's *sampled* context's trace id,

@@ -10,11 +10,6 @@
 #include <memory>
 
 #include "matrix/csr.hpp"
-// Deprecated include path: permute_symmetric and the reorder:: orderings
-// moved to the first-class reorder module.  This header keeps re-exporting
-// them so existing includes of matrix/spgemm.hpp continue to compile;
-// include reorder/reorder.hpp directly in new code.
-#include "reorder/reorder.hpp"
 
 namespace mgko {
 

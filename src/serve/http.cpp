@@ -2,8 +2,10 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
@@ -11,6 +13,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+
+#include "core/exception.hpp"
 
 namespace mgko::serve {
 
@@ -133,6 +137,38 @@ bool set_nonblocking(int fd)
 {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+
+Listener listen_on(int port, int backlog, const std::string& owner)
+{
+    if (port < 0 || port > 65535) {
+        throw BadParameter(__FILE__, __LINE__,
+                           owner + ": port " + std::to_string(port) +
+                               " is outside [0, 65535]");
+    }
+    Listener listener;
+    listener.fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    MGKO_ENSURE(listener.fd >= 0, owner + ": cannot create socket");
+    const int reuse = 1;
+    ::setsockopt(listener.fd, SOL_SOCKET, SO_REUSEADDR, &reuse,
+                 sizeof(reuse));
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_ANY);
+    address.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::bind(listener.fd, reinterpret_cast<const sockaddr*>(&address),
+               sizeof(address)) != 0 ||
+        ::listen(listener.fd, backlog) != 0) {
+        ::close(listener.fd);
+        MGKO_ENSURE(false, owner + ": cannot bind port " +
+                               std::to_string(port));
+    }
+    socklen_t length = sizeof(address);
+    ::getsockname(listener.fd, reinterpret_cast<sockaddr*>(&address),
+                  &length);
+    listener.port = static_cast<int>(ntohs(address.sin_port));
+    return listener;
 }
 
 

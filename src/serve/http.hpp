@@ -17,6 +17,10 @@
 //                         separately), with a wall-clock deadline so a
 //                         stalled client cannot pin a worker.  The request
 //                         line and headers are parsed into HttpRequest.
+//   * listen_on()         the one socket/bind/listen path both servers
+//                         start from; rejects ports outside [0, 65535],
+//                         which the uint16_t port field would wrap onto
+//                         other ports.
 //   * http_response()     formats a full HTTP/1.0 response with
 //                         Content-Length and Connection: close, plus any
 //                         extra headers (e.g. Retry-After for 429s).
@@ -80,6 +84,18 @@ const char* to_string(read_result r);
 
 /// Puts `fd` into non-blocking mode; returns false on fcntl failure.
 bool set_nonblocking(int fd);
+
+/// A listening socket and the port it is bound to.
+struct Listener {
+    int fd{-1};
+    int port{0};
+};
+
+/// Binds a TCP socket to 0.0.0.0:`port` (0 picks an ephemeral port) and
+/// listens with `backlog`; the result carries the concrete bound port.
+/// Throws BadParameter naming `owner` when `port` lies outside
+/// [0, 65535] or the socket cannot be created or bound.
+Listener listen_on(int port, int backlog, const std::string& owner);
 
 /// Reads one HTTP request from `fd` (which should be non-blocking):
 /// accumulates until the "\r\n\r\n" header terminator — tolerating

@@ -1,6 +1,5 @@
 #include "serve/solve_server.hpp"
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -27,6 +26,7 @@
 #include "log/metrics.hpp"
 #include "log/sampling_profiler.hpp"
 #include "log/trace_context.hpp"
+#include "serve/telemetry_server.hpp"
 
 namespace mgko::serve {
 
@@ -241,30 +241,11 @@ std::unique_ptr<SolveServer> SolveServer::start(SolveServerOptions options)
     server->impl_ = std::make_unique<Impl>();
     server->impl_->exec = OmpExecutor::create();
 
-    server->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    MGKO_ENSURE(server->listen_fd_ >= 0, "solve server: cannot create socket");
-    const int reuse = 1;
-    ::setsockopt(server->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse,
-                 sizeof(reuse));
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_ANY);
-    address.sin_port =
-        htons(static_cast<std::uint16_t>(server->options_.port));
-    if (::bind(server->listen_fd_,
-               reinterpret_cast<const sockaddr*>(&address),
-               sizeof(address)) != 0 ||
-        ::listen(server->listen_fd_,
-                 static_cast<int>(server->options_.queue_capacity)) != 0) {
-        ::close(server->listen_fd_);
-        server->listen_fd_ = -1;
-        MGKO_ENSURE(false, "solve server: cannot bind port " +
-                               std::to_string(server->options_.port));
-    }
-    socklen_t length = sizeof(address);
-    ::getsockname(server->listen_fd_,
-                  reinterpret_cast<sockaddr*>(&address), &length);
-    server->port_ = static_cast<int>(ntohs(address.sin_port));
+    const auto listener = listen_on(
+        server->options_.port,
+        static_cast<int>(server->options_.queue_capacity), "solve server");
+    server->listen_fd_ = listener.fd;
+    server->port_ = listener.port;
 
     server->accepting_.store(true, std::memory_order_release);
     for (size_type w = 0; w < server->options_.num_workers; ++w) {
@@ -1046,21 +1027,38 @@ std::unique_ptr<SolveServer>& global_server()
 std::atomic<bool> global_active{false};
 std::atomic<int> global_port{0};
 
-/// One-shot latch for solve_server_from_env.  Deliberately not a
-/// call_once: SolveServer::start creates its executor through the factory,
-/// which calls solve_server_from_env again — with a call_once that
-/// re-entrant call would deadlock on the in-flight once_flag.
-std::atomic<bool> env_attempted{false};
+/// Starts one process-wide server on the port environment variable
+/// `variable` names, if set.  A value that is not a port number in
+/// [0, 65535] and a failed bind are reported on stderr rather than
+/// thrown: an embedded library must not kill its host over an occupied
+/// port.
+void start_on_env_port(const char* variable, const char* what,
+                       int (*start)(int))
+{
+    const char* value = std::getenv(variable);
+    if (value == nullptr || *value == '\0') {
+        return;
+    }
+    char* end = nullptr;
+    const long port = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || port < 0 || port > 65535) {
+        std::fprintf(stderr, "mgko: %s='%s' is not a port\n", variable,
+                     value);
+        return;
+    }
+    try {
+        const int bound = start(static_cast<int>(port));
+        std::fprintf(stderr, "mgko: %s on port %d\n", what, bound);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "mgko: %s failed: %s\n", what, e.what());
+    }
+}
 
 }  // namespace
 
 
 int solve_server_start(int port)
 {
-    // An explicit start supersedes the env wiring; claiming the latch here
-    // also keeps the executor created inside SolveServer::start from
-    // re-entering this function (global_mutex is not recursive).
-    env_attempted.store(true, std::memory_order_release);
     std::lock_guard<std::mutex> guard{global_mutex()};
     auto& server = global_server();
     if (!server) {
@@ -1106,28 +1104,17 @@ std::string solve_server_stats_json()
 }
 
 
-void solve_server_from_env()
+void start_from_env()
 {
-    if (env_attempted.exchange(true, std::memory_order_acq_rel)) {
-        return;
-    }
-    const char* value = std::getenv("MGKO_SOLVE_PORT");
-    if (value == nullptr || *value == '\0') {
-        return;
-    }
-    char* end = nullptr;
-    const long port = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr, "mgko: MGKO_SOLVE_PORT='%s' is not a port\n",
-                     value);
-        return;
-    }
-    try {
-        const int bound = solve_server_start(static_cast<int>(port));
-        std::fprintf(stderr, "mgko: solve server on port %d\n", bound);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "mgko: solve server failed: %s\n", e.what());
-    }
+    static std::once_flag once;
+    std::call_once(once, [] {
+        // Telemetry first, so the solve server's executor (created next)
+        // feeds the exported shared metrics.
+        start_on_env_port("MGKO_TELEMETRY_PORT", "telemetry server",
+                          telemetry_start);
+        start_on_env_port("MGKO_SOLVE_PORT", "solve server",
+                          solve_server_start);
+    });
 }
 
 

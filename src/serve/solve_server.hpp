@@ -20,7 +20,11 @@
 //                        all ones, x0 to zeros).  The (operator, config)
 //                        pair selects a cached generated solver — a cache
 //                        hit skips parsing, conversion, and
-//                        factorization.  Response: {"x": [...],
+//                        factorization.  The config describes one solver
+//                        only: an unknown key answers 400 naming it, so a
+//                        request cannot flip process-wide switches (those
+//                        are set by environment variable or binding).
+//                        Response: {"x": [...],
 //                        "iterations", "converged", "residual_norm",
 //                        "stop_reason", "cache": "hit"|"miss"|"inline",
 //                        "operator"}.
@@ -39,9 +43,9 @@
 // Request-scoped tracing (DESIGN.md §17): every request adopts the trace
 // id and sampled flag of a valid W3C `traceparent` header (malformed
 // headers are ignored and a fresh context minted — never a 400), mints a
-// context otherwise (sampled per MGKO_TRACE_SAMPLE / "trace_sample"), and
-// echoes the context as a `traceparent` response header.  While the
-// request is in flight its context scopes the worker thread, so
+// context otherwise (sampled per MGKO_TRACE_SAMPLE / the `trace_sample`
+// binding), and echoes the context as a `traceparent` response header.
+// While the request is in flight its context scopes the worker thread, so
 // FlightRecorder records carry its trace id (filterable via
 // /trace.json?trace_id= on the telemetry endpoint), metric observations
 // leave OpenMetrics exemplars, and sampled /v1/solve responses gain a
@@ -114,8 +118,8 @@ struct SolveServerOptions {
 
 class SolveServer {
 public:
-    /// Binds and starts the acceptor + worker pool.  Throws mgko::Error
-    /// when the socket cannot be bound.
+    /// Binds and starts the acceptor + worker pool.  Throws BadParameter
+    /// when the port lies outside [0, 65535] or cannot be bound.
     static std::unique_ptr<SolveServer> start(SolveServerOptions options = {});
 
     ~SolveServer();
@@ -208,10 +212,15 @@ int solve_server_port();
 /// The process-wide server's /v1/stats JSON; "{}" when inactive.
 std::string solve_server_stats_json();
 
-/// solve_server_start($MGKO_SOLVE_PORT) once per process when that
-/// variable holds a port number; bind failures are reported on stderr
-/// rather than thrown (same embedded-library contract as telemetry).
-void solve_server_from_env();
+/// Starts the process-wide servers the environment asks for, once per
+/// process: telemetry_start($MGKO_TELEMETRY_PORT) first, so the solve
+/// server's executor feeds the exported metrics, then
+/// solve_server_start($MGKO_SOLVE_PORT).  A variable that is not a port
+/// number in [0, 65535] and a failed bind are reported on stderr rather
+/// than thrown (an embedded library must not kill its host over an
+/// occupied port).  bind::device() calls it before creating its executor;
+/// a C++ program that honours these variables calls it from main().
+void start_from_env();
 
 
 }  // namespace mgko::serve

@@ -1,13 +1,9 @@
 #include "serve/telemetry_server.hpp"
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <sstream>
 
@@ -97,27 +93,9 @@ std::string TelemetryServer::respond(const std::string& method,
 std::unique_ptr<TelemetryServer> TelemetryServer::start(int port)
 {
     std::unique_ptr<TelemetryServer> server{new TelemetryServer{}};
-    server->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    MGKO_ENSURE(server->listen_fd_ >= 0, "telemetry: cannot create socket");
-    const int reuse = 1;
-    ::setsockopt(server->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse,
-                 sizeof(reuse));
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_ANY);
-    address.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(server->listen_fd_,
-               reinterpret_cast<const sockaddr*>(&address),
-               sizeof(address)) != 0 ||
-        ::listen(server->listen_fd_, 16) != 0) {
-        ::close(server->listen_fd_);
-        MGKO_ENSURE(false, "telemetry: cannot bind port " +
-                               std::to_string(port));
-    }
-    socklen_t length = sizeof(address);
-    ::getsockname(server->listen_fd_,
-                  reinterpret_cast<sockaddr*>(&address), &length);
-    server->port_ = static_cast<int>(ntohs(address.sin_port));
+    const auto listener = listen_on(port, 16, "telemetry");
+    server->listen_fd_ = listener.fd;
+    server->port_ = listener.port;
     server->running_.store(true, std::memory_order_release);
     server->thread_ = std::thread{[raw = server.get()] { raw->serve_loop(); }};
     return server;
@@ -215,6 +193,7 @@ int telemetry_start(int port)
         server = TelemetryServer::start(port);
         global_active.store(true, std::memory_order_release);
         global_port.store(server->port(), std::memory_order_release);
+        log::set_shared_metrics_exported(true);
     } else if (port != 0 && port != server->port()) {
         // Silently answering with a server bound elsewhere hid
         // misconfigurations; an explicit conflicting port is an error.
@@ -232,6 +211,7 @@ int telemetry_start(int port)
 void telemetry_stop()
 {
     std::lock_guard<std::mutex> guard{global_mutex()};
+    log::set_shared_metrics_exported(false);
     global_active.store(false, std::memory_order_release);
     global_port.store(0, std::memory_order_release);
     global_server().reset();
@@ -245,34 +225,6 @@ bool telemetry_active()
 
 
 int telemetry_port() { return global_port.load(std::memory_order_acquire); }
-
-
-void telemetry_from_env()
-{
-    static std::once_flag once;
-    std::call_once(once, [] {
-        const char* value = std::getenv("MGKO_TELEMETRY_PORT");
-        if (value == nullptr || *value == '\0') {
-            return;
-        }
-        char* end = nullptr;
-        const long port = std::strtol(value, &end, 10);
-        if (end == value || *end != '\0' || port < 0 || port > 65535) {
-            std::fprintf(stderr,
-                         "mgko: MGKO_TELEMETRY_PORT='%s' is not a port\n",
-                         value);
-            return;
-        }
-        try {
-            const int bound = telemetry_start(static_cast<int>(port));
-            std::fprintf(stderr, "mgko: telemetry server on port %d\n",
-                         bound);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "mgko: telemetry server failed: %s\n",
-                         e.what());
-        }
-    });
-}
 
 
 }  // namespace mgko::serve

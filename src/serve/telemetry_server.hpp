@@ -29,9 +29,10 @@
 //
 // Process-wide control: telemetry_start(port) / telemetry_stop() manage a
 // single shared server (also reachable through the `telemetry_start` /
-// `telemetry_stop` bindings and the "telemetry" config key);
-// telemetry_from_env() starts it when MGKO_TELEMETRY_PORT is set.  Port 0
-// binds an ephemeral port, reported by the return value / port().
+// `telemetry_stop` bindings); serve::start_from_env() (solve_server.hpp)
+// starts it when MGKO_TELEMETRY_PORT is set.  Port 0 binds an ephemeral
+// port, reported by the return value / port().  While the shared server
+// runs, executors created by the factories feed log::shared_metrics().
 #pragma once
 
 #include <atomic>
@@ -46,8 +47,8 @@ namespace mgko::serve {
 class TelemetryServer {
 public:
     /// Binds 0.0.0.0:`port` (0 picks an ephemeral port) and starts the
-    /// accept thread.  Throws mgko::Error when the socket cannot be
-    /// bound.
+    /// accept thread.  Throws BadParameter when `port` lies outside
+    /// [0, 65535] or the socket cannot be bound.
     static std::unique_ptr<TelemetryServer> start(int port);
 
     ~TelemetryServer();
@@ -102,12 +103,6 @@ bool telemetry_active();
 
 /// The process-wide server's port, 0 when inactive.
 int telemetry_port();
-
-/// telemetry_start($MGKO_TELEMETRY_PORT) once per process when that
-/// variable holds a port number; bind failures are reported on stderr
-/// rather than thrown (an embedded library must not kill its host over an
-/// occupied port).
-void telemetry_from_env();
 
 
 }  // namespace mgko::serve

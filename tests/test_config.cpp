@@ -3,6 +3,7 @@
 
 #include <limits>
 
+#include "batch/batch_csr.hpp"
 #include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "matrix/csr.hpp"
@@ -340,6 +341,39 @@ TEST_F(ConfigSolver, TriangularSolversThroughConfig)
     solver->apply(b.get(), x.get());
     for (size_type i = 0; i < 8; ++i) {
         EXPECT_NEAR(x->at(i, 0), 1.0, 1e-12);
+    }
+}
+
+TEST_F(ConfigSolver, ProcessWideSwitchesAreUnknownKeys)
+{
+    // A config describes one solver: tracing, sampling, counters and the
+    // servers are set by environment variable or binding, so each of these
+    // keys fails like any other typo, on both entry points.
+    std::shared_ptr<const batch::BatchLinOp> batch_system =
+        batch::Csr<double, int32>::create_duplicate(
+            exec_, 2, test::laplacian_1d<double, int32>(8));
+    const auto expect_rejected = [](const std::string& key, auto&& solve) {
+        try {
+            solve();
+            ADD_FAILURE() << "config accepted '" << key << "'";
+        } catch (const BadParameter& e) {
+            EXPECT_NE(std::string{e.what()}.find("unknown config key '" +
+                                                 key + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    for (const auto& [key, value] : test::process_switch_keys()) {
+        auto single = Json::parse(R"({"type": "cg", "max_iters": 5})");
+        single[key] = Json::parse(value);
+        expect_rejected(key,
+                        [&] { config::config_solver(single, exec_, spd_); });
+        auto batched =
+            Json::parse(R"({"type": "cg", "batch": 2, "max_iters": 5})");
+        batched[key] = Json::parse(value);
+        expect_rejected(key, [&] {
+            config::batch_config_solver(batched, exec_, batch_system);
+        });
     }
 }
 

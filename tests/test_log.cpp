@@ -22,7 +22,6 @@
 
 #include "bindings/api.hpp"
 #include "bindings/registry.hpp"
-#include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "core/executor.hpp"
 #include "log/dump_path.hpp"
@@ -573,32 +572,6 @@ TEST(TraceLogger, CgSolveUnderMgkoTraceExportsWellNestedChromeJson)
     EXPECT_TRUE(parsed_trace_well_nested(json));
     tracer->reset();
     EXPECT_TRUE(tracer->events().empty());
-}
-
-TEST(TraceLogger, SolverConfigTraceKeyAttachesTheSharedTracer)
-{
-    auto tracer = log::shared_tracer();
-    tracer->reset();
-    auto exec = ReferenceExecutor::create();  // MGKO_TRACE unset: no attach
-    const size_type n = 24;
-    auto a = std::shared_ptr<Mtx>{
-        Mtx::create_from_data(exec, test::laplacian_1d<double, int32>(n))};
-    auto config = config::Json::parse(
-        R"({"type": "solver::Cg", "max_iters": 50,
-            "reduction_factor": 1e-10, "trace": true})");
-    auto solver = config::config_solver(config, exec, a);
-    auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
-    auto x = Vec::create_filled(exec, dim2{n, 1}, 0.0);
-    solver->apply(b.get(), x.get());
-
-    EXPECT_TRUE(tracer->well_nested());
-    bool saw_apply_span = false;
-    for (const auto& ev : tracer->events()) {
-        saw_apply_span |=
-            ev.phase == 'B' && ev.name == "solver.cg.apply";
-    }
-    EXPECT_TRUE(saw_apply_span);
-    tracer->reset();
 }
 
 TEST(TraceLogger, BindingCallsBecomeCompleteSlicesWithBreakdownChildren)

@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "bindings/registry.hpp"
+#include "core/exception.hpp"
 #include "log/flight_recorder.hpp"
 #include "log/hw_counters.hpp"
 #include "log/sampling_profiler.hpp"
@@ -275,6 +277,50 @@ TEST_F(HwCounters, AutoModeLandsOnARealRung)
     ASSERT_TRUE(log::hw_counters_enable("auto"));
     const std::string source = log::hw_counters_source();
     EXPECT_TRUE(source == "perf_event" || source == "rusage") << source;
+}
+
+TEST_F(HwCounters, EnableAcceptsOnlyTheDocumentedModes)
+{
+    for (const char* mode : {"auto", "perf", "on", "1"}) {
+        ASSERT_TRUE(log::hw_counters_enable(mode)) << mode;
+        EXPECT_TRUE(log::hw_counters_active()) << mode;
+        log::hw_counters_disable();
+    }
+    ASSERT_TRUE(log::hw_counters_enable("rusage"));
+    EXPECT_STREQ(log::hw_counters_source(), "rusage");
+    log::hw_counters_disable();
+    // Any other spelling throws and leaves the tier as it was; "false"
+    // must not read as "auto".
+    for (const char* mode : {"false", "off", "perf_event", "AUTO", ""}) {
+        EXPECT_THROW(log::hw_counters_enable(mode), BadParameter) << mode;
+        EXPECT_FALSE(log::hw_counters_active()) << mode;
+    }
+    ASSERT_TRUE(log::hw_counters_enable("rusage"));
+    EXPECT_THROW(log::hw_counters_enable("false"), BadParameter);
+    EXPECT_STREQ(log::hw_counters_source(), "rusage");
+}
+
+TEST_F(HwCounters, BindingPropagatesAnUnknownMode)
+{
+    bind::ensure_bindings_registered();
+    auto& m = bind::Module::instance();
+    EXPECT_THROW(m.call("hw_counters", {bind::Value{"false"}}), BadParameter);
+    EXPECT_FALSE(log::hw_counters_active());
+    EXPECT_EQ(m.call("hw_counters", {bind::Value{"rusage"}}).as_string(),
+              "rusage");
+    EXPECT_EQ(m.call("hw_counters", {bind::Value{"off"}}).as_string(), "off");
+}
+
+TEST(HwCountersDeathTest, EnvReaderReportsAnUnknownModeAndStaysOff)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ::setenv("MGKO_HW_COUNTERS", "false", 1);
+            log::hw_counters_from_env();
+            std::_Exit(log::hw_counters_active() ? 1 : 0);
+        },
+        ::testing::ExitedWithCode(0), "mgko: MGKO_HW_COUNTERS='false'");
 }
 
 TEST_F(HwCounters, ScopesAccumulatePerTagTotals)

@@ -3,7 +3,8 @@
 // segmentation, read deadlines) and SolveServer itself — upload/solve
 // round trips over loopback, the (operator, config) solver cache with LRU
 // eviction, 429 backpressure under a stalled worker pool, graceful drain,
-// and the process-wide lifecycle.
+// configs that try to flip process-wide switches, and the process-wide
+// lifecycle including the environment-driven start.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -23,9 +24,15 @@
 #include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "core/executor.hpp"
+#include "log/hw_counters.hpp"
+#include "log/metrics.hpp"
+#include "log/sampling_profiler.hpp"
+#include "log/trace.hpp"
+#include "log/trace_context.hpp"
 #include "matrix/csr.hpp"
 #include "serve/http.hpp"
 #include "serve/solve_server.hpp"
+#include "serve/telemetry_server.hpp"
 #include "tests/test_utils.hpp"
 
 namespace {
@@ -981,19 +988,119 @@ TEST(SolveServerLifecycle, StartStopAndConflictingPortThrows)
     serve::solve_server_stop();  // no-op
 }
 
-TEST(SolveServerLifecycle, ConfigKeyStartsTheServer)
+TEST(SolveServerLifecycle, PortsOutsideTheTcpRangeAreRejected)
 {
-    ASSERT_FALSE(serve::solve_server_active());
-    auto exec = ReferenceExecutor::create();
-    auto system = std::shared_ptr<const LinOp>{
-        Csr<double, int32>::create_from_data(
-            exec, test::laplacian_1d<double, int32>(8))};
-    auto config = cg_config();
-    config["solve_server"] = Json{true};
-    auto solver = config::config_solver(config, exec, system);
-    EXPECT_TRUE(serve::solve_server_active());
-    EXPECT_GT(serve::solve_server_port(), 0);
-    serve::solve_server_stop();
+    // Unchecked, a cast to uint16_t wraps these onto real ports (-1 onto
+    // 65535).
+    for (const int port : {-1, 65536, 70000}) {
+        serve::SolveServerOptions options;
+        options.port = port;
+        EXPECT_THROW(serve::SolveServer::start(options), BadParameter)
+            << port;
+        EXPECT_THROW(serve::solve_server_start(port), BadParameter) << port;
+        EXPECT_FALSE(serve::solve_server_active()) << port;
+    }
+}
+
+TEST(SolveServer, ProcessWideSwitchKeysAnswer400AndChangeNothing)
+{
+    // A client's config reaches config::generate_solver verbatim, so a key
+    // that acted on the process would let one request start listeners,
+    // retune sampling or attach the unbounded shared tracer.
+    auto server = serve::SolveServer::start({});
+    const bool telemetry = serve::telemetry_active();
+    const bool solve_server = serve::solve_server_active();
+    const int sampling_hz = log::sampling_hz();
+    const std::string hw_source = log::hw_counters_source();
+    const double trace_sample = log::trace_sample_rate();
+    const auto traced = log::shared_tracer()->events().size();
+    for (const auto& [key, value] : test::process_switch_keys()) {
+        Json body = Json::make_object();
+        body["triplet"] = laplacian_triplet(4);
+        body["config"] = cg_config();
+        body["config"][key] = Json::parse(value);
+        serve::HttpRequest request;
+        request.method = "POST";
+        request.target = "/v1/solve";
+        request.body = body.dump();
+        const auto response = server->handle(request);
+        EXPECT_EQ(status_of(response), 400) << key << "\n" << response;
+        EXPECT_NE(body_of(response).find("unknown config key '" + key + "'"),
+                  std::string::npos)
+            << response;
+    }
+    EXPECT_EQ(serve::telemetry_active(), telemetry);
+    EXPECT_EQ(serve::solve_server_active(), solve_server);
+    EXPECT_EQ(log::sampling_hz(), sampling_hz);
+    EXPECT_EQ(log::hw_counters_source(), hw_source);
+    EXPECT_EQ(log::trace_sample_rate(), trace_sample);
+    EXPECT_EQ(log::shared_tracer()->events().size(), traced);
+    server->stop();
+}
+
+
+// --- serve::start_from_env ------------------------------------------------
+//
+// start_from_env runs once per process, so each case runs in a fresh
+// child (the threadsafe death-test style re-executes the binary) and
+// reports its verdict through the exit code.
+
+/// Sets both port variables to `port`, calls start_from_env, and exits 0
+/// when both servers came up and the solve server's executor feeds the
+/// shared metrics the telemetry server exports (its kernels show up as
+/// op.* series after one solve), 1 otherwise.
+[[noreturn]] void start_both_from_env_and_check_metrics(const char* port)
+{
+    ::setenv("MGKO_TELEMETRY_PORT", port, 1);
+    ::setenv("MGKO_SOLVE_PORT", port, 1);
+    serve::start_from_env();
+    bool ok = serve::telemetry_active() && serve::solve_server_active();
+    if (ok) {
+        log::shared_metrics()->registry().reset();
+        Json body = Json::make_object();
+        body["triplet"] = laplacian_triplet(4);
+        body["config"] = cg_config();
+        const auto response = http_request(serve::solve_server_port(), "POST",
+                                           "/v1/solve", body.dump());
+        ok = status_of(response) == 200 &&
+             log::shared_metrics()->registry().prometheus_text().find(
+                 "mgko_events_total{tag=\"op.") != std::string::npos;
+    }
+    std::_Exit(ok ? 0 : 1);
+}
+
+/// Sets both port variables to `value` and exits 0 when start_from_env
+/// returns without starting either server.
+[[noreturn]] void start_neither_from_env(const char* value)
+{
+    ::setenv("MGKO_TELEMETRY_PORT", value, 1);
+    ::setenv("MGKO_SOLVE_PORT", value, 1);
+    serve::start_from_env();
+    std::_Exit(serve::telemetry_active() || serve::solve_server_active()
+                   ? 1
+                   : 0);
+}
+
+TEST(StartFromEnvDeathTest, PortZeroStartsBothServersWithMetrics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(start_both_from_env_and_check_metrics("0"),
+                ::testing::ExitedWithCode(0), "mgko: solve server on port");
+}
+
+TEST(StartFromEnvDeathTest, OutOfRangePortStartsNeither)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(start_neither_from_env("70000"),
+                ::testing::ExitedWithCode(0),
+                "MGKO_SOLVE_PORT='70000' is not a port");
+}
+
+TEST(StartFromEnvDeathTest, NonNumericPortStartsNeither)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(start_neither_from_env("abc"), ::testing::ExitedWithCode(0),
+                "MGKO_TELEMETRY_PORT='abc' is not a port");
 }
 
 }  // namespace

@@ -318,17 +318,4 @@ TEST(Reorder, StrategyParsingAcceptsKnownNamesAndRejectsOthers)
     EXPECT_THROW(reorder::strategy_from_string("amd"), BadParameter);
 }
 
-TEST(Reorder, DeprecatedSpgemmHeaderStillExportsTheMovedSymbols)
-{
-    // matrix/spgemm.hpp re-exports the reorder module; this file includes
-    // both, so name lookup through the old header must keep compiling.
-    auto exec = ReferenceExecutor::create();
-    auto a = Csr<double, int32>::create_from_data(
-        exec, matgen::banded(30, 2).cast<double, int32>());
-    const auto order = reorder::rcm_ordering(a.get());
-    auto permuted = permute_symmetric(a.get(), order);
-    EXPECT_EQ(permuted->get_size(), a->get_size());
-    EXPECT_LE(reorder::bandwidth(permuted.get()), 30u);
-}
-
 }  // namespace

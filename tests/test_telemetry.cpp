@@ -1,7 +1,7 @@
 // The always-on tier's exposition half: TelemetryServer request routing,
 // the live loopback endpoints (/healthz, /metrics, /profile.json,
-// /trace.json) scraped over real sockets, the process-wide
-// telemetry_start/stop lifecycle, and the "telemetry" config key.
+// /trace.json) scraped over real sockets, and the process-wide
+// telemetry_start/stop lifecycle with the executors it feeds.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -417,27 +417,61 @@ TEST(TelemetryLifecycle, BindingsControlTheSharedServer)
     EXPECT_FALSE(serve::telemetry_active());
 }
 
-TEST(TelemetryLifecycle, ConfigTelemetryKeyStartsTheServer)
+TEST(TelemetryLifecycle, ExecutorsCreatedWhileLiveFeedSharedMetrics)
 {
     ASSERT_FALSE(serve::telemetry_active());
+    const auto feeds_shared_metrics = [](const Executor& exec) {
+        for (const auto& logger : exec.get_loggers()) {
+            if (logger.get() == log::shared_metrics().get()) {
+                return true;
+            }
+        }
+        return false;
+    };
+    serve::telemetry_start(0);
+    auto live = ReferenceExecutor::create();
+    EXPECT_TRUE(feeds_shared_metrics(*live));
+    serve::telemetry_stop();
+    auto after = ReferenceExecutor::create();
+    EXPECT_FALSE(feeds_shared_metrics(*after));
+}
+
+TEST(TelemetryLifecycle, LiveProfileServesASolvesEvents)
+{
+    ASSERT_FALSE(serve::telemetry_active());
+    const int port = serve::telemetry_start(0);
     auto exec = ReferenceExecutor::create();
     auto a = std::shared_ptr<Csr<double, int32>>{
         Csr<double, int32>::create_from_data(
             exec, test::laplacian_1d<double, int32>(16))};
     auto solver = config::config_solver(
-        config::Json::parse(
-            R"({"type": "cg", "max_iters": 5, "telemetry": true})"),
-        exec, a);
-    EXPECT_TRUE(serve::telemetry_active());
-    const int port = serve::telemetry_port();
-    EXPECT_FALSE(http_get(port, "/healthz").empty());
+        config::Json::parse(R"({"type": "cg", "max_iters": 5})"), exec, a);
     auto b = Dense<double>::create_filled(exec, dim2{16, 1}, 1.0);
     auto x = Dense<double>::create_filled(exec, dim2{16, 1}, 0.0);
     solver->apply(b.get(), x.get());
     // The solve's events are visible through the live endpoint.
-    const auto profile = body_of(http_get(port, "/profile.json"));
-    EXPECT_TRUE(config::Json::parse(profile).contains("tags"));
+    const auto profile =
+        config::Json::parse(body_of(http_get(port, "/profile.json")));
+    ASSERT_TRUE(profile.contains("tags"));
+    EXPECT_GT(profile.at("tags").size(), 0);
     serve::telemetry_stop();
+}
+
+TEST(TelemetryLifecycle, PortsOutsideTheTcpRangeAreRejected)
+{
+    // Unchecked, a cast to uint16_t wraps these onto real ports (70000
+    // onto 4464, -1 onto 65535).
+    for (const int port : {-1, 65536, 70000}) {
+        EXPECT_THROW(serve::TelemetryServer::start(port), BadParameter)
+            << port;
+        EXPECT_THROW(serve::telemetry_start(port), BadParameter) << port;
+        EXPECT_FALSE(serve::telemetry_active()) << port;
+    }
+    bind::ensure_bindings_registered();
+    auto& m = bind::Module::instance();
+    EXPECT_THROW(m.call("telemetry_start", {bind::Value{70000}}),
+                 BadParameter);
+    EXPECT_FALSE(serve::telemetry_active());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -118,6 +119,17 @@ std::unique_ptr<Dense<V>> random_vector(std::shared_ptr<const Executor> exec,
         result->at(i, 0) = static_cast<V>(dist(engine));
     }
     return result;
+}
+
+
+/// The process-wide switches solver configs do not accept, each paired
+/// with the JSON text of a value that would act on the whole process.
+inline std::vector<std::pair<std::string, std::string>>
+process_switch_keys()
+{
+    return {{"trace", "true"},        {"trace_sample", "0.0"},
+            {"telemetry", "true"},    {"solve_server", "true"},
+            {"sampling_hz", "1000"},  {"hw_counters", "\"auto\""}};
 }
 
 
