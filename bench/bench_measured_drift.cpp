@@ -3,7 +3,8 @@
 // kernel tag joining the *measured* side (cycles / instructions / LLC
 // misses / thread CPU time from log/hw_counters.hpp) against the
 // *modeled* side (the flops/bytes the work model attributed to the same
-// tag, via ProfilerLogger).  The `--drift` gate in
+// tag, read from a MetricsLogger's mgko_flops_total and
+// mgko_work_bytes_total).  The `--drift` gate in
 // bench_validate_observability checks the join stays within loose
 // directional tolerances — the analytic work model becomes a tested
 // artifact instead of an assumption.
@@ -28,7 +29,7 @@
 
 #include "bench/common/harness.hpp"
 #include "log/hw_counters.hpp"
-#include "log/profiler.hpp"
+#include "log/metrics.hpp"
 #include "solver/cg.hpp"
 #include "stop/criterion.hpp"
 
@@ -55,8 +56,8 @@ int main(int argc, char** argv)
 
     // One dispatching thread == one measured thread (see header).
     auto exec = OmpExecutor::create(1);
-    auto profiler = log::ProfilerLogger::create();
-    exec->add_logger(profiler);
+    auto metrics = log::MetricsLogger::create();
+    exec->add_logger(metrics);
 
     const bool smoke = std::getenv("MGKO_BENCH_SMOKE") != nullptr;
     const size_type grid = smoke ? 96 : 192;
@@ -87,7 +88,7 @@ int main(int argc, char** argv)
     exec->synchronize();
 
     const auto measured = log::hw_counters_snapshot();
-    const auto modeled = profiler->summary();
+    const auto& modeled = metrics->registry();
 
     bench::CsvBlock csv{
         "measured_drift",
@@ -100,12 +101,11 @@ int main(int argc, char** argv)
         if (hw.count == 0) {
             continue;
         }
-        // ProfilerLogger keys operation stats as "op.<kernel tag>".
-        const auto model_it = modeled.find("op." + tag);
+        // MetricsLogger keys operation series as "op.<kernel tag>".
         const double model_flops =
-            model_it != modeled.end() ? model_it->second.flops : 0.0;
+            modeled.counter_value("mgko_flops_total", "op." + tag);
         const double model_bytes =
-            model_it != modeled.end() ? model_it->second.work_bytes : 0.0;
+            modeled.counter_value("mgko_work_bytes_total", "op." + tag);
         // The proxies divide modeled work by measured CPU time: flop/ns ==
         // GFLOP/s, byte/ns == GB/s.  Implausible values mean the model
         // and the measurement disagree — the drift the gate exists for.

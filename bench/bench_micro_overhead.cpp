@@ -20,7 +20,6 @@
 #include "bindings/registry.hpp"
 #include "config/json.hpp"
 #include "log/flight_recorder.hpp"
-#include "log/profiler.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 #include "serve/solve_server.hpp"
@@ -365,26 +364,21 @@ void measure_flight_recorder_overhead()
 // BENCHMARK_MAIN, plus the opt-in MGKO_PROFILE hook: with the variable
 // set, every bound call made by the benchmarks above is attributed to
 // bind.* tags (per-name wall time and the GIL-wait/lookup/boxing/
-// interpreter breakdown) and the JSON is dumped at exit.  Unset, no
-// logger is attached and the measured numbers are unaffected.
+// interpreter breakdown) and the profile view is dumped once they finish.
+// Unset, no logger is attached and the measured numbers are unaffected.
 // MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT start the live endpoints first.
 int main(int argc, char** argv)
 {
     serve::start_from_env();
-    auto profiler = log::profiler_from_env();
-    if (profiler) {
-        bind::add_logger(profiler);
-    }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
         return 1;
     }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (profiler) {
-        bind::remove_logger(profiler.get());
-        log::dump_profile(*profiler, "micro_overhead");
+    {
+        bench::ProfileScope profile{"micro_overhead", {}};
+        benchmark::RunSpecifiedBenchmarks();
     }
+    benchmark::Shutdown();
     measure_flight_recorder_overhead();
     return 0;
 }

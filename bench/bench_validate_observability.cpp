@@ -1,6 +1,6 @@
 // Validates the observability artifacts a bench run dumps:
 //
-//     bench_validate_observability [--trace f] [--profile f] [--metrics f]
+//     bench_validate_observability [--profile f] [--metrics f]
 //                                  [--prometheus f] [--flight f]
 //                                  [--overhead f] [--sellcs f]
 //                                  [--solveserver f] [--exemplars m,t]
@@ -9,17 +9,17 @@
 //
 // Each JSON file is parsed with the repo's own config/json.hpp and checked
 // for the invariants CI relies on:
-//   * trace:      Chrome Trace Event JSON — a non-empty "traceEvents" array
-//                 where every event carries "name", "ph", and "ts";
-//   * profile:    ProfilerLogger JSON — a non-empty "tags" object whose
+//   * profile:    the metrics registry's profile view (MGKO_PROFILE,
+//                 /profile.json) — a non-empty "tags" object whose
 //                 entries carry "count" and "wall_ns";
 //   * metrics:    MetricsRegistry JSON — "counters" and "histograms"
 //                 objects;
 //   * prometheus: a /metrics response body — non-empty Prometheus text
 //                 exposition (every line a comment or `name{labels} value`);
-//   * flight:     a flight-recorder snapshot (/trace.json or flight_dump)
-//                 — Chrome Trace JSON whose per-track 'B'/'E' events are
-//                 well nested;
+//   * flight:     a Chrome trace from the flight recorder (MGKO_TRACE,
+//                 /trace.json or flight_dump) — a non-empty "traceEvents"
+//                 array where every event carries "name", "ph", and "ts",
+//                 and whose per-track 'B'/'E' events are well nested;
 //   * overhead:   a BENCH_micro_overhead.json result block — every row's
 //                 "overhead_percent" must be finite and < 5.0, the
 //                 always-on flight recorder budget;
@@ -102,33 +102,6 @@ bool load(const std::string& file, Json& out)
     } catch (const std::exception& e) {
         return fail(file, std::string{"JSON parse error: "} + e.what());
     }
-    return true;
-}
-
-bool validate_trace(const std::string& file)
-{
-    Json doc;
-    if (!load(file, doc)) {
-        return false;
-    }
-    if (!doc.is_object() || !doc.contains("traceEvents")) {
-        return fail(file, "missing 'traceEvents'");
-    }
-    const auto& events = doc.at("traceEvents");
-    if (!events.is_array() || events.elements().empty()) {
-        return fail(file, "'traceEvents' must be a non-empty array");
-    }
-    std::size_t index = 0;
-    for (const auto& event : events.elements()) {
-        if (!event.is_object() || !event.contains("name") ||
-            !event.contains("ph") || !event.contains("ts")) {
-            return fail(file, "traceEvents[" + std::to_string(index) +
-                                  "] lacks name/ph/ts");
-        }
-        ++index;
-    }
-    std::printf("[observability] %s: %zu trace events OK\n", file.c_str(),
-                events.elements().size());
     return true;
 }
 
@@ -233,9 +206,9 @@ bool validate_prometheus(const std::string& file)
 }
 
 
-// Flight-recorder snapshot: valid trace JSON whose 'B'/'E' events are
-// well nested per (pid, tid) track — the guarantee the recorder's repair
-// pass makes despite ring wraparound.
+// Chrome trace from the flight recorder: every event carries name/ph/ts,
+// and the 'B'/'E' events are well nested per (pid, tid) track — the
+// guarantee the recorder's repair pass makes despite ring wraparound.
 bool validate_flight(const std::string& file)
 {
     Json doc;
@@ -1134,9 +1107,7 @@ int main(int argc, char** argv)
     for (int i = 1; i + 1 < argc; i += 2) {
         const std::string flag = argv[i];
         const std::string file = argv[i + 1];
-        if (flag == "--trace") {
-            ok = validate_trace(file) && ok;
-        } else if (flag == "--profile") {
+        if (flag == "--profile") {
             ok = validate_profile(file) && ok;
         } else if (flag == "--metrics") {
             ok = validate_metrics(file) && ok;
@@ -1173,7 +1144,7 @@ int main(int argc, char** argv)
     if (!checked) {
         std::fprintf(
             stderr,
-            "usage: bench_validate_observability [--trace f] [--profile f] "
+            "usage: bench_validate_observability [--profile f] "
             "[--metrics f] [--prometheus f] [--flight f] [--overhead f] "
             "[--sellcs f] [--solveserver f] [--exemplars metrics,trace] "
             "[--requestattrib f] [--amg results[,trace]] "

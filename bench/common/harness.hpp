@@ -17,9 +17,9 @@
 
 #include "bindings/registry.hpp"
 #include "core/executor.hpp"
+#include "log/dump_path.hpp"
+#include "log/flight_recorder.hpp"
 #include "log/metrics.hpp"
-#include "log/profiler.hpp"
-#include "log/trace.hpp"
 #include "matgen/matgen.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/csr.hpp"
@@ -261,40 +261,43 @@ inline void check_shape(const char* claim, bool holds, const std::string& detail
 }
 
 
-/// Opt-in observability for a bench run: when MGKO_PROFILE / MGKO_TRACE /
-/// MGKO_METRICS are set, attaches the corresponding logger (ProfilerLogger,
-/// TraceLogger, MetricsLogger) to the given executors and to the binding
-/// layer for the scope's lifetime and dumps each artifact where its
-/// variable points on destruction.  Unset variables are no-ops, keeping
-/// the measured numbers free of logging overhead.
+/// Opt-in observability for a bench run, dumped when the scope ends:
+///   * MGKO_PROFILE — a fresh MetricsLogger attached to the given
+///     executors and the binding layer for the scope's lifetime, dumped as
+///     its per-tag profile view;
+///   * MGKO_TRACE — the shared flight recorder's Chrome trace (the
+///     executor factories and the binding layer already feed it; see
+///     log::dump_trace for when no file is written);
+///   * MGKO_METRICS — the shared metrics logger, attached here as well as
+///     by the executor factories, dumped as Prometheus text.
+/// Unset variables are no-ops, keeping the measured numbers free of
+/// logging overhead beyond the always-on recorder.
 class ProfileScope {
 public:
     ProfileScope(std::string name,
                  std::vector<std::shared_ptr<Executor>> execs)
         : name_{std::move(name)},
-          profiler_{log::profiler_from_env()},
-          tracer_{log::tracer_from_env()},
+          profile_{env_set("MGKO_PROFILE") ? log::MetricsLogger::create()
+                                            : nullptr},
           metrics_{log::metrics_from_env()},
           execs_{std::move(execs)}
     {
-        attach(profiler_);
-        attach(tracer_);
+        attach(profile_);
         attach(metrics_);
     }
 
     ~ProfileScope()
     {
         detach(metrics_);
-        detach(tracer_);
-        detach(profiler_);
-        if (profiler_) {
-            log::dump_profile(*profiler_, name_);
+        detach(profile_);
+        if (profile_) {
+            log::dump_to_env("MGKO_PROFILE", "profile", name_, ".json",
+                             profile_->registry().profile_json());
         }
-        if (tracer_) {
-            log::dump_trace(*tracer_, name_);
-        }
+        log::dump_trace(*log::shared_flight_recorder(), name_);
         if (metrics_) {
-            log::dump_metrics(*metrics_, name_);
+            log::dump_to_env("MGKO_METRICS", "metrics", name_, ".txt",
+                             metrics_->registry().prometheus_text());
         }
     }
 
@@ -302,8 +305,14 @@ public:
     ProfileScope& operator=(const ProfileScope&) = delete;
 
 private:
-    // add_logger deduplicates, so attaching the process-wide tracer or
-    // metrics logger here is harmless when the executor factory already
+    static bool env_set(const char* var)
+    {
+        const char* value = std::getenv(var);
+        return value != nullptr && *value != '\0';
+    }
+
+    // add_logger deduplicates, so attaching the process-wide metrics
+    // logger here is harmless when the executor factory already
     // auto-attached it.
     void attach(const std::shared_ptr<log::EventLogger>& logger)
     {
@@ -328,8 +337,7 @@ private:
     }
 
     std::string name_;
-    std::shared_ptr<log::ProfilerLogger> profiler_;
-    std::shared_ptr<log::TraceLogger> tracer_;
+    std::shared_ptr<log::MetricsLogger> profile_;
     std::shared_ptr<log::MetricsLogger> metrics_;
     std::vector<std::shared_ptr<Executor>> execs_;
 };

@@ -23,7 +23,6 @@
 #include "log/hw_counters.hpp"
 #include "log/metrics.hpp"
 #include "log/sampling_profiler.hpp"
-#include "log/trace.hpp"
 #include "matrix/convolution.hpp"
 #include "serve/solve_server.hpp"
 #include "serve/telemetry_server.hpp"
@@ -801,20 +800,13 @@ void register_batch_matrix_bindings(Module& m)
 
 // --- observability bindings (module-level, no type suffix) ------------------
 //
-// The Python front end exposes these as mgko.trace_dump() etc.; they
-// operate on the process-wide shared tracer/metrics singletons, so a
-// caller can scrape metrics or pull a Perfetto-loadable trace of
-// everything that ran since the last reset without touching executors.
+// The Python front end exposes these as mgko.metrics_text() etc.; they
+// operate on the process-wide metrics registry and flight recorder, so a
+// caller can scrape totals or pull a Perfetto-loadable trace of the last
+// events per thread (flight_dump) without touching executors.
 
 void register_observability_bindings(Module& m)
 {
-    m.def("trace_dump", [](const List&) -> Value {
-        return Value{log::shared_tracer()->to_json()};
-    });
-    m.def("trace_reset", [](const List&) -> Value {
-        log::shared_tracer()->reset();
-        return {};
-    });
     m.def("metrics_text", [](const List&) -> Value {
         return Value{log::shared_metrics()->registry().prometheus_text()};
     });

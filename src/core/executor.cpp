@@ -11,7 +11,6 @@
 #include "log/hw_counters.hpp"
 #include "log/metrics.hpp"
 #include "log/sampling_profiler.hpp"
-#include "log/trace.hpp"
 #include "log/trace_context.hpp"
 #include "log/work_model.hpp"
 
@@ -33,12 +32,11 @@ double now_wall_ns()
             .count());
 }
 
-/// Observability wiring for every factory-created executor.  The opt-in
-/// tiers (MGKO_TRACE / MGKO_METRICS) attach the process-wide tracer and
-/// metrics logger; the always-on tier attaches the flight recorder
-/// unconditionally (opt out with MGKO_FLIGHT_RECORDER=0) and, while the
-/// telemetry server exports it, the shared metrics registry so /metrics
-/// has executor-level series to serve.  MGKO_FLIGHT_POSTMORTEM,
+/// Observability wiring for every factory-created executor: the flight
+/// recorder unconditionally (opt out with MGKO_FLIGHT_RECORDER=0), which
+/// is also what MGKO_TRACE dumps, and the shared metrics logger under
+/// MGKO_METRICS or while the telemetry server exports it, so /metrics has
+/// executor-level series to serve.  MGKO_FLIGHT_POSTMORTEM,
 /// MGKO_SAMPLING_HZ and MGKO_HW_COUNTERS take effect on the first
 /// executor creation; the servers' MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT
 /// are read by serve::start_from_env, which executors never call.
@@ -49,7 +47,6 @@ ExecPtr with_env_observers(ExecPtr exec)
     log::install_crash_handler_from_env();
     log::sampling_from_env();
     log::hw_counters_from_env();
-    exec->add_logger(log::tracer_from_env());
     exec->add_logger(log::metrics_from_env());
     exec->add_logger(log::flight_recorder_from_env());
     if (log::shared_metrics_exported()) {
@@ -190,12 +187,6 @@ void Executor::synchronize() const
 
 void Executor::run(const Operation& op) const
 {
-    const bool logged = has_loggers();
-    if (logged) {
-        log_event([&](log::EventLogger& l) {
-            l.on_operation_launched(this, op.name());
-        });
-    }
     // Zero the thread's work accumulator for the duration of the dispatch
     // (keeping whatever an enclosing run accumulated), so the completion
     // event and the request-cost attribution report exactly this
@@ -228,7 +219,7 @@ void Executor::run(const Operation& op) const
     // owner here — no capture/restore is needed inside the parallel
     // region itself.
     log::note_request_kernel(op.name(), wall, work.flops, work.bytes);
-    if (logged) {
+    if (has_loggers()) {
         log_event([&](log::EventLogger& l) {
             l.on_operation_completed(this, op.name(), wall, work.flops,
                                      work.bytes);

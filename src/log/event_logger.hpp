@@ -2,13 +2,24 @@
 // gko::log::Logger (Anzt et al., "Ginkgo: A Modern Linear Operator Algebra
 // Framework for HPC").
 //
-// An EventLogger receives framework events; concrete loggers (see
-// log/profiler.hpp) aggregate or record them.  Loggers attach at three
-// layers, mirroring where mgko does attributable work:
+// An EventLogger receives framework events.  Two loggers implement it, one
+// per store, and every exported artifact is a view of one of them:
+//
+//   * FlightRecorder (log/flight_recorder.hpp) keeps *events*: the last
+//     records per thread in a bounded ring.  Chrome trace (MGKO_TRACE,
+//     /trace.json, the `flight_dump` binding), the crash postmortem, and
+//     test capture (snapshot()) read it.
+//   * MetricsLogger (log/metrics.hpp) keeps *totals* in a MetricsRegistry:
+//     counters, gauges and latency histograms per tag.  Prometheus text,
+//     metrics JSON and the per-tag {"tags": ...} profile (MGKO_PROFILE,
+//     /profile.json) read it.  A ring forgets, so it cannot back totals.
+//
+// Loggers attach at three layers, mirroring where mgko does attributable
+// work:
 //
 //   * Executor  — memory traffic (allocation/free/copy), pool behaviour
-//                 (hit/miss/trim), and every kernel launch with its
-//                 Operation tag and real wall time,
+//                 (hit/miss/trim), and every kernel with its Operation tag,
+//                 real wall time and modeled work (one call per kernel),
 //   * LinOp     — solver progress (iteration / stop events),
 //   * bind::    — binding dispatch (GIL wait + lookup + boxing + modeled
 //                 interpreter constant per bound call; see
@@ -22,10 +33,10 @@
 // the hooks in place).
 //
 // Thread safety: event *emission* may happen concurrently from many
-// threads, and concrete loggers must tolerate that (ProfilerLogger and
-// RecordLogger lock internally).  Attaching/removing loggers concurrently
-// with emission is not synchronized — attach before the instrumented work
-// starts, as Ginkgo does.
+// threads, and concrete loggers must tolerate that (the recorder writes
+// per-thread rings, the registry locks).  Attaching/removing loggers
+// concurrently with emission is not synchronized — attach before the
+// instrumented work starts, as Ginkgo does.
 #pragma once
 
 #include <algorithm>
@@ -75,10 +86,6 @@ public:
     {}
 
     // --- operation events (Executor layer) ------------------------------
-    /// `op_name` is about to be dispatched on `exec`.
-    virtual void on_operation_launched(const Executor*,
-                                       const char* /*op_name*/)
-    {}
     /// `op_name` finished; `wall_ns` is the real wall time of its body,
     /// `flops`/`bytes` the work its kernel reported through the cost-model
     /// profile (zero for operations whose kernels bypass kernels::tick).
@@ -91,8 +98,8 @@ public:
     // --- span events (any layer) -----------------------------------------
     /// A nested phase named `name` opened on the calling thread.  Emitting
     /// layers guarantee begin/end pairs are well nested per thread
-    /// (solver apply → iteration, batch apply → round); TraceLogger turns
-    /// them into Chrome Trace duration slices.
+    /// (solver apply → iteration, batch apply → round); the flight
+    /// recorder's Chrome trace shows them as duration slices.
     virtual void on_span_begin(const char* /*name*/) {}
     /// The innermost open span named `name` closed on the calling thread.
     virtual void on_span_end(const char* /*name*/) {}

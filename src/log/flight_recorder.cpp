@@ -1,5 +1,6 @@
 #include "log/flight_recorder.hpp"
 
+#include "log/dump_path.hpp"
 #include "log/trace_context.hpp"
 
 #include <fcntl.h>
@@ -13,7 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <map>
+#include <iostream>
 #include <sstream>
 
 namespace mgko::log {
@@ -35,6 +36,18 @@ size_type round_up_pow2(size_type value)
         p *= 2;
     }
     return p;
+}
+
+/// MGKO_FLIGHT_CAPACITY when it names more than one slot, else the default.
+size_type capacity_from_env()
+{
+    if (const char* value = std::getenv("MGKO_FLIGHT_CAPACITY")) {
+        const long parsed = std::strtol(value, nullptr, 10);
+        if (parsed > 1) {
+            return static_cast<size_type>(parsed);
+        }
+    }
+    return FlightRecorder::default_capacity;
 }
 
 // Per-thread slot index shared by every FlightRecorder instance.  Slots
@@ -169,17 +182,6 @@ std::string json_escape(const char* text)
         out += *c;
     }
     return out;
-}
-
-std::string json_number(double value)
-{
-    if (!std::isfinite(value)) {
-        return "0";
-    }
-    std::ostringstream out;
-    out.precision(15);
-    out << value;
-    return out.str();
 }
 
 /// 16 lowercase hex digits — the textual form of a record's trace word,
@@ -519,54 +521,6 @@ std::string FlightRecorder::to_chrome_trace_json(
 }
 
 
-std::string FlightRecorder::to_profile_json() const
-{
-    struct tag_stats {
-        std::uint64_t count{0};
-        double wall_ns{0.0};
-    };
-    std::map<std::string, tag_stats> tags;
-    visit_records([&](const record& rec) {
-        // Instant records already carry qualified tags (mem.alloc,
-        // pool.hit, ...); operations, bindings, and spans carry bare
-        // names and get the profiler's prefix here.
-        std::string tag;
-        switch (rec.kind) {
-        case event_kind::operation:
-            tag = std::string{"op."} + rec.tag;
-            break;
-        case event_kind::binding:
-            tag = std::string{"bind."} + rec.tag;
-            break;
-        case event_kind::span_begin:
-        case event_kind::span_end:
-            tag = std::string{"span."} + rec.tag;
-            break;
-        default:
-            tag = rec.tag;
-            break;
-        }
-        auto& stats = tags[tag];
-        ++stats.count;
-        if (rec.kind == event_kind::operation ||
-            rec.kind == event_kind::binding) {
-            stats.wall_ns += rec.a;
-        }
-    });
-    std::ostringstream out;
-    out << "{\"tags\": {";
-    bool first = true;
-    for (const auto& [tag, stats] : tags) {
-        out << (first ? "" : ", ") << "\"" << json_escape(tag.c_str())
-            << "\": {\"count\": " << stats.count
-            << ", \"wall_ns\": " << json_number(stats.wall_ns) << "}";
-        first = false;
-    }
-    out << "}}";
-    return out.str();
-}
-
-
 // --- async-signal-safe postmortem writer -----------------------------------
 
 namespace {
@@ -780,17 +734,16 @@ void FlightRecorder::on_binding_call_completed(const char* name,
 
 std::shared_ptr<FlightRecorder> shared_flight_recorder()
 {
-    static std::shared_ptr<FlightRecorder> recorder = [] {
-        size_type capacity = FlightRecorder::default_capacity;
-        if (const char* value = std::getenv("MGKO_FLIGHT_CAPACITY")) {
-            const long parsed = std::strtol(value, nullptr, 10);
-            if (parsed > 1) {
-                capacity = static_cast<size_type>(parsed);
-            }
-        }
-        return FlightRecorder::create(capacity);
-    }();
-    return recorder;
+    // Never destroyed: server threads and thread-exit hooks can still
+    // record or scrape while function-local statics are destroyed at exit.
+    // A union member's destructor runs only if the union's destructor
+    // calls it.
+    static union holder {
+        holder() : recorder{FlightRecorder::create(capacity_from_env())} {}
+        ~holder() {}
+        std::shared_ptr<FlightRecorder> recorder;
+    } held;
+    return held.recorder;
 }
 
 
@@ -901,6 +854,36 @@ void install_crash_handler_from_env()
 bool crash_handler_installed()
 {
     return handlers_installed.load(std::memory_order_acquire);
+}
+
+
+void dump_trace(const FlightRecorder& recorder, const std::string& name)
+{
+    const char* dest = std::getenv("MGKO_TRACE");
+    if (dest == nullptr || *dest == '\0') {
+        return;
+    }
+    if (flight_recorder_from_env() == nullptr) {
+        std::cerr << "mgko: no trace [" << name
+                  << "] written: MGKO_FLIGHT_RECORDER turned the flight "
+                     "recorder off\n";
+        return;
+    }
+    if (const auto dropped = recorder.dropped(); dropped > 0) {
+        // The longest ring's head is its newest record's seq + 1.
+        std::uint64_t longest = 0;
+        for (const auto& rec : recorder.snapshot()) {
+            longest = std::max(longest, rec.seq + 1);
+        }
+        std::cerr << "mgko: no trace [" << name << "] written: the flight "
+                  << "recorder dropped " << dropped << " of "
+                  << recorder.recorded() << " records; MGKO_FLIGHT_CAPACITY="
+                  << round_up_pow2(static_cast<size_type>(longest))
+                  << " holds this run\n";
+        return;
+    }
+    dump_to_env("MGKO_TRACE", "trace", name, ".json",
+                recorder.to_chrome_trace_json());
 }
 
 

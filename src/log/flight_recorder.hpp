@@ -1,12 +1,12 @@
-// Flight recorder — the always-on third observability tier.
+// Flight recorder — the event store of the two-store observability spine
+// (the metrics registry, log/metrics.hpp, is the other: it keeps totals).
 //
-// Where ProfilerLogger aggregates and TraceLogger keeps an unbounded
-// timeline (both opt-in, both taking a lock per event), FlightRecorder is
-// built to stay attached in production: every event becomes one 40-byte
+// Built to stay attached in production: every event becomes one 40-byte
 // binary record in a lock-free per-thread ring buffer, so steady state
 // costs a few relaxed atomic stores and never allocates, locks, or copies
 // a string.  The ring keeps the last `capacity_per_thread` events per
-// thread — a black box, not an archive.
+// thread — a black box, not an archive, which is why totals live in the
+// registry instead.
 //
 //   * Tag interning: event names (operation tags, span names, binding
 //     names) are interned once into a fixed open-addressing table of
@@ -16,12 +16,12 @@
 //     or long-lived cache entries, but the recorder does not rely on it).
 //   * Snapshots: snapshot() reads the rings concurrently with writers
 //     using an over-read + sequence-window discard, so a scrape never
-//     stops the instrumented threads.  to_chrome_trace_json() converts a
-//     snapshot to the same Chrome Trace Event JSON shape TraceLogger
-//     emits (operations and binding calls as complete 'X' slices, spans
-//     as 'B'/'E' pairs repaired to stay well nested across wraparound,
-//     everything else as 'i' instants); to_profile_json() aggregates to
-//     the ProfilerLogger {"tags": ...} schema.
+//     stops the instrumented threads.  It is also how tests observe
+//     events.  to_chrome_trace_json() converts a snapshot to Chrome Trace
+//     Event JSON (operations and binding calls as complete 'X' slices,
+//     spans as 'B'/'E' pairs repaired to stay well nested across
+//     wraparound, everything else as 'i' instants); it backs MGKO_TRACE
+//     (dump_trace), /trace.json and the `flight_dump` binding.
 //   * Crash hook: install_crash_handler() registers SIGSEGV/SIGABRT and
 //     std::terminate handlers that dump the last events as text through
 //     write_postmortem(), which is async-signal-safe (write(2) only, no
@@ -117,18 +117,15 @@ public:
     /// (and counted in dropped()).
     std::vector<record> snapshot() const;
 
-    /// Chrome Trace Event JSON of snapshot() — same document shape as
-    /// TraceLogger::to_json(), loadable in Perfetto / chrome://tracing,
-    /// with B/E span events repaired to stay well nested even when the
-    /// ring wrapped mid-span.  A nonzero `trace_filter` keeps only the
-    /// records stamped with that trace word (the low 64 bits of a request
-    /// trace id), which is what /trace.json?trace_id=<id> serves; events
-    /// with a trace word carry it as a "trace_id" arg either way.
+    /// Chrome Trace Event JSON of snapshot(), loadable in Perfetto /
+    /// chrome://tracing, with B/E span events repaired to stay well nested
+    /// even when the ring wrapped mid-span.  Non-finite payloads (a
+    /// diverged residual) are written as null.  A nonzero `trace_filter`
+    /// keeps only the records stamped with that trace word (the low 64
+    /// bits of a request trace id), which is what
+    /// /trace.json?trace_id=<id> serves; events with a trace word carry it
+    /// as a "trace_id" arg either way.
     std::string to_chrome_trace_json(std::uint64_t trace_filter = 0) const;
-
-    /// snapshot() aggregated per tag to ProfilerLogger's JSON schema:
-    /// {"tags": {tag: {"count": n, "wall_ns": w}}}.
-    std::string to_profile_json() const;
 
     /// Async-signal-safe text dump of the rings to an open descriptor:
     /// header lines ("# ..."), then one "tid seq ts_ns kind tag a b
@@ -215,7 +212,8 @@ private:
 
 /// The process-wide always-on recorder the executor factories and the
 /// binding layer attach (capacity overridable once via
-/// MGKO_FLIGHT_CAPACITY).
+/// MGKO_FLIGHT_CAPACITY).  Never destroyed, so threads still running at
+/// exit can use it.
 std::shared_ptr<FlightRecorder> shared_flight_recorder();
 
 /// shared_flight_recorder(), or nullptr when the user opted out with
@@ -234,6 +232,13 @@ void install_crash_handler_from_env();
 
 /// True once install_crash_handler() has run.
 bool crash_handler_installed();
+
+/// Writes `recorder`'s Chrome trace where MGKO_TRACE points (see
+/// log/dump_path.hpp).  A trace must cover the whole run, so nothing is
+/// written when the ring dropped records or the process opted out of the
+/// recorder (MGKO_FLIGHT_RECORDER=0); stderr then says why, and for drops
+/// how many there were and which MGKO_FLIGHT_CAPACITY holds the run.
+void dump_trace(const FlightRecorder& recorder, const std::string& name);
 
 
 }  // namespace mgko::log

@@ -23,6 +23,7 @@
 #include <sstream>
 
 #include "core/exception.hpp"
+#include "log/dump_path.hpp"
 
 namespace mgko::log {
 
@@ -206,17 +207,6 @@ bool probe_perf_event() { return false; }
 void thread_perf_read(hw_sample&) {}
 
 #endif
-
-std::string json_number(double value)
-{
-    if (!std::isfinite(value)) {
-        return "0";
-    }
-    std::ostringstream out;
-    out.precision(15);
-    out << value;
-    return out.str();
-}
 
 void hw_counters_from_env_impl()
 {

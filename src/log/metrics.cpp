@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 
 #include "batch/batch_log.hpp"
@@ -16,8 +14,16 @@ namespace mgko::log {
 
 namespace {
 
+/// A Prometheus sample value: integers without a fraction, others with
+/// three decimals, and the exposition format's NaN / +Inf / -Inf.
 std::string format_value(double value)
 {
+    if (std::isnan(value)) {
+        return "NaN";
+    }
+    if (std::isinf(value)) {
+        return value > 0 ? "+Inf" : "-Inf";
+    }
     const bool integral =
         value > -1e15 && value < 1e15 &&
         value == static_cast<double>(static_cast<std::int64_t>(value));
@@ -290,8 +296,8 @@ std::string MetricsRegistry::to_json() const
             first_family = false;
             bool first_tag = true;
             for (const auto& [tag, value] : tags) {
-                out << (first_tag ? "" : ", ") << "\"" << tag
-                    << "\": " << format_value(value);
+                out << (first_tag ? "" : ", ") << "\"" << label_escape(tag)
+                    << "\": " << json_number(value);
                 first_tag = false;
             }
             out << "}";
@@ -309,12 +315,12 @@ std::string MetricsRegistry::to_json() const
         first_family = false;
         bool first_tag = true;
         for (const auto& [tag, h] : tags) {
-            out << (first_tag ? "" : ", ") << "\"" << tag
+            out << (first_tag ? "" : ", ") << "\"" << label_escape(tag)
                 << "\": {\"count\": " << h.count
-                << ", \"sum\": " << format_value(h.sum)
-                << ", \"p50\": " << format_value(h.quantile(0.5))
-                << ", \"p95\": " << format_value(h.quantile(0.95))
-                << ", \"p99\": " << format_value(h.quantile(0.99))
+                << ", \"sum\": " << json_number(h.sum)
+                << ", \"p50\": " << json_number(h.quantile(0.5))
+                << ", \"p95\": " << json_number(h.quantile(0.95))
+                << ", \"p99\": " << json_number(h.quantile(0.99))
                 << ", \"buckets\": {";
             first_tag = false;
             bool first_bucket = true;
@@ -329,6 +335,71 @@ std::string MetricsRegistry::to_json() const
             out << "}}";
         }
         out << "}";
+    }
+    out << "}}";
+    return out.str();
+}
+
+
+std::string MetricsRegistry::profile_json() const
+{
+    struct row {
+        double count{0.0};
+        double wall_ns{0.0};
+        double bytes{0.0};
+        double flops{0.0};
+        double work_bytes{0.0};
+    };
+    std::lock_guard<std::mutex> guard{mutex_};
+    std::map<std::string, row> rows;
+    auto add = [&](const char* family, double row::*field) {
+        if (auto it = counters_.find(family); it != counters_.end()) {
+            for (const auto& [tag, value] : it->second) {
+                rows[tag].*field += value;
+            }
+        }
+    };
+    add("mgko_events_total", &row::count);
+    add("mgko_bytes_total", &row::bytes);
+    add("mgko_batch_systems_total", &row::bytes);
+    add("mgko_flops_total", &row::flops);
+    add("mgko_work_bytes_total", &row::work_bytes);
+    add("mgko_binding_overhead_ns_total", &row::wall_ns);
+    if (auto it = histograms_.find("mgko_latency_ns");
+        it != histograms_.end()) {
+        for (const auto& [tag, h] : it->second) {
+            rows[tag].wall_ns += h.sum;
+        }
+    }
+    // Each bound call adds one sample to every breakdown channel; the
+    // channels carry no events of their own.
+    if (auto it = counters_.find("mgko_binding_overhead_ns_total");
+        it != counters_.end()) {
+        double bound_calls = 0.0;
+        for (const auto& [tag, r] : rows) {
+            if (tag.rfind("bind.", 0) == 0) {
+                bound_calls += r.count;
+            }
+        }
+        for (const auto& [tag, value] : it->second) {
+            rows[tag].count = bound_calls;
+        }
+    }
+    std::ostringstream out;
+    out << "{\"tags\": {";
+    bool first = true;
+    for (const auto& [tag, r] : rows) {
+        const double gflops = r.wall_ns > 0.0 ? r.flops / r.wall_ns : 0.0;
+        const double gbps = r.wall_ns > 0.0 ? r.work_bytes / r.wall_ns : 0.0;
+        out << (first ? "" : ", ") << "\"" << label_escape(tag)
+            << "\": {\"count\": " << json_number(r.count)
+            << ", \"wall_ns\": " << json_number(r.wall_ns)
+            << ", \"bytes\": " << json_number(r.bytes)
+            << ", \"flops\": " << json_number(r.flops)
+            << ", \"work_bytes\": " << json_number(r.work_bytes)
+            << ", \"gflops\": " << json_number(gflops)
+            << ", \"gbps\": " << json_number(gbps) << "}";
+        first = false;
     }
     out << "}}";
     return out.str();
@@ -438,6 +509,8 @@ void MetricsLogger::on_batch_iteration_complete(const batch::BatchLinOp*,
                                                 double max_residual_norm)
 {
     registry_.inc_counter("mgko_events_total", "batch.iteration");
+    registry_.inc_counter("mgko_batch_systems_total", "batch.iteration",
+                          static_cast<double>(active_systems));
     registry_.set_gauge("mgko_residual_norm", "batch", max_residual_norm);
     registry_.set_gauge("mgko_active_systems", "batch",
                         static_cast<double>(active_systems));
@@ -487,8 +560,16 @@ void MetricsLogger::on_binding_call_completed(const char* name,
 
 std::shared_ptr<MetricsLogger> shared_metrics()
 {
-    static std::shared_ptr<MetricsLogger> metrics = MetricsLogger::create();
-    return metrics;
+    // Never destroyed, like the recorder: an env-started telemetry server
+    // keeps serving while function-local statics are destroyed at exit, so
+    // a scrape must not find the registry freed.  A union member's
+    // destructor runs only if the union's destructor calls it.
+    static union holder {
+        holder() : metrics{MetricsLogger::create()} {}
+        ~holder() {}
+        std::shared_ptr<MetricsLogger> metrics;
+    } held;
+    return held.metrics;
 }
 
 
@@ -516,28 +597,6 @@ void set_shared_metrics_exported(bool exported)
 
 
 bool shared_metrics_exported() { return metrics_exported.load(); }
-
-
-void dump_metrics(const MetricsLogger& metrics, const std::string& name)
-{
-    const char* value = std::getenv("MGKO_METRICS");
-    if (value == nullptr || *value == '\0') {
-        return;
-    }
-    const std::string dest{value};
-    const auto text = metrics.registry().prometheus_text();
-    if (dump_to_stdout(dest)) {
-        std::cout << "=== mgko metrics [" << name << "] ===\n" << text;
-        return;
-    }
-    const auto path = resolve_dump_path(dest, "metrics", name, ".txt");
-    std::ofstream out{path};
-    if (out) {
-        out << text;
-    } else {
-        std::cerr << "mgko: cannot write metrics to '" << path << "'\n";
-    }
-}
 
 
 }  // namespace mgko::log

@@ -1,20 +1,24 @@
-// Metrics registry: the cumulative counterpart to the trace tier.  Where
-// TraceLogger keeps the full timeline, MetricsRegistry keeps running
-// counters, gauges, and log2-bucketed latency histograms keyed by the
-// existing tag scheme (op.<name>, mem.*, pool.*, solver.*, batch.*,
-// bind.*), cheap enough to stay attached for a process lifetime and
-// scrapeable at any point.
+// Metrics registry: the totals store of the two-store observability spine
+// (the flight recorder, log/flight_recorder.hpp, is the other: it keeps
+// the last events per thread in a bounded ring, which cannot back a
+// cumulative count).  MetricsRegistry keeps running counters, gauges, and
+// log2-bucketed latency histograms keyed by the tag scheme (op.<name>,
+// mem.*, pool.*, solver.*, batch.*, bind.*), cheap enough to stay
+// attached for a process lifetime and scrapeable at any point.
 //
-// Exporters:
+// Views:
 //   * prometheus_text() — Prometheus text exposition format, tags carried
 //     as a `tag` label (mgko_events_total{tag="op.csr_spmv"} 42),
 //   * to_json()         — the same data as a JSON object parseable by
-//     config/json.hpp.
+//     config/json.hpp,
+//   * profile_json()    — the per-tag {"tags": ...} profile that
+//     MGKO_PROFILE dumps and /profile.json serves.
 //
 // MetricsLogger adapts the EventLogger hook stream onto a registry; the
 // process-wide instance behind shared_metrics() is what the MGKO_METRICS
-// environment switch auto-attaches and the `metrics_text` / `metrics_json`
-// bindings export.
+// environment switch auto-attaches, what executors created while the
+// telemetry server runs feed, and what the `metrics_text` /
+// `metrics_json` bindings export.
 #pragma once
 
 #include <array>
@@ -107,8 +111,20 @@ public:
 
     /// The same data as JSON: {"counters": {name: {tag: v}}, "gauges":
     /// {...}, "histograms": {name: {tag: {"count": n, "sum": s,
-    /// "buckets": {"<le>": c, ...}}}}} — parseable by config/json.hpp.
+    /// "buckets": {"<le>": c, ...}}}}} — parseable by config/json.hpp,
+    /// with non-finite values written as null.
     std::string to_json() const;
+
+    /// The per-tag profile view MetricsLogger's series add up to:
+    /// {"tags": {tag: {"count", "wall_ns", "bytes", "flops",
+    /// "work_bytes", "gflops", "gbps"}}}.  count is mgko_events_total,
+    /// wall_ns the mgko_latency_ns sum, bytes mgko_bytes_total (for
+    /// batch.* tags the mgko_batch_systems_total system count), flops and
+    /// work_bytes their _total counters; gflops and gbps divide those by
+    /// wall_ns.  The binding breakdown channels (bind.gil_wait/lookup/
+    /// boxing/interpreter) take their mgko_binding_overhead_ns_total as
+    /// wall_ns and the number of bound calls as count.
+    std::string profile_json() const;
 
     void reset();
 
@@ -129,7 +145,12 @@ private:
 ///   mgko_flops_total{tag}       kernel-reported flops per op.<name>
 ///   mgko_work_bytes_total{tag}  kernel-reported traffic per op.<name>
 ///   mgko_latency_ns{tag}        histogram of op.<name> / bind.<name> wall
-///                               times and the binding breakdown channels
+///                               times
+///   mgko_binding_overhead_ns_total{tag}
+///                               the binding breakdown channels
+///   mgko_batch_systems_total{tag}
+///                               systems per batch round (batch.iteration)
+///                               and per stop outcome (batch.stop.*)
 ///   mgko_residual_norm{tag}     gauge: latest solver/batch residual
 ///   mgko_open_spans{tag}        gauge: currently open spans per name
 class MetricsLogger final : public EventLogger {
@@ -179,7 +200,8 @@ private:
 
 
 /// The process-wide metrics logger the MGKO_METRICS switch attaches; also
-/// what the `metrics_text` / `metrics_json` bindings export.
+/// what the `metrics_text` / `metrics_json` bindings export.  Never
+/// destroyed, so threads still running at exit can use it.
 std::shared_ptr<MetricsLogger> shared_metrics();
 
 /// Returns shared_metrics() when the MGKO_METRICS environment variable is
@@ -193,11 +215,5 @@ std::shared_ptr<MetricsLogger> metrics_from_env();
 /// while it is set, so /metrics has executor-level series to serve.
 void set_shared_metrics_exported(bool exported);
 bool shared_metrics_exported();
-
-/// Writes the registry's Prometheus text where MGKO_METRICS points: "-",
-/// "1" or "stdout" print it under a banner; a directory or path prefix
-/// derives a per-run file name from `name` (see log/dump_path.hpp).
-void dump_metrics(const MetricsLogger& metrics, const std::string& name);
-
 
 }  // namespace mgko::log

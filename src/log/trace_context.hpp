@@ -1,10 +1,10 @@
 // Request-scoped trace context: the propagation layer that stitches the
-// three observability tiers together per *request* instead of per thread.
+// two observability stores together per *request* instead of per thread.
 //
-// The profiler/trace/metrics loggers and the FlightRecorder can say what
-// happened on each thread, but once serve::SolveServer hands a request to
-// a worker-pool thread the spans, kernel work-model ticks, and pool
-// allocations it triggers are indistinguishable from every other
+// The FlightRecorder (events) and the MetricsRegistry (totals) can say
+// what happened on each thread, but once serve::SolveServer hands a
+// request to a worker-pool thread the spans, kernel work-model ticks, and
+// pool allocations it triggers are indistinguishable from every other
 // concurrent request.  A TraceContext — W3C Trace Context compatible
 // 128-bit trace id, 64-bit span id, sampled flag — travels with the
 // request instead of the thread:

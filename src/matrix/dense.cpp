@@ -99,28 +99,58 @@ void add_scaled(const Executor* exec, V* x, const V* b, size_type rows,
                             bytes, static_cast<double>(2 * rows * cols)));
 }
 
+// dot and norm2 are bitwise reproducible at a fixed thread count: each
+// thread sums its schedule(static) block of rows into its own stack slot,
+// and the slots are added in thread order after the region, so the result
+// does not depend on which thread finishes first.  No allocation and no
+// barrier beyond the region's own join.  `finish(c, sum)` stores column c.
+template <typename Term, typename Finish>
+void ordered_column_sums(int nt, size_type rows, size_type cols, Term term,
+                         Finish finish)
+{
+    constexpr int slots = 256;
+    nt = std::clamp(nt, 1, slots);
+    double partial[slots];
+    // One region covers as many columns as the slots hold: every column
+    // while cols * nt <= 256.
+    const size_type chunk = slots / nt;
+    for (size_type c0 = 0; c0 < cols; c0 += chunk) {
+        const size_type width = std::min(chunk, cols - c0);
+        std::fill_n(partial, width * nt, 0.0);
+#pragma omp parallel num_threads(nt) if (nt > 1)
+        {
+            const int t = omp_get_thread_num();
+            for (size_type c = 0; c < width; ++c) {
+                double acc = 0.0;
+#pragma omp for schedule(static) nowait
+                for (size_type r = 0; r < rows; ++r) {
+                    acc += term(r, c0 + c);
+                }
+                partial[c * nt + t] = acc;
+            }
+        }
+        for (size_type c = 0; c < width; ++c) {
+            double sum = 0.0;
+            for (int t = 0; t < nt; ++t) {
+                sum += partial[c * nt + t];
+            }
+            finish(c0 + c, sum);
+        }
+    }
+}
+
 template <typename V>
 void compute_dot(const Executor* exec, const V* a, const V* b, size_type rows,
                  size_type cols, size_type a_stride, size_type b_stride,
                  V* result)
 {
-    for (size_type c = 0; c < cols; ++c) {
-        result[c] = zero<V>();
-    }
-    const int nt = kernels::exec_threads(exec);
-#pragma omp parallel num_threads(nt) if (nt > 1)
-    {
-        for (size_type c = 0; c < cols; ++c) {
-            double acc = 0.0;
-#pragma omp for nowait
-            for (size_type r = 0; r < rows; ++r) {
-                acc += to_float(a[r * a_stride + c]) *
-                       to_float(b[r * b_stride + c]);
-            }
-#pragma omp critical
-            result[c] += static_cast<V>(acc);
-        }
-    }
+    ordered_column_sums(
+        kernels::exec_threads(exec), rows, cols,
+        [&](size_type r, size_type c) {
+            return to_float(a[r * a_stride + c]) *
+                   to_float(b[r * b_stride + c]);
+        },
+        [&](size_type c, double sum) { result[c] = static_cast<V>(sum); });
     const double bytes = static_cast<double>(2 * rows * cols * sizeof(V));
     kernels::tick(exec,
                   sim::profile_reduction(exec->model(), bytes,
@@ -131,16 +161,15 @@ template <typename V>
 void compute_norm2(const Executor* exec, const V* a, size_type rows,
                    size_type cols, size_type stride, V* result)
 {
-    const int nt = kernels::exec_threads(exec);
-    for (size_type c = 0; c < cols; ++c) {
-        double acc = 0.0;
-#pragma omp parallel for num_threads(nt) if (nt > 1) reduction(+ : acc)
-        for (size_type r = 0; r < rows; ++r) {
+    ordered_column_sums(
+        kernels::exec_threads(exec), rows, cols,
+        [&](size_type r, size_type c) {
             const double v = to_float(a[r * stride + c]);
-            acc += v * v;
-        }
-        result[c] = static_cast<V>(std::sqrt(acc));
-    }
+            return v * v;
+        },
+        [&](size_type c, double sum) {
+            result[c] = static_cast<V>(std::sqrt(sum));
+        });
     const double bytes = static_cast<double>(rows * cols * sizeof(V));
     kernels::tick(exec,
                   sim::profile_reduction(exec->model(), bytes,

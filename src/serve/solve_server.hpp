@@ -73,11 +73,12 @@
 // stop() is graceful: it stops accepting, then drains queued and
 // in-flight requests before joining the workers.
 //
-// Observability rides the existing spine: every request lands in the
-// shared MetricsRegistry (mgko_solve_latency_ns histograms per route,
-// outcome counters) and opens a FlightRecorder span ("serve.solve", ...),
-// so /metrics, /v1/stats, the telemetry endpoints, and the crash black box
-// all see solve traffic with no extra wiring.
+// Observability rides both stores of the event spine: every request adds
+// to the totals in the shared MetricsRegistry (mgko_solve_latency_ns
+// histograms per route, outcome counters) and to the events in the
+// FlightRecorder (a "serve.solve" span, ...), so /metrics, /profile.json,
+// /trace.json, /v1/stats and the crash black box all see solve traffic
+// with no extra wiring.
 #pragma once
 
 #include <atomic>

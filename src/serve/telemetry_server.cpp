@@ -53,8 +53,9 @@ std::string TelemetryServer::respond(const std::string& method,
         return http_response(200, "text/plain; version=0.0.4", body.str());
     }
     if (path == "/profile.json") {
-        return http_response(200, "application/json",
-                             log::shared_flight_recorder()->to_profile_json());
+        return http_response(
+            200, "application/json",
+            log::shared_metrics()->registry().profile_json());
     }
     if (path == "/profile_cpu.json") {
         // The measured profile: aggregated SIGPROF samples, pprof-like

@@ -10,14 +10,17 @@
 //                          mgko_telemetry_* series (so a scrape is never
 //                          empty) and the measured tier's mgko_hw_* /
 //                          mgko_sampling_* series
-//   GET /profile.json      flight-recorder snapshot aggregated per tag
-//                          (ProfilerLogger's {"tags": ...} schema)
+//   GET /profile.json      the shared MetricsRegistry's per-tag profile
+//                          view ({"tags": ...}, the MGKO_PROFILE schema):
+//                          totals since executors started feeding it
+//                          while telemetry is live, not the ring's window
 //   GET /profile_cpu.json  sampling-profiler aggregate, pprof-like JSON
 //                          (log/sampling_profiler.hpp)
 //   GET /flamegraph.txt    the same samples as folded stacks, one
 //                          "frame;frame;... count" line per stack —
 //                          flamegraph.pl-ready
 //   GET /trace.json        flight-recorder snapshot as Chrome Trace JSON
+//                          (the last events per thread)
 //
 // so a production host can be inspected while it runs instead of waiting
 // for an exit-time dump (cf. Koch et al. on observability surviving

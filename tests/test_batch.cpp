@@ -17,7 +17,8 @@
 #include "bindings/registry.hpp"
 #include "config/config_solver.hpp"
 #include "core/half.hpp"
-#include "log/profiler.hpp"
+#include "log/flight_recorder.hpp"
+#include "log/metrics.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 #include "solver/bicgstab.hpp"
@@ -602,24 +603,34 @@ TEST(BatchEvents, IterationAndStopEventsReachLoggers)
                       .with_criteria(stop::residual_norm(1e-8))
                       .on(exec)
                       ->generate(std::move(mat));
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
+    auto metrics = log::MetricsLogger::create();
     solver->add_logger(rec);
+    solver->add_logger(metrics);
     solver->apply(b.get(), x.get());
 
+    using kind = log::FlightRecorder::event_kind;
     const auto log = as_iterative(solver.get())->get_batch_logger();
-    EXPECT_EQ(rec->count("batch_iteration"), log->max_iterations());
-    EXPECT_EQ(rec->count("batch_solver_stop"), 1);
-    size_type last_active = num;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "batch_iteration") {
-            // The active population only shrinks as systems retire.
-            EXPECT_LE(r.bytes, last_active);
-            last_active = r.bytes;
-        } else if (r.kind == "batch_solver_stop") {
-            EXPECT_EQ(r.bytes, num);  // converged count
-            EXPECT_EQ(r.name, std::to_string(log->max_iterations()));
-        }
+    const auto rounds = test::records_of(*rec, kind::batch_iteration);
+    ASSERT_EQ(static_cast<size_type>(rounds.size()), log->max_iterations());
+    // Rounds are numbered 1..max_iterations, the last being the batch's
+    // critical path.
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+        EXPECT_EQ(rounds[i].a, static_cast<double>(i + 1));
     }
+    const auto stops = test::records_of(*rec, kind::batch_stop);
+    ASSERT_EQ(stops.size(), 1u);
+    EXPECT_EQ(stops[0].a, static_cast<double>(num));  // converged count
+    EXPECT_EQ(stops[0].b, static_cast<double>(num));  // systems
+    // Each system is active in rounds 1..num_iterations(s), so the
+    // summed active population is the summed per-system iterations.
+    size_type active_rounds = 0;
+    for (size_type s = 0; s < num; ++s) {
+        active_rounds += log->num_iterations(s);
+    }
+    EXPECT_EQ(metrics->registry().counter_value("mgko_batch_systems_total",
+                                                "batch.iteration"),
+              static_cast<double>(active_rounds));
 }
 
 

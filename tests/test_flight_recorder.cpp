@@ -1,6 +1,6 @@
 // The always-on tier's recording half: FlightRecorder tag interning, ring
 // wraparound, concurrent writers + snapshots (std::thread and OpenMP —
-// the stress cases the tsan preset runs), Chrome-trace/profile export of
+// the stress cases the tsan preset runs), Chrome-trace export of
 // snapshots, auto-attachment to executors and the binding layer, and the
 // crash hook's postmortem dump (subprocess death tests).
 #include <gtest/gtest.h>
@@ -309,23 +309,6 @@ TEST(FlightRecorder, TraceExportRepairsSpansBrokenByWraparound)
     }
     EXPECT_TRUE(saw_synthesized_end);
 }
-
-TEST(FlightRecorder, ProfileExportAggregatesPerTag)
-{
-    auto rec = Recorder::create(64);
-    rec->on_operation_completed(nullptr, "csr_spmv", 100.0, 0.0, 0.0);
-    rec->on_operation_completed(nullptr, "csr_spmv", 150.0, 0.0, 0.0);
-    rec->on_allocation_completed(nullptr, 64, nullptr);
-    auto doc = config::Json::parse(rec->to_profile_json());
-    ASSERT_TRUE(doc.contains("tags"));
-    const auto& tags = doc.at("tags");
-    ASSERT_TRUE(tags.contains("op.csr_spmv"));
-    EXPECT_EQ(tags.at("op.csr_spmv").at("count").as_int(), 2);
-    EXPECT_EQ(tags.at("op.csr_spmv").at("wall_ns").as_double(), 250.0);
-    ASSERT_TRUE(tags.contains("mem.alloc"));
-    EXPECT_EQ(tags.at("mem.alloc").at("count").as_int(), 1);
-}
-
 
 // --- always-on wiring ----------------------------------------------------
 

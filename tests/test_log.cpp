@@ -1,15 +1,19 @@
 // The event-logging subsystem: EventLogger attachment at the executor,
-// solver, and binding layers, ProfilerLogger aggregation + JSON export,
-// RecordLogger capture, ConvergenceLogger edge cases, the
-// zero-overhead-when-detached guarantee, and the tracing/metrics tier
-// (TraceLogger span nesting + Chrome JSON export, MetricsRegistry
-// exposition, roofline work accounting, batch stop-reason export).
+// solver, and binding layers (observed through a private FlightRecorder's
+// snapshot), ConvergenceLogger edge cases, the zero-overhead-when-detached
+// guarantee, and the views of the two stores: the flight recorder's Chrome
+// trace (span nesting, the MGKO_TRACE dump) and the metrics registry's
+// exposition and per-tag profile (roofline work accounting, batch
+// stop-reason totals, non-finite values).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <latch>
 #include <map>
 #include <set>
 #include <thread>
@@ -22,13 +26,13 @@
 
 #include "bindings/api.hpp"
 #include "bindings/registry.hpp"
+#include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "core/executor.hpp"
 #include "log/dump_path.hpp"
+#include "log/flight_recorder.hpp"
 #include "log/logger.hpp"
 #include "log/metrics.hpp"
-#include "log/profiler.hpp"
-#include "log/trace.hpp"
 #include "log/trace_context.hpp"
 #include "log/work_model.hpp"
 #include "matrix/csr.hpp"
@@ -54,6 +58,24 @@ using namespace mgko;
 
 using Mtx = Csr<double, int32>;
 using Vec = Dense<double>;
+using kind = log::FlightRecorder::event_kind;
+using test::count_of;
+using test::records_of;
+
+
+/// The profile view of `metrics`, parsed: {"tags": {tag: {...}}}.
+config::Json profile_of(const log::MetricsLogger& metrics)
+{
+    return config::Json::parse(metrics.registry().profile_json());
+}
+
+/// One tag's field in a parsed profile view; 0 when the tag is absent.
+double profile_field(const config::Json& profile, const std::string& tag,
+                     const std::string& field)
+{
+    const auto& tags = profile.at("tags");
+    return tags.contains(tag) ? tags.at(tag).at(field).as_double() : 0.0;
+}
 
 
 // --- ConvergenceLogger edge cases ---------------------------------------
@@ -104,21 +126,21 @@ TEST(EventLogger, AddAndRemoveOnExecutor)
     // bookkeeping assertions are relative to that baseline.
     auto exec = ReferenceExecutor::create();
     const auto baseline = exec->get_loggers().size();
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     exec->add_logger(rec);
     EXPECT_TRUE(exec->has_loggers());
     EXPECT_EQ(exec->get_loggers().size(), baseline + 1);
 
     void* p = exec->alloc_bytes(256);
     exec->free_bytes(p);
-    EXPECT_EQ(rec->count("allocation"), 1);
-    EXPECT_EQ(rec->count("free"), 1);
+    EXPECT_EQ(count_of(*rec, kind::alloc), 1);
+    EXPECT_EQ(count_of(*rec, kind::free_mem), 1);
 
     exec->remove_logger(rec.get());
     EXPECT_EQ(exec->get_loggers().size(), baseline);
     void* q = exec->alloc_bytes(256);
     exec->free_bytes(q);
-    EXPECT_EQ(rec->count("allocation"), 1);  // detached: no new events
+    EXPECT_EQ(count_of(*rec, kind::alloc), 1);  // detached: no new events
 }
 
 
@@ -127,26 +149,26 @@ TEST(EventLogger, AddAndRemoveOnExecutor)
 TEST(EventLogger, ExecutorEmitsAllocationPoolAndCopyEvents)
 {
     auto exec = ReferenceExecutor::create();
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     exec->add_logger(rec);
 
     void* p = exec->alloc_bytes(1000);
-    EXPECT_EQ(rec->count("pool_miss"), 1);
+    EXPECT_EQ(count_of(*rec, kind::pool_miss), 1);
     exec->free_bytes(p);
     void* q = exec->alloc_bytes(990);  // same size class: served from cache
-    EXPECT_EQ(rec->count("pool_hit"), 1);
-    EXPECT_EQ(rec->count("allocation"), 2);
+    EXPECT_EQ(count_of(*rec, kind::pool_hit), 1);
+    EXPECT_EQ(count_of(*rec, kind::alloc), 2);
     exec->free_bytes(q);
-    EXPECT_EQ(rec->count("free"), 2);
+    EXPECT_EQ(count_of(*rec, kind::free_mem), 2);
 
     exec->trim_pool();
-    EXPECT_EQ(rec->count("pool_trim"), 1);
+    EXPECT_EQ(count_of(*rec, kind::pool_trim), 1);
 
     // Copy: device-to-device through copy_to.
     auto src = Vec::create_filled(exec, dim2{16, 1}, 1.0);
     auto dst = Vec::create(exec, dim2{16, 1});
     dst->copy_from(src.get());
-    EXPECT_GE(rec->count("copy"), 1);
+    EXPECT_GE(count_of(*rec, kind::copy), 1);
 
     exec->remove_logger(rec.get());
 }
@@ -160,21 +182,23 @@ TEST(EventLogger, ExecutorEmitsOperationEventsWithKernelTags)
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
     auto x = Vec::create(exec, dim2{n, 1});
 
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     exec->add_logger(rec);
+    const auto launches = exec->num_kernel_launches();
     a->apply(b.get(), x.get());
     exec->remove_logger(rec.get());
 
     bool saw_spmv = false;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "operation_completed" && r.name == "csr_spmv") {
+    for (const auto& r : records_of(*rec, kind::operation)) {
+        if (std::string{r.tag} == "csr_spmv") {
             saw_spmv = true;
-            EXPECT_GE(r.value, 0.0);
+            EXPECT_GE(r.a, 0.0);  // wall_ns
         }
     }
     EXPECT_TRUE(saw_spmv);
-    EXPECT_EQ(rec->count("operation_launched"),
-              rec->count("operation_completed"));
+    // One event per kernel launch.
+    EXPECT_EQ(count_of(*rec, kind::operation),
+              exec->num_kernel_launches() - launches);
 }
 
 
@@ -191,7 +215,7 @@ TEST(EventLogger, SolverEmitsIterationAndStopEvents)
                       .with_criteria(stop::residual_norm(1e-10))
                       .on(exec)
                       ->generate(a);
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     // Attached to the solver LinOp, not the executor.
     solver->add_logger(rec);
 
@@ -201,16 +225,14 @@ TEST(EventLogger, SolverEmitsIterationAndStopEvents)
 
     auto conv =
         dynamic_cast<solver::Cg<double>*>(solver.get())->get_logger();
-    EXPECT_EQ(rec->count("iteration"),
+    EXPECT_EQ(count_of(*rec, kind::iteration),
               static_cast<size_type>(conv->residual_history().size()));
-    EXPECT_EQ(rec->count("solver_stop"), 1);
+    EXPECT_EQ(count_of(*rec, kind::solver_stop), 1);
     // Iteration events carry the residual norm of the matching history
     // entry.
     std::vector<double> seen;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "iteration") {
-            seen.push_back(r.value);
-        }
+    for (const auto& r : records_of(*rec, kind::iteration)) {
+        seen.push_back(r.b);
     }
     ASSERT_EQ(seen.size(), conv->residual_history().size());
     for (std::size_t i = 0; i < seen.size(); ++i) {
@@ -229,7 +251,7 @@ TEST(EventLogger, ExecutorAttachedLoggerAlsoSeesSolverEvents)
                       .with_criteria(stop::residual_norm(1e-10))
                       .on(exec)
                       ->generate(a);
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     exec->add_logger(rec);
 
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
@@ -237,14 +259,14 @@ TEST(EventLogger, ExecutorAttachedLoggerAlsoSeesSolverEvents)
     solver->apply(b.get(), x.get());
     exec->remove_logger(rec.get());
 
-    EXPECT_GT(rec->count("iteration"), 0);
-    EXPECT_EQ(rec->count("solver_stop"), 1);
+    EXPECT_GT(count_of(*rec, kind::iteration), 0);
+    EXPECT_EQ(count_of(*rec, kind::solver_stop), 1);
 }
 
 
-// --- ProfilerLogger -----------------------------------------------------
+// --- the metrics registry's profile view ---------------------------------
 
-TEST(ProfilerLogger, CgSolveAttributesTimeToKernelTags)
+TEST(ProfileView, CgSolveAttributesTimeToKernelTags)
 {
     auto exec = ReferenceExecutor::create();
     const size_type n = 48;
@@ -258,7 +280,7 @@ TEST(ProfilerLogger, CgSolveAttributesTimeToKernelTags)
                               exec))
                       .on(exec)
                       ->generate(a);
-    auto prof = log::ProfilerLogger::create();
+    auto prof = log::MetricsLogger::create();
     exec->add_logger(prof);
 
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
@@ -268,33 +290,50 @@ TEST(ProfilerLogger, CgSolveAttributesTimeToKernelTags)
 
     // The acceptance shape: spmv / dot / axpy / precond tags plus the
     // solver iteration stream.
+    const auto profile = profile_of(*prof);
     for (const char* tag : {"op.csr_spmv", "op.dense_dot",
                             "op.dense_add_scaled", "op.jacobi_apply",
                             "solver.iteration"}) {
-        const auto stats = prof->stats(tag);
-        EXPECT_GT(stats.count, 0) << tag;
+        EXPECT_GT(profile_field(profile, tag, "count"), 0.0) << tag;
     }
-    EXPECT_GE(prof->stats("op.csr_spmv").wall_ns, 0.0);
-    EXPECT_EQ(prof->stats("solver.stop").count, 1);
+    EXPECT_GE(profile_field(profile, "op.csr_spmv", "wall_ns"), 0.0);
+    EXPECT_EQ(profile_field(profile, "solver.stop", "count"), 1.0);
 
-    // The JSON export parses and carries the same counts.
-    auto json = config::Json::parse(prof->to_json());
-    ASSERT_TRUE(json.contains("tags"));
-    const auto& tags = json.at("tags");
+    // The view carries the registry's counts.
+    const auto& tags = profile.at("tags");
     ASSERT_TRUE(tags.contains("op.csr_spmv"));
-    EXPECT_EQ(tags.at("op.csr_spmv").at("count").as_int(),
-              prof->stats("op.csr_spmv").count);
+    EXPECT_EQ(tags.at("op.csr_spmv").at("count").as_double(),
+              prof->registry().counter_value("mgko_events_total",
+                                             "op.csr_spmv"));
 }
 
-TEST(ProfilerLogger, ResetClearsTheSummary)
+TEST(ProfileView, ResetClearsTheSummary)
 {
-    auto prof = log::ProfilerLogger::create();
+    auto prof = log::MetricsLogger::create();
     prof->on_pool_hit(nullptr, 128);
-    EXPECT_EQ(prof->stats("pool.hit").count, 1);
-    EXPECT_EQ(prof->stats("pool.hit").bytes, 128);
-    prof->reset();
-    EXPECT_EQ(prof->stats("pool.hit").count, 0);
-    EXPECT_TRUE(prof->summary().empty());
+    auto profile = profile_of(*prof);
+    EXPECT_EQ(profile_field(profile, "pool.hit", "count"), 1.0);
+    EXPECT_EQ(profile_field(profile, "pool.hit", "bytes"), 128.0);
+    prof->registry().reset();
+    profile = profile_of(*prof);
+    EXPECT_EQ(profile_field(profile, "pool.hit", "count"), 0.0);
+    EXPECT_EQ(profile.at("tags").size(), 0);
+}
+
+TEST(ProfileView, AggregatesPerTag)
+{
+    auto prof = log::MetricsLogger::create();
+    prof->on_operation_completed(nullptr, "csr_spmv", 100.0, 0.0, 0.0);
+    prof->on_operation_completed(nullptr, "csr_spmv", 150.0, 0.0, 0.0);
+    prof->on_allocation_completed(nullptr, 64, nullptr);
+    const auto profile = profile_of(*prof);
+    const auto& tags = profile.at("tags");
+    ASSERT_TRUE(tags.contains("op.csr_spmv"));
+    EXPECT_EQ(tags.at("op.csr_spmv").at("count").as_int(), 2);
+    EXPECT_EQ(tags.at("op.csr_spmv").at("wall_ns").as_double(), 250.0);
+    ASSERT_TRUE(tags.contains("mem.alloc"));
+    EXPECT_EQ(tags.at("mem.alloc").at("count").as_int(), 1);
+    EXPECT_EQ(tags.at("mem.alloc").at("bytes").as_int(), 64);
 }
 
 
@@ -304,7 +343,7 @@ TEST(EventLogger, BindingCallsEmitOverheadBreakdown)
 {
     auto dev = bind::device("reference");
     ASSERT_TRUE(dev.valid());
-    auto prof = log::ProfilerLogger::create();
+    auto prof = log::MetricsLogger::create();
     bind::add_logger(prof);
 
     auto t = bind::as_tensor(dev, dim2{32, 1}, "double", 2.0);
@@ -312,32 +351,35 @@ TEST(EventLogger, BindingCallsEmitOverheadBreakdown)
     EXPECT_GT(nrm, 0.0);
     bind::remove_logger(prof.get());
 
-    const auto summary = prof->summary();
+    const auto profile = profile_of(*prof);
     // At least one bound call was recorded under its mangled name...
     bool saw_named_call = false;
-    for (const auto& [tag, stats] : summary) {
+    double named_calls = 0.0;
+    for (const auto& [tag, stats] : profile.at("tags").items()) {
         if (tag.rfind("bind.", 0) == 0 && tag != "bind.gil_wait" &&
             tag != "bind.lookup" && tag != "bind.boxing" &&
             tag != "bind.interpreter") {
             saw_named_call = true;
-            EXPECT_GT(stats.count, 0);
-            EXPECT_GT(stats.wall_ns, 0.0);
+            named_calls += stats.at("count").as_double();
+            EXPECT_GT(stats.at("count").as_double(), 0.0);
+            EXPECT_GT(stats.at("wall_ns").as_double(), 0.0);
         }
     }
     EXPECT_TRUE(saw_named_call);
     // ...with the gil/lookup/boxing/interpreter breakdown alongside, one
     // sample per bound call.
-    const auto calls = prof->stats("bind.interpreter").count;
-    EXPECT_GT(calls, 0);
-    EXPECT_EQ(prof->stats("bind.gil_wait").count, calls);
-    EXPECT_EQ(prof->stats("bind.lookup").count, calls);
-    EXPECT_EQ(prof->stats("bind.boxing").count, calls);
-    EXPECT_GT(prof->stats("bind.interpreter").wall_ns, 0.0);
+    const auto calls = profile_field(profile, "bind.interpreter", "count");
+    EXPECT_GT(calls, 0.0);
+    EXPECT_EQ(calls, named_calls);
+    EXPECT_EQ(profile_field(profile, "bind.gil_wait", "count"), calls);
+    EXPECT_EQ(profile_field(profile, "bind.lookup", "count"), calls);
+    EXPECT_EQ(profile_field(profile, "bind.boxing", "count"), calls);
+    EXPECT_GT(profile_field(profile, "bind.interpreter", "wall_ns"), 0.0);
 }
 
 TEST(EventLogger, BindingLoggerRegistryAddRemove)
 {
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     const auto baseline = bind::get_loggers().size();
     bind::add_logger(rec);
     EXPECT_EQ(bind::get_loggers().size(), baseline + 1);
@@ -377,7 +419,7 @@ TEST(EventLogger, DetachedLoggersLeaveAllocationCountsUntouched)
     };
     const auto plain = run_solve(ReferenceExecutor::create());
     auto logged_exec = ReferenceExecutor::create();
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     logged_exec->add_logger(rec);
     const auto logged = run_solve(logged_exec);
     EXPECT_EQ(plain, 0);
@@ -390,16 +432,17 @@ TEST(EventLogger, DetachedLoggersLeaveAllocationCountsUntouched)
 TEST(EventLogger, ConcurrentEmissionIntoOneProfilerIsSafe)
 {
     // Many threads hammering alloc/free (pool events) and operations on
-    // one executor with a shared ProfilerLogger attached; run under
-    // MGKO_SANITIZE=thread this is the logger-side data-race check.
+    // one executor with a shared MetricsLogger and recorder attached; run
+    // under MGKO_SANITIZE=thread this is the logger-side data-race check.
+    constexpr int num_threads = 8;
+    constexpr int rounds = 200;
     auto exec = ReferenceExecutor::create();
-    auto prof = log::ProfilerLogger::create();
-    auto rec = log::RecordLogger::create();
+    auto prof = log::MetricsLogger::create();
+    // Big enough that no ring wraps even if every thread reuses one slot.
+    auto rec = log::FlightRecorder::create(4 * num_threads * rounds);
     exec->add_logger(prof);
     exec->add_logger(rec);
 
-    constexpr int num_threads = 8;
-    constexpr int rounds = 200;
     std::vector<std::thread> threads;
     threads.reserve(num_threads);
     for (int t = 0; t < num_threads; ++t) {
@@ -416,11 +459,13 @@ TEST(EventLogger, ConcurrentEmissionIntoOneProfilerIsSafe)
     exec->remove_logger(prof.get());
     exec->remove_logger(rec.get());
 
-    const auto hits = prof->stats("pool.hit").count;
-    const auto misses = prof->stats("pool.miss").count;
+    const auto& reg = prof->registry();
+    const auto hits = reg.counter_value("mgko_events_total", "pool.hit");
+    const auto misses = reg.counter_value("mgko_events_total", "pool.miss");
     EXPECT_EQ(hits + misses, num_threads * rounds);
-    EXPECT_EQ(rec->count("allocation"), num_threads * rounds);
-    EXPECT_EQ(rec->count("free"), num_threads * rounds);
+    EXPECT_EQ(rec->dropped(), 0u);
+    EXPECT_EQ(count_of(*rec, kind::alloc), num_threads * rounds);
+    EXPECT_EQ(count_of(*rec, kind::free_mem), num_threads * rounds);
 }
 
 
@@ -430,7 +475,7 @@ TEST(EventLogger, DuplicateExecutorAttachmentIsIgnored)
 {
     auto exec = ReferenceExecutor::create();
     const auto baseline = exec->get_loggers().size();
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     exec->add_logger(rec);
     exec->add_logger(rec);  // second attach of the same logger: no-op
     EXPECT_EQ(exec->get_loggers().size(), baseline + 1);
@@ -438,8 +483,8 @@ TEST(EventLogger, DuplicateExecutorAttachmentIsIgnored)
     void* p = exec->alloc_bytes(128);
     exec->free_bytes(p);
     // One event per emission, not one per (duplicate) attachment.
-    EXPECT_EQ(rec->count("allocation"), 1);
-    EXPECT_EQ(rec->count("free"), 1);
+    EXPECT_EQ(count_of(*rec, kind::alloc), 1);
+    EXPECT_EQ(count_of(*rec, kind::free_mem), 1);
 
     // remove_logger removes the logger entirely; re-removal is a no-op.
     exec->remove_logger(rec.get());
@@ -447,7 +492,7 @@ TEST(EventLogger, DuplicateExecutorAttachmentIsIgnored)
     exec->remove_logger(rec.get());
     EXPECT_EQ(exec->get_loggers().size(), baseline);
     // Distinct loggers still coexist.
-    auto rec2 = log::RecordLogger::create();
+    auto rec2 = log::FlightRecorder::create();
     exec->add_logger(rec);
     exec->add_logger(rec2);
     EXPECT_EQ(exec->get_loggers().size(), baseline + 2);
@@ -458,7 +503,7 @@ TEST(EventLogger, DuplicateExecutorAttachmentIsIgnored)
 
 TEST(EventLogger, DuplicateBindingAttachmentIsIgnored)
 {
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     // Registration attaches the always-on flight recorder; force it now so
     // the baseline below is stable.
     bind::ensure_bindings_registered();
@@ -470,7 +515,7 @@ TEST(EventLogger, DuplicateBindingAttachmentIsIgnored)
     auto dev = bind::device("reference");
     auto t = bind::as_tensor(dev, dim2{8, 1}, "double", 1.0);
     (void)t.norm();
-    const auto calls = rec->count("binding_call");
+    const auto calls = count_of(*rec, kind::binding);
     EXPECT_GT(calls, 0);
 
     bind::remove_logger(rec.get());
@@ -479,11 +524,11 @@ TEST(EventLogger, DuplicateBindingAttachmentIsIgnored)
     EXPECT_EQ(bind::get_loggers().size(), baseline);
     // No events once detached.
     (void)t.norm();
-    EXPECT_EQ(rec->count("binding_call"), calls);
+    EXPECT_EQ(count_of(*rec, kind::binding), calls);
 }
 
 
-// --- TraceLogger (tentpole: hierarchical tracing) ------------------------
+// --- Chrome trace: the flight recorder's view ---------------------------
 
 // Replays the begin/end events of a parsed Chrome trace and checks each
 // 'E' closes the innermost open 'B' of the same name on its thread track.
@@ -511,99 +556,127 @@ bool parsed_trace_well_nested(const config::Json& trace)
     return true;
 }
 
-TEST(TraceLogger, CgSolveUnderMgkoTraceExportsWellNestedChromeJson)
+/// Runs a 32-row CG solve on `exec`.
+void cg_solve(std::shared_ptr<const Executor> exec)
 {
-    // The acceptance path: MGKO_TRACE=1 makes the executor factory attach
-    // the process-wide tracer, a CG solve emits solver phase spans and
-    // kernel slices, and the export is Chrome Trace Event JSON that
-    // round-trips through config/json.hpp.
-    ASSERT_EQ(setenv("MGKO_TRACE", "1", 1), 0);
-    auto tracer = log::tracer_from_env();
-    ASSERT_NE(tracer, nullptr);
-    EXPECT_EQ(tracer.get(), log::shared_tracer().get());
-    tracer->reset();
+    const size_type n = 32;
+    auto a = std::shared_ptr<Mtx>{
+        Mtx::create_from_data(exec, test::laplacian_1d<double, int32>(n))};
+    auto solver = solver::Cg<double>::build()
+                      .with_criteria(stop::iteration(100))
+                      .with_criteria(stop::residual_norm(1e-10))
+                      .on(exec)
+                      ->generate(a);
+    auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
+    auto x = Vec::create_filled(exec, dim2{n, 1}, 0.0);
+    solver->apply(b.get(), x.get());
+}
 
-    {
-        auto exec = ReferenceExecutor::create();  // auto-attaches the tracer
-        const size_type n = 32;
-        auto a = std::shared_ptr<Mtx>{Mtx::create_from_data(
-            exec, test::laplacian_1d<double, int32>(n))};
-        auto solver = solver::Cg<double>::build()
-                          .with_criteria(stop::iteration(100))
-                          .with_criteria(stop::residual_norm(1e-10))
-                          .on(exec)
-                          ->generate(a);
-        auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
-        auto x = Vec::create_filled(exec, dim2{n, 1}, 0.0);
-        solver->apply(b.get(), x.get());
-        exec->remove_logger(tracer.get());
-    }
-    ASSERT_EQ(unsetenv("MGKO_TRACE"), 0);
+TEST(ChromeTrace, CgSolveExportsWellNestedChromeJson)
+{
+    // A CG solve emits solver phase spans and kernel slices, and the
+    // export is Chrome Trace Event JSON that round-trips through
+    // config/json.hpp.
+    auto exec = ReferenceExecutor::create();
+    auto rec = log::FlightRecorder::create();
+    exec->add_logger(rec);
+    cg_solve(exec);
+    exec->remove_logger(rec.get());
+    ASSERT_EQ(rec->dropped(), 0u);
 
-    EXPECT_TRUE(tracer->well_nested());
-    const auto events = tracer->events();
+    auto json = config::Json::parse(rec->to_chrome_trace_json());
+    ASSERT_TRUE(json.contains("traceEvents"));
+    ASSERT_TRUE(json.at("traceEvents").is_array());
+    EXPECT_EQ(json.at("traceEvents").elements().size(),
+              rec->snapshot().size());
+    EXPECT_TRUE(parsed_trace_well_nested(json));
     size_type begins = 0;
     size_type ends = 0;
     bool saw_apply_span = false;
     bool saw_iteration_span = false;
-    bool saw_spmv_span = false;
-    for (const auto& ev : events) {
-        begins += ev.phase == 'B';
-        ends += ev.phase == 'E';
-        if (ev.phase == 'B') {
-            EXPECT_GT(ev.span_id, 0u);
-            saw_apply_span |= ev.name == "solver.cg.apply";
-            saw_iteration_span |= ev.name == "solver.cg.iteration";
-            // Kernel slices carry the bare Operation tag under cat "op".
-            saw_spmv_span |= ev.name == "csr_spmv" && ev.cat == "op";
-        }
+    bool saw_spmv_slice = false;
+    for (const auto& ev : json.at("traceEvents").elements()) {
+        const auto ph = ev.at("ph").as_string();
+        const auto name = ev.at("name").as_string();
+        begins += ph == "B";
+        ends += ph == "E";
+        saw_apply_span |= ph == "B" && name == "solver.cg.apply";
+        saw_iteration_span |= ph == "B" && name == "solver.cg.iteration";
+        // Kernel slices carry the bare Operation tag under cat "op".
+        saw_spmv_slice |= ph == "X" && name == "csr_spmv" &&
+                          ev.at("cat").as_string() == "op";
     }
     EXPECT_EQ(begins, ends);
     EXPECT_TRUE(saw_apply_span);
     EXPECT_TRUE(saw_iteration_span);
-    EXPECT_TRUE(saw_spmv_span);
-
-    // The export parses with the repo's own JSON parser and stays well
-    // nested after the round trip.
-    auto json = config::Json::parse(tracer->to_json());
-    ASSERT_TRUE(json.contains("traceEvents"));
-    ASSERT_TRUE(json.at("traceEvents").is_array());
-    EXPECT_EQ(json.at("traceEvents").elements().size(), events.size());
-    EXPECT_TRUE(parsed_trace_well_nested(json));
-    tracer->reset();
-    EXPECT_TRUE(tracer->events().empty());
+    EXPECT_TRUE(saw_spmv_slice);
 }
 
-TEST(TraceLogger, BindingCallsBecomeCompleteSlicesWithBreakdownChildren)
+TEST(ChromeTrace, BindingCallsBecomeCompleteSlices)
 {
-    auto tracer = log::TraceLogger::create();
-    bind::add_logger(tracer);
+    auto rec = log::FlightRecorder::create();
+    bind::add_logger(rec);
     auto dev = bind::device("reference");
     auto t = bind::as_tensor(dev, dim2{16, 1}, "double", 1.0);
     (void)t.norm();
-    bind::remove_logger(tracer.get());
+    bind::remove_logger(rec.get());
 
+    auto json = config::Json::parse(rec->to_chrome_trace_json());
     bool saw_call_slice = false;
-    bool saw_interpreter_child = false;
-    for (const auto& ev : tracer->events()) {
-        if (ev.phase != 'X') {
-            continue;
-        }
-        if (ev.cat == "bind" && ev.name.rfind("bind.", 0) != 0) {
+    for (const auto& ev : json.at("traceEvents").elements()) {
+        if (ev.at("ph").as_string() == "X" &&
+            ev.at("cat").as_string() == "bind") {
             saw_call_slice = true;
-            EXPECT_GT(ev.dur_ns, 0.0);
+            EXPECT_GT(ev.at("dur").as_double(), 0.0);
+            EXPECT_TRUE(ev.at("args").contains("gil_wait_ns"));
         }
-        saw_interpreter_child |= ev.name == "bind.interpreter";
     }
     EXPECT_TRUE(saw_call_slice);
-    EXPECT_TRUE(saw_interpreter_child);
-    EXPECT_TRUE(tracer->well_nested());  // 'X' slices don't affect nesting
+    EXPECT_TRUE(parsed_trace_well_nested(json));
+}
+
+TEST(ChromeTrace, DumpWritesNoFileOnceTheRingDropped)
+{
+    namespace fs = std::filesystem;
+    const auto dir = fs::path{::testing::TempDir()} / "mgko-trace-dump";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ASSERT_EQ(setenv("MGKO_TRACE", dir.c_str(), 1), 0);
+
+    // A ring that held the whole run: the dump is the Chrome trace.
+    auto whole = log::FlightRecorder::create(1024);
+    for (int i = 0; i < 100; ++i) {
+        whole->on_pool_hit(nullptr, 64);
+    }
+    log::dump_trace(*whole, "whole");
+    const auto written = dir / "mgko-trace-whole.json";
+    ASSERT_TRUE(fs::exists(written));
+    std::ifstream in{written};
+    EXPECT_EQ(config::Json::parse(in).at("traceEvents").elements().size(),
+              100u);
+
+    // A wrapped ring must not pass for a full-run trace.
+    auto wrapped = log::FlightRecorder::create(8);
+    for (int i = 0; i < 32; ++i) {
+        wrapped->on_pool_hit(nullptr, 64);
+    }
+    ASSERT_GT(wrapped->dropped(), 0u);
+    testing::internal::CaptureStderr();
+    log::dump_trace(*wrapped, "wrapped");
+    const auto message = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(unsetenv("MGKO_TRACE"), 0);
+    EXPECT_FALSE(fs::exists(dir / "mgko-trace-wrapped.json"));
+    EXPECT_NE(message.find("dropped 24 of 32 records"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("MGKO_FLIGHT_CAPACITY=32"), std::string::npos)
+        << message;
+    fs::remove_all(dir);
 }
 
 
 // --- roofline accounting (tentpole: per-kernel work model) ---------------
 
-TEST(ProfilerLogger, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
+TEST(ProfileView, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
 {
     auto exec = ReferenceExecutor::create();
     const size_type n = 64;
@@ -613,7 +686,7 @@ TEST(ProfilerLogger, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
     auto x = Vec::create(exec, dim2{n, 1});
 
-    auto prof = log::ProfilerLogger::create();
+    auto prof = log::MetricsLogger::create();
     exec->add_logger(prof);
     const size_type reps = 5;
     for (size_type r = 0; r < reps; ++r) {
@@ -621,9 +694,13 @@ TEST(ProfilerLogger, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
     }
     exec->remove_logger(prof.get());
 
-    const auto stats = prof->stats("op.csr_spmv");
-    ASSERT_EQ(stats.count, reps);
-    EXPECT_GT(stats.wall_ns, 0.0);
+    const auto profile = profile_of(*prof);
+    const auto& tag = profile.at("tags").at("op.csr_spmv");
+    ASSERT_EQ(tag.at("count").as_int(), reps);
+    const double wall_ns = tag.at("wall_ns").as_double();
+    const double flops = tag.at("flops").as_double();
+    const double work_bytes = tag.at("work_bytes").as_double();
+    EXPECT_GT(wall_ns, 0.0);
 
     // Flops are exact: 2 nnz per SpMV.  Bytes match the analytic
     // compulsory traffic up to the cost model's locality miss term, which
@@ -631,28 +708,24 @@ TEST(ProfilerLogger, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
     const auto analytic =
         log::csr_spmv_work(n, nnz, sizeof(double), sizeof(int32));
     const auto rd = static_cast<double>(reps);
-    EXPECT_DOUBLE_EQ(stats.flops, rd * analytic.flops);
-    EXPECT_GE(stats.work_bytes, rd * analytic.bytes);
-    EXPECT_LE(stats.work_bytes,
-              rd * (analytic.bytes +
-                    static_cast<double>(nnz) * sizeof(double)));
+    EXPECT_DOUBLE_EQ(flops, rd * analytic.flops);
+    EXPECT_GE(work_bytes, rd * analytic.bytes);
+    EXPECT_LE(work_bytes, rd * (analytic.bytes +
+                                static_cast<double>(nnz) * sizeof(double)));
+    // The view's totals are the registry's, exactly.
+    EXPECT_EQ(flops, prof->registry().counter_value("mgko_flops_total",
+                                                    "op.csr_spmv"));
 
     // The roofline derivations are live and consistent.
-    EXPECT_GT(stats.gflops(), 0.0);
-    EXPECT_GT(stats.gbps(), 0.0);
-    EXPECT_DOUBLE_EQ(stats.gflops(),
-                     log::achieved_gflops(stats.flops, stats.wall_ns));
-    EXPECT_DOUBLE_EQ(stats.intensity(), stats.flops / stats.work_bytes);
-
-    // ...and survive the JSON export.
-    auto json = config::Json::parse(prof->to_json());
-    const auto& tag = json.at("tags").at("op.csr_spmv");
-    EXPECT_DOUBLE_EQ(tag.at("flops").as_double(), stats.flops);
     EXPECT_GT(tag.at("gflops").as_double(), 0.0);
     EXPECT_GT(tag.at("gbps").as_double(), 0.0);
+    EXPECT_DOUBLE_EQ(tag.at("gflops").as_double(),
+                     log::achieved_gflops(flops, wall_ns));
+    EXPECT_DOUBLE_EQ(tag.at("gbps").as_double(),
+                     log::achieved_gbps(work_bytes, wall_ns));
 }
 
-TEST(RecordLogger, OperationEventsCarryCapturedWork)
+TEST(EventLogger, OperationEventsCarryCapturedWork)
 {
     auto exec = ReferenceExecutor::create();
     const size_type n = 32;
@@ -660,17 +733,17 @@ TEST(RecordLogger, OperationEventsCarryCapturedWork)
         Mtx::create_from_data(exec, test::laplacian_1d<double, int32>(n))};
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
     auto x = Vec::create(exec, dim2{n, 1});
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create();
     exec->add_logger(rec);
     a->apply(b.get(), x.get());
     exec->remove_logger(rec.get());
 
     const size_type nnz = 3 * n - 2;
     bool saw_work = false;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "operation_work" && r.name == "csr_spmv") {
+    for (const auto& r : records_of(*rec, kind::operation)) {
+        if (std::string{r.tag} == "csr_spmv") {
             saw_work = true;
-            EXPECT_DOUBLE_EQ(r.value, 2.0 * static_cast<double>(nnz));
+            EXPECT_DOUBLE_EQ(r.b, 2.0 * static_cast<double>(nnz));  // flops
         }
     }
     EXPECT_TRUE(saw_work);
@@ -1013,64 +1086,71 @@ TEST(MetricsLogger, CgSolveFeedsCountersGaugesAndLatencyHistograms)
 
 // --- concurrent tracing (satellite: TSan stress) -------------------------
 
-TEST(TraceLogger, ConcurrentStdThreadSpansStayWellNestedPerTrack)
+TEST(ChromeTrace, ConcurrentStdThreadSpansStayWellNestedPerTrack)
 {
-    auto tracer = log::TraceLogger::create();
     constexpr int num_threads = 8;
     constexpr int rounds = 100;
+    constexpr int per_thread = 4 * rounds + 2;
+    auto rec = log::FlightRecorder::create(per_thread);
+    // Every thread claims its slot before any thread can exit, so none
+    // inherits a recycled slot and each gets its own track.
+    std::latch started{num_threads};
     std::vector<std::thread> threads;
     threads.reserve(num_threads);
     for (int t = 0; t < num_threads; ++t) {
         threads.emplace_back([&] {
+            rec->on_span_begin("thread");
+            started.arrive_and_wait();
             for (int i = 0; i < rounds; ++i) {
-                tracer->on_span_begin("outer");
-                tracer->on_span_begin("inner");
-                tracer->on_span_end("inner");
-                tracer->on_span_end("outer");
+                rec->on_span_begin("outer");
+                rec->on_span_begin("inner");
+                rec->on_span_end("inner");
+                rec->on_span_end("outer");
             }
+            rec->on_span_end("thread");
         });
     }
     for (auto& th : threads) {
         th.join();
     }
 
-    EXPECT_TRUE(tracer->well_nested());
-    const auto events = tracer->events();
+    ASSERT_EQ(rec->dropped(), 0u);
+    auto json = config::Json::parse(rec->to_chrome_trace_json());
+    EXPECT_TRUE(parsed_trace_well_nested(json));
+    const auto& events = json.at("traceEvents").elements();
     EXPECT_EQ(events.size(),
-              static_cast<std::size_t>(num_threads) * rounds * 4);
-    // Every thread got its own track, and every begin carries a span id.
-    std::set<int> tids;
+              static_cast<std::size_t>(num_threads) * per_thread);
+    std::set<std::int64_t> tids;
     for (const auto& ev : events) {
-        tids.insert(ev.tid);
-        if (ev.phase == 'B') {
-            EXPECT_GT(ev.span_id, 0u);
-        }
+        tids.insert(ev.at("tid").as_int());
     }
     EXPECT_EQ(tids.size(), static_cast<std::size_t>(num_threads));
 }
 
-TEST(TraceLogger, ConcurrentOpenMpSpansStayWellNestedPerTrack)
+TEST(ChromeTrace, ConcurrentOpenMpSpansStayWellNestedPerTrack)
 {
 #ifdef MGKO_TSAN
     GTEST_SKIP() << "libgomp is not TSan-instrumented; the std::thread "
                     "variant covers this under TSan";
 #else
-    auto tracer = log::TraceLogger::create();
     constexpr int rounds = 100;
+    auto rec = log::FlightRecorder::create(4 * rounds);
     int num_threads = 0;
 #pragma omp parallel num_threads(4)
     {
 #pragma omp single
         num_threads = omp_get_num_threads();
         for (int i = 0; i < rounds; ++i) {
-            tracer->on_span_begin("omp.outer");
-            tracer->on_span_begin("omp.inner");
-            tracer->on_span_end("omp.inner");
-            tracer->on_span_end("omp.outer");
+            rec->on_span_begin("omp.outer");
+            rec->on_span_begin("omp.inner");
+            rec->on_span_end("omp.inner");
+            rec->on_span_end("omp.outer");
         }
     }
-    EXPECT_TRUE(tracer->well_nested());
-    EXPECT_EQ(tracer->events().size(),
+    ASSERT_EQ(rec->dropped(), 0u);
+    auto json = config::Json::parse(rec->to_chrome_trace_json());
+    EXPECT_TRUE(parsed_trace_well_nested(json));
+    EXPECT_EQ(json.at("traceEvents").elements().size(),
               static_cast<std::size_t>(num_threads) * rounds * 4);
 #endif
 }
@@ -1104,53 +1184,106 @@ TEST(EventLogger, BatchSolverStopExportsPerSystemStopReasons)
                       .with_criteria(stop::residual_norm(1e-8))
                       .on(exec)
                       ->generate(std::move(mat));
-    auto rec = log::RecordLogger::create();
-    auto prof = log::ProfilerLogger::create();
-    auto tracer = log::TraceLogger::create();
+    auto rec = log::FlightRecorder::create();
+    auto prof = log::MetricsLogger::create();
     solver->add_logger(rec);
     solver->add_logger(prof);
-    solver->add_logger(tracer);
     solver->apply(b.get(), x.get());
 
-    // RecordLogger: one stop-reason record per system, reasons verbatim.
-    std::vector<std::string> reasons;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "batch_stop_reason") {
-            reasons.push_back(r.name);
-        }
-    }
-    ASSERT_EQ(reasons.size(), num);
-    EXPECT_NE(reasons[1].find("breakdown"), std::string::npos);
-    EXPECT_NE(reasons[0], reasons[1]);
+    // The per-system convergence log: one stop reason per system,
+    // verbatim.
+    const auto log =
+        dynamic_cast<batch::BatchIterativeSolver<double>*>(solver.get())
+            ->get_batch_logger();
+    ASSERT_EQ(log->num_systems(), num);
+    EXPECT_NE(log->stop_reason(1).find("breakdown"), std::string::npos);
+    EXPECT_NE(log->stop_reason(0), log->stop_reason(1));
 
-    // ProfilerLogger: batch.stop.<reason> tags partition the batch.
-    EXPECT_EQ(prof->stats("batch.stop").count, 1);
-    size_type tagged = 0;
+    // The profile view: batch.stop.<reason> totals partition the batch
+    // (batch.stop.converged is the converged count, not a reason).
+    const auto profile = profile_of(*prof);
+    EXPECT_EQ(profile_field(profile, "batch.stop", "count"), 1.0);
+    double tagged = 0.0;
     size_type reason_tags = 0;
-    for (const auto& [tag, stats] : prof->summary()) {
-        if (tag.rfind("batch.stop.", 0) == 0) {
+    for (const auto& [tag, stats] : profile.at("tags").items()) {
+        if (tag.rfind("batch.stop.", 0) == 0 &&
+            tag != "batch.stop.converged") {
             ++reason_tags;
-            tagged += stats.count;
+            tagged += stats.at("bytes").as_double();
         }
     }
     EXPECT_GE(reason_tags, 2u);  // converged + breakdown at minimum
-    EXPECT_EQ(tagged, num);
+    EXPECT_EQ(tagged, static_cast<double>(num));
+    EXPECT_EQ(profile_field(profile, "batch.stop.converged", "bytes"), 2.0);
 
-    // TraceLogger: the batch.stop instant carries the reason histogram,
-    // and the batch spans stay well nested around it.
-    EXPECT_TRUE(tracer->well_nested());
+    // The Chrome trace: a batch.stop instant, and the batch spans stay
+    // well nested around it.
+    auto json = config::Json::parse(rec->to_chrome_trace_json());
+    EXPECT_TRUE(parsed_trace_well_nested(json));
     bool saw_stop_instant = false;
     bool saw_apply_span = false;
-    for (const auto& ev : tracer->events()) {
-        if (ev.phase == 'i' && ev.name == "batch.stop") {
-            saw_stop_instant = true;
-            EXPECT_NE(ev.args.find("stop_reasons"), std::string::npos);
-            EXPECT_NE(ev.args.find("breakdown"), std::string::npos);
-        }
-        saw_apply_span |= ev.phase == 'B' && ev.name == "batch.cg.apply";
+    for (const auto& ev : json.at("traceEvents").elements()) {
+        const auto ph = ev.at("ph").as_string();
+        const auto name = ev.at("name").as_string();
+        saw_stop_instant |= ph == "i" && name == "batch.stop";
+        saw_apply_span |= ph == "B" && name == "batch.cg.apply";
     }
     EXPECT_TRUE(saw_stop_instant);
     EXPECT_TRUE(saw_apply_span);
+}
+
+
+
+// --- non-finite values in the exports ------------------------------------
+
+TEST(NonFiniteExports, DivergingSolveKeepsEveryExportParseable)
+{
+    // IR with relaxation 5 on the Laplacian (eigenvalues up to ~4) blows
+    // up to inf and then NaN; every export must stay readable.
+    auto exec = ReferenceExecutor::create();
+    auto rec = log::FlightRecorder::create();
+    auto metrics = log::MetricsLogger::create();
+    exec->add_logger(rec);
+    exec->add_logger(metrics);
+    const size_type n = 16;
+    auto a = std::shared_ptr<Mtx>{
+        Mtx::create_from_data(exec, test::laplacian_1d<double, int32>(n))};
+    auto solver = config::config_solver(
+        config::Json::parse(R"({"type": "solver::Ir", "relaxation_factor": 5.0,
+                                "max_iters": 2000,
+                                "reduction_factor": 1e-10})"),
+        exec, a);
+    auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
+    auto x = Vec::create_filled(exec, dim2{n, 1}, 0.0);
+    solver->apply(b.get(), x.get());
+    exec->remove_logger(metrics.get());
+    exec->remove_logger(rec.get());
+
+    // Chrome trace: a diverged residual reads null, never 0.
+    auto trace = config::Json::parse(rec->to_chrome_trace_json());
+    bool saw_null_residual = false;
+    for (const auto& ev : trace.at("traceEvents").elements()) {
+        if (ev.at("name").as_string() == "solver.iteration") {
+            saw_null_residual |= ev.at("args").at("b").is_null();
+        }
+    }
+    EXPECT_TRUE(saw_null_residual);
+
+    // Registry JSON and the profile view parse.
+    const auto& reg = metrics->registry();
+    auto json = config::Json::parse(reg.to_json());
+    EXPECT_TRUE(
+        json.at("gauges").at("mgko_residual_norm").at("solver").is_null());
+    EXPECT_TRUE(config::Json::parse(reg.profile_json()).contains("tags"));
+
+    // Prometheus spells the value the exposition format's way.
+    const auto text = reg.prometheus_text();
+    const std::string line = "mgko_residual_norm{tag=\"solver\"} ";
+    const auto at = text.find(line);
+    ASSERT_NE(at, std::string::npos) << text;
+    const auto value =
+        text.substr(at + line.size(), text.find('\n', at) - at - line.size());
+    EXPECT_TRUE(value == "NaN" || value == "+Inf") << value;
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 #include "core/array.hpp"
 #include "core/executor.hpp"
 #include "core/memory_pool.hpp"
-#include "log/profiler.hpp"
+#include "log/flight_recorder.hpp"
+#include "tests/test_utils.hpp"
 
 namespace {
 
@@ -224,15 +225,17 @@ TEST(MemoryPool, ClassifyNearSizeMaxGoesOversizeInsteadOfWrapping)
 
 TEST(MemoryPool, ConcurrentStressWithEventLoggerAttached)
 {
-    // The ConcurrentAllocFreeStress workload with a RecordLogger attached:
-    // under MGKO_SANITIZE=thread this checks the event hooks themselves
-    // (pool hit/miss emission inside the allocator, alloc/free completion)
-    // for data races with the sharded pool.
-    auto exec = OmpExecutor::create(4);
-    auto rec = log::RecordLogger::create();
-    exec->add_logger(rec);
+    // The ConcurrentAllocFreeStress workload with a private flight
+    // recorder attached: under MGKO_SANITIZE=thread this checks the event
+    // hooks themselves (pool hit/miss emission inside the allocator,
+    // alloc/free completion) for data races with the sharded pool.
     constexpr int num_threads = 8;
     constexpr int iterations = 500;
+    auto exec = OmpExecutor::create(4);
+    // Big enough that no ring wraps even if every thread reuses one slot
+    // (three events per round plus a trim every 50).
+    auto rec = log::FlightRecorder::create(4 * num_threads * iterations);
+    exec->add_logger(rec);
     std::vector<std::thread> threads;
     threads.reserve(num_threads);
     for (int t = 0; t < num_threads; ++t) {
@@ -255,9 +258,13 @@ TEST(MemoryPool, ConcurrentStressWithEventLoggerAttached)
     exec->remove_logger(rec.get());
     EXPECT_EQ(exec->num_live_allocations(), 0);
     const auto total = static_cast<size_type>(num_threads) * iterations;
-    EXPECT_EQ(rec->count("allocation"), total);
-    EXPECT_EQ(rec->count("free"), total);
-    EXPECT_EQ(rec->count("pool_hit") + rec->count("pool_miss"), total);
+    using kind = log::FlightRecorder::event_kind;
+    EXPECT_EQ(rec->dropped(), 0u);
+    EXPECT_EQ(test::count_of(*rec, kind::alloc), total);
+    EXPECT_EQ(test::count_of(*rec, kind::free_mem), total);
+    EXPECT_EQ(test::count_of(*rec, kind::pool_hit) +
+                  test::count_of(*rec, kind::pool_miss),
+              total);
 }
 
 TEST(MemoryPool, ArrayShrinkRegrowWithinCapacityIsAllocationFree)

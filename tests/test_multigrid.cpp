@@ -19,7 +19,8 @@
 #include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "core/exception.hpp"
-#include "log/event_logger.hpp"
+#include "log/flight_recorder.hpp"
+#include "log/metrics.hpp"
 #include "matgen/matgen.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
@@ -120,30 +121,26 @@ void expect_matches_dense(const Mtx* m,
 }
 
 
-/// Captures operation-completion events and span begin/end sequences.
-struct RecordingLogger : log::EventLogger {
-    std::map<std::string, int> op_count;
-    std::map<std::string, double> op_flops;
-    std::map<std::string, double> op_bytes;
-    /// (is_begin, span name) in emission order.
-    std::vector<std::pair<bool, std::string>> spans;
+/// A private recorder large enough that the single-threaded runs below
+/// never wrap its ring.
+std::shared_ptr<log::FlightRecorder> whole_run_recorder()
+{
+    return log::FlightRecorder::create(std::size_t{1} << 16);
+}
 
-    void on_operation_completed(const Executor*, const char* op_name, double,
-                                double flops, double bytes) override
-    {
-        op_count[op_name] += 1;
-        op_flops[op_name] += flops;
-        op_bytes[op_name] += bytes;
+/// (is_begin, span name) of `rec`'s span events in emission order.
+std::vector<std::pair<bool, std::string>> spans_of(
+    const log::FlightRecorder& rec)
+{
+    using kind = log::FlightRecorder::event_kind;
+    std::vector<std::pair<bool, std::string>> spans;
+    for (const auto& r : rec.snapshot()) {
+        if (r.kind == kind::span_begin || r.kind == kind::span_end) {
+            spans.emplace_back(r.kind == kind::span_begin, r.tag);
+        }
     }
-    void on_span_begin(const char* name) override
-    {
-        spans.emplace_back(true, name);
-    }
-    void on_span_end(const char* name) override
-    {
-        spans.emplace_back(false, name);
-    }
-};
+    return spans;
+}
 
 
 // --- matgen satellites ------------------------------------------------------
@@ -317,12 +314,13 @@ TEST(SpgemmAmg, ReportsWorkThroughOperationEvents)
     auto exec = ReferenceExecutor::create();
     auto a = Mtx::create_from_data(exec, test::random_sparse(30, 5, 33));
     auto b = Mtx::create_from_data(exec, test::random_sparse(30, 5, 44));
-    auto rec = std::make_shared<RecordingLogger>();
-    exec->add_logger(rec);
+    auto metrics = log::MetricsLogger::create();
+    exec->add_logger(metrics);
     auto c = spgemm(a.get(), b.get());
-    exec->remove_logger(rec.get());
+    exec->remove_logger(metrics.get());
 
-    ASSERT_EQ(rec->op_count["spgemm"], 1);
+    const auto& reg = metrics->registry();
+    ASSERT_EQ(reg.counter_value("mgko_events_total", "op.spgemm"), 1.0);
     // flops = 2 * (number of scalar products), computable from the inputs.
     double products = 0.0;
     const auto* a_ptrs = a->get_const_row_ptrs();
@@ -334,8 +332,9 @@ TEST(SpgemmAmg, ReportsWorkThroughOperationEvents)
             products += static_cast<double>(b_ptrs[inner + 1] - b_ptrs[inner]);
         }
     }
-    EXPECT_DOUBLE_EQ(rec->op_flops["spgemm"], 2.0 * products);
-    EXPECT_GT(rec->op_bytes["spgemm"], 0.0);
+    EXPECT_DOUBLE_EQ(reg.counter_value("mgko_flops_total", "op.spgemm"),
+                     2.0 * products);
+    EXPECT_GT(reg.counter_value("mgko_work_bytes_total", "op.spgemm"), 0.0);
 }
 
 
@@ -801,28 +800,35 @@ TEST(AmgConfig, DispatchesAcrossValueAndIndexTypes)
 TEST(AmgObservability, SetupEmitsSpanAndAttributedKernels)
 {
     auto exec = ReferenceExecutor::create();
-    auto rec = std::make_shared<RecordingLogger>();
+    auto rec = whole_run_recorder();
     exec->add_logger(rec);
     auto a = poisson_2d(exec, 32, 32);
     multigrid::Hierarchy<double, int32> h{exec, multigrid::amg_parameters{},
                                           a};
     exec->remove_logger(rec.get());
+    ASSERT_EQ(rec->dropped(), 0u);
 
     // Setup runs under a single "amg.setup" span...
     int setup_begin = 0, setup_end = 0;
-    for (const auto& [is_begin, name] : rec->spans) {
+    for (const auto& [is_begin, name] : spans_of(*rec)) {
         if (name == "amg.setup") {
             (is_begin ? setup_begin : setup_end) += 1;
         }
     }
     EXPECT_EQ(setup_begin, 1);
     EXPECT_EQ(setup_end, 1);
-    // ...and charges its aggregation and Galerkin kernels to the profiler.
-    EXPECT_GE(rec->op_count["amg_aggregate"],
-              static_cast<int>(h.num_levels()) - 1);
-    EXPECT_GT(rec->op_count["spgemm"], 0);
-    EXPECT_GT(rec->op_flops["amg_aggregate"], 0.0);
-    EXPECT_GT(rec->op_flops["spgemm"], 0.0);
+    // ...and charges its aggregation and Galerkin kernels to the recorder.
+    std::map<std::string, int> op_count;
+    std::map<std::string, double> op_flops;
+    for (const auto& r : test::records_of(
+             *rec, log::FlightRecorder::event_kind::operation)) {
+        op_count[r.tag] += 1;
+        op_flops[r.tag] += r.b;
+    }
+    EXPECT_GE(op_count["amg_aggregate"], static_cast<int>(h.num_levels()) - 1);
+    EXPECT_GT(op_count["spgemm"], 0);
+    EXPECT_GT(op_flops["amg_aggregate"], 0.0);
+    EXPECT_GT(op_flops["spgemm"], 0.0);
 }
 
 TEST(AmgObservability, CycleSpansAreWellNestedPerLevel)
@@ -840,19 +846,20 @@ TEST(AmgObservability, CycleSpansAreWellNestedPerLevel)
     const auto num_levels = amg->get_hierarchy().num_levels();
     ASSERT_GE(num_levels, 2u);
 
-    auto rec = std::make_shared<RecordingLogger>();
+    auto rec = whole_run_recorder();
     exec->add_logger(rec);
     auto b = Vec::create_filled(exec, dim2{a->get_size().rows, 1}, 1.0);
     auto x = Vec::create_filled(exec, dim2{a->get_size().rows, 1}, 0.0);
     solver->apply(b.get(), x.get());
     exec->remove_logger(rec.get());
+    ASSERT_EQ(rec->dropped(), 0u);
 
     // Replay the span stream against a stack: every end must close the
     // innermost open span, and the stream must end balanced.
     std::vector<std::string> stack;
     std::map<std::string, int> seen;
     size_type max_cycle_depth = 0;
-    for (const auto& [is_begin, name] : rec->spans) {
+    for (const auto& [is_begin, name] : spans_of(*rec)) {
         if (is_begin) {
             stack.push_back(name);
             seen[name] += 1;

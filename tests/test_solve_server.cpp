@@ -27,7 +27,6 @@
 #include "log/hw_counters.hpp"
 #include "log/metrics.hpp"
 #include "log/sampling_profiler.hpp"
-#include "log/trace.hpp"
 #include "log/trace_context.hpp"
 #include "matrix/csr.hpp"
 #include "serve/http.hpp"
@@ -1005,15 +1004,14 @@ TEST(SolveServerLifecycle, PortsOutsideTheTcpRangeAreRejected)
 TEST(SolveServer, ProcessWideSwitchKeysAnswer400AndChangeNothing)
 {
     // A client's config reaches config::generate_solver verbatim, so a key
-    // that acted on the process would let one request start listeners,
-    // retune sampling or attach the unbounded shared tracer.
+    // that acted on the process would let one request start listeners or
+    // retune sampling.
     auto server = serve::SolveServer::start({});
     const bool telemetry = serve::telemetry_active();
     const bool solve_server = serve::solve_server_active();
     const int sampling_hz = log::sampling_hz();
     const std::string hw_source = log::hw_counters_source();
     const double trace_sample = log::trace_sample_rate();
-    const auto traced = log::shared_tracer()->events().size();
     for (const auto& [key, value] : test::process_switch_keys()) {
         Json body = Json::make_object();
         body["triplet"] = laplacian_triplet(4);
@@ -1034,7 +1032,6 @@ TEST(SolveServer, ProcessWideSwitchKeysAnswer400AndChangeNothing)
     EXPECT_EQ(log::sampling_hz(), sampling_hz);
     EXPECT_EQ(log::hw_counters_source(), hw_source);
     EXPECT_EQ(log::trace_sample_rate(), trace_sample);
-    EXPECT_EQ(log::shared_tracer()->events().size(), traced);
     server->stop();
 }
 

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "config/config_solver.hpp"
 #include "factorization/ilu.hpp"
+#include "matgen/matgen.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 #include "preconditioner/ilu.hpp"
@@ -893,6 +896,41 @@ TEST(Preconditioners, GeneratedPreconditionerIsReused)
                   ->get_preconditioner()
                   .get(),
               ilu.get());
+}
+
+
+
+// --- reproducible reductions -------------------------------------------------
+
+/// dense_dot and dense_norm2 add their per-thread partials in thread order,
+/// so at a fixed thread count a whole CG+AMG solve (dots, norms, SpMVs,
+/// V-cycles) is bitwise reproducible run to run.
+TEST(ReproducibleReductions, FourThreadCgAmgSolvesAreBitwiseIdentical)
+{
+    auto exec = OmpExecutor::create(4);
+    auto a = std::shared_ptr<Mtx>{Mtx::create_from_data(
+        exec, matgen::stencil_3d_7pt(16, 16, 16).cast<double, int32>())};
+    const auto n = a->get_size().rows;
+    auto solver = config::config_solver(
+        config::Json::parse(R"({"type": "solver::Cg", "max_iters": 200,
+                                "reduction_factor": 1e-10,
+                                "preconditioner": {"type": "amg",
+                                                   "theta": 0.02}})"),
+        exec, a);
+    auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
+    auto first = Vec::create(exec, dim2{n, 1});
+    auto x = Vec::create(exec, dim2{n, 1});
+    first->fill(0.0);
+    solver->apply(b.get(), first.get());
+    for (int run = 1; run < 5; ++run) {
+        x->fill(0.0);
+        solver->apply(b.get(), x.get());
+        EXPECT_EQ(std::memcmp(x->get_const_values(),
+                              first->get_const_values(),
+                              static_cast<std::size_t>(n) * sizeof(double)),
+                  0)
+            << "solve " << run << " differs from the first";
+    }
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "bindings/api.hpp"
 #include "bindings/registry.hpp"
@@ -472,6 +474,30 @@ TEST(TelemetryLifecycle, PortsOutsideTheTcpRangeAreRejected)
     EXPECT_THROW(m.call("telemetry_start", {bind::Value{70000}}),
                  BadParameter);
     EXPECT_FALSE(serve::telemetry_active());
+}
+
+
+// A thread still serving scrapes while the process exits (an env-started
+// server keeps running through static destruction) must find the shared
+// stores alive.  Runs in a fresh child because it ends the process.
+void scrape_while_exiting()
+{
+    log::shared_metrics()->registry().inc_counter("mgko_events_total", "x");
+    log::shared_flight_recorder()->on_pool_hit(nullptr, 64);
+    std::thread{[] {
+        for (;;) {
+            serve::TelemetryServer::respond("GET", "/profile.json", 0);
+            serve::TelemetryServer::respond("GET", "/trace.json", 0);
+        }
+    }}.detach();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::exit(0);
+}
+
+TEST(TelemetryLifecycleDeathTest, ScrapesDuringExitFindTheSharedStoresAlive)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(scrape_while_exiting(), ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "core/matrix_data.hpp"
 #include "core/math.hpp"
 #include "core/types.hpp"
+#include "log/flight_recorder.hpp"
 #include "matrix/dense.hpp"
 
 namespace mgko::test {
@@ -119,6 +120,28 @@ std::unique_ptr<Dense<V>> random_vector(std::shared_ptr<const Executor> exec,
         result->at(i, 0) = static_cast<V>(dist(engine));
     }
     return result;
+}
+
+
+/// The records of one event kind in a private recorder's snapshot,
+/// grouped per thread and oldest first — the test observer.  Size the
+/// recorder so nothing wraps (assert dropped() == 0 where counts matter).
+inline std::vector<log::FlightRecorder::record> records_of(
+    const log::FlightRecorder& recorder, log::FlightRecorder::event_kind kind)
+{
+    std::vector<log::FlightRecorder::record> out;
+    for (const auto& rec : recorder.snapshot()) {
+        if (rec.kind == kind) {
+            out.push_back(rec);
+        }
+    }
+    return out;
+}
+
+inline size_type count_of(const log::FlightRecorder& recorder,
+                          log::FlightRecorder::event_kind kind)
+{
+    return static_cast<size_type>(records_of(recorder, kind).size());
 }
 
 
