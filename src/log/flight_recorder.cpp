@@ -851,12 +851,6 @@ void install_crash_handler_from_env()
 }
 
 
-bool crash_handler_installed()
-{
-    return handlers_installed.load(std::memory_order_acquire);
-}
-
-
 void dump_trace(const FlightRecorder& recorder, const std::string& name)
 {
     const char* dest = std::getenv("MGKO_TRACE");

@@ -230,9 +230,6 @@ void install_crash_handler(const std::string& path);
 /// non-empty path; runs at most once per process.
 void install_crash_handler_from_env();
 
-/// True once install_crash_handler() has run.
-bool crash_handler_installed();
-
 /// Writes `recorder`'s Chrome trace where MGKO_TRACE points (see
 /// log/dump_path.hpp).  A trace must cover the whole run, so nothing is
 /// written when the ring dropped records or the process opted out of the

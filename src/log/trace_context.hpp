@@ -14,9 +14,9 @@
 //     record, metric exemplar, and cost attribution on that thread carry
 //     the context's trace id until the scope unwinds;
 //   * explicit capture/restore across handoffs: current_trace_context()
-//     is copyable, so the value captured on one thread (SolveServer's
-//     acceptor, a future task-graph scheduler) can be re-entered with a
-//     scope guard on the thread that picks the work up;
+//     is copyable, so the value captured on one thread (a future
+//     task-graph scheduler) can be re-entered with a scope guard on the
+//     thread that picks the work up;
 //   * per-request cost attribution: a sampled context carries a
 //     RequestCost accumulator; Executor::run and the pooled allocator
 //     feed it through note_request_kernel / note_request_alloc, so a

@@ -1,5 +1,5 @@
 // Per-kernel work model: FLOP and byte accounting for roofline-style
-// attribution (achieved GFLOP/s, GB/s, and arithmetic intensity per tag).
+// attribution (achieved GFLOP/s and GB/s per tag).
 //
 // Two halves:
 //
@@ -10,15 +10,13 @@
 //     on_operation_completed can report the operation's real work next to
 //     its real wall time.  No kernel changes its signature for this.
 //
-//   * an *analytic* table — closed-form flop/byte formulas per operation
-//     family (spmv per storage format, dense BLAS-1, preconditioner
-//     apply), used by tests and the bench harness to validate that the
-//     captured counts match what the math says the kernel must do.  The
-//     analytic byte counts are compulsory-traffic lower bounds: they
-//     exclude the locality-dependent gather-miss term the cost model adds
-//     on top (bounded by one extra value read per nonzero), so
-//     captured_bytes ∈ [analytic.bytes, analytic.bytes + nnz * value_bytes
-//     * vec_cols] for the sparse formats.
+//   * closed-form flop/byte formulas: CSR SpMV, which tests use to check
+//     that the captured counts match what the math says the kernel must
+//     do, and SpGEMM, whose kernel reports its work through it.  The CSR
+//     byte count is a compulsory-traffic lower bound: it excludes the
+//     locality-dependent gather-miss term the cost model adds on top
+//     (bounded by one extra value read per nonzero), so captured_bytes ∈
+//     [analytic.bytes, analytic.bytes + nnz * value_bytes * vec_cols].
 #pragma once
 
 #include "core/types.hpp"
@@ -64,77 +62,6 @@ inline op_work csr_spmv_work(size_type rows, size_type nnz, size_type vb,
                 r * static_cast<double>(vb * k)};
 }
 
-/// COO SpMV: explicit row *and* column index per nonzero.
-inline op_work coo_spmv_work(size_type rows, size_type nnz, size_type vb,
-                             size_type ib, size_type k = 1)
-{
-    const double n = static_cast<double>(nnz);
-    const double r = static_cast<double>(rows);
-    return {2.0 * n * static_cast<double>(k),
-            n * static_cast<double>(vb + 2 * ib) +
-                r * static_cast<double>(vb * k)};
-}
-
-/// ELL SpMV: the padded slab is streamed, so bytes scale with rows*width
-/// while flops still scale with the true nnz.
-inline op_work ell_spmv_work(size_type rows, size_type width, size_type nnz,
-                             size_type vb, size_type ib, size_type k = 1)
-{
-    const double r = static_cast<double>(rows);
-    return {2.0 * static_cast<double>(nnz) * static_cast<double>(k),
-            r * static_cast<double>(width) * static_cast<double>(vb + ib) +
-                r * static_cast<double>(vb * k)};
-}
-
-/// SELL-C-σ SpMV: the padded per-slice slabs plus the slice offsets are
-/// streamed; on irregular-row matrices `padded_elems` is far below ELL's
-/// rows * max_width, which is the format's entire bandwidth argument.
-inline op_work sellcs_spmv_work(size_type rows, size_type padded_elems,
-                                size_type nnz, size_type vb, size_type ib,
-                                size_type k = 1)
-{
-    const double r = static_cast<double>(rows);
-    return {2.0 * static_cast<double>(nnz) * static_cast<double>(k),
-            static_cast<double>(padded_elems) * static_cast<double>(vb + ib) +
-                r * static_cast<double>(ib) + r * static_cast<double>(vb * k)};
-}
-
-/// Dense BLAS-1: y += alpha * x (axpy / add_scaled): read x, read+write y.
-inline op_work axpy_work(size_type n, size_type vb)
-{
-    const double nd = static_cast<double>(n);
-    return {2.0 * nd, 3.0 * nd * static_cast<double>(vb)};
-}
-
-/// Dense BLAS-1: x *= alpha.
-inline op_work scale_work(size_type n, size_type vb)
-{
-    const double nd = static_cast<double>(n);
-    return {nd, 2.0 * nd * static_cast<double>(vb)};
-}
-
-/// Dense BLAS-1: dot(x, y).
-inline op_work dot_work(size_type n, size_type vb)
-{
-    const double nd = static_cast<double>(n);
-    return {2.0 * nd, 2.0 * nd * static_cast<double>(vb)};
-}
-
-/// Dense BLAS-1: ||x||_2 (square + add per element).
-inline op_work norm2_work(size_type n, size_type vb)
-{
-    const double nd = static_cast<double>(n);
-    return {2.0 * nd, nd * static_cast<double>(vb)};
-}
-
-/// Scalar-Jacobi preconditioner apply: z = D^{-1} r (read diag, read r,
-/// write z).
-inline op_work jacobi_apply_work(size_type n, size_type vb)
-{
-    const double nd = static_cast<double>(n);
-    return {nd, 3.0 * nd * static_cast<double>(vb)};
-}
-
 /// SpGEMM C = A * B (Gustavson row-merge): both operands streamed, the
 /// result written, with a 1.5x factor for the accumulator/touched-list
 /// traffic of the merge.  `products` is the number of scalar a_ik * b_kj
@@ -162,12 +89,6 @@ inline double achieved_gflops(double flops, double wall_ns)
 inline double achieved_gbps(double bytes, double wall_ns)
 {
     return wall_ns > 0.0 ? bytes / wall_ns : 0.0;
-}
-
-/// Arithmetic intensity [flop/byte]; the roofline x-axis.
-inline double arithmetic_intensity(double flops, double bytes)
-{
-    return bytes > 0.0 ? flops / bytes : 0.0;
 }
 
 

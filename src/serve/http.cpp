@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "core/exception.hpp"
 
@@ -50,6 +51,33 @@ bool wait_ready(int fd, short events, clock::time_point deadline)
             return false;
         }
         // ready == 0 (timeout, loop re-checks the deadline) or EINTR.
+    }
+}
+
+/// Appends to `out` what one recv() of at most `want` bytes returns,
+/// waiting out EINTR and EAGAIN until `deadline`: ok once bytes arrived,
+/// otherwise closed, timeout or error.
+read_result recv_more(int fd, std::string& out, std::size_t want,
+                      clock::time_point deadline)
+{
+    char buffer[16 * 1024];
+    for (;;) {
+        const ssize_t received =
+            ::recv(fd, buffer, std::min(want, sizeof(buffer)), 0);
+        if (received > 0) {
+            out.append(buffer, static_cast<std::size_t>(received));
+            return read_result::ok;
+        }
+        if (received == 0) {
+            return read_result::closed;
+        }
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            if (!wait_ready(fd, POLLIN, deadline)) {
+                return read_result::timeout;
+            }
+        } else if (errno != EINTR) {
+            return read_result::error;
+        }
     }
 }
 
@@ -115,21 +143,10 @@ bool parse_header_block(const std::string& block, HttpRequest& out)
 
 const char* to_string(read_result r)
 {
-    switch (r) {
-    case read_result::ok:
-        return "ok";
-    case read_result::timeout:
-        return "timeout";
-    case read_result::too_large:
-        return "too_large";
-    case read_result::closed:
-        return "closed";
-    case read_result::malformed:
-        return "malformed";
-    case read_result::error:
-        return "error";
-    }
-    return "?";
+    static const char* const names[] = {
+        "ok",     "timeout",   "header_too_large", "body_too_large",
+        "closed", "malformed", "error"};
+    return names[static_cast<int>(r)];
 }
 
 
@@ -137,38 +154,6 @@ bool set_nonblocking(int fd)
 {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-
-Listener listen_on(int port, int backlog, const std::string& owner)
-{
-    if (port < 0 || port > 65535) {
-        throw BadParameter(__FILE__, __LINE__,
-                           owner + ": port " + std::to_string(port) +
-                               " is outside [0, 65535]");
-    }
-    Listener listener;
-    listener.fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    MGKO_ENSURE(listener.fd >= 0, owner + ": cannot create socket");
-    const int reuse = 1;
-    ::setsockopt(listener.fd, SOL_SOCKET, SO_REUSEADDR, &reuse,
-                 sizeof(reuse));
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_ANY);
-    address.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(listener.fd, reinterpret_cast<const sockaddr*>(&address),
-               sizeof(address)) != 0 ||
-        ::listen(listener.fd, backlog) != 0) {
-        ::close(listener.fd);
-        MGKO_ENSURE(false, owner + ": cannot bind port " +
-                               std::to_string(port));
-    }
-    socklen_t length = sizeof(address);
-    ::getsockname(listener.fd, reinterpret_cast<sockaddr*>(&address),
-                  &length);
-    listener.port = static_cast<int>(ntohs(address.sin_port));
-    return listener;
 }
 
 
@@ -185,34 +170,19 @@ read_result read_http_request(int fd, HttpRequest& out,
     // parse as garbage (single-recv assumption); this loop is the fix.
     while (header_end == std::string::npos) {
         if (data.size() > max_header_bytes) {
-            return read_result::too_large;
+            return read_result::header_too_large;
         }
-        char buffer[4096];
-        const ssize_t received = ::recv(fd, buffer, sizeof(buffer), 0);
-        if (received > 0) {
-            // Search from just before the old tail so a terminator split
-            // across recv() calls is still found.
-            const std::size_t scan_from = data.size() < 3 ? 0 : data.size() - 3;
-            data.append(buffer, static_cast<std::size_t>(received));
-            header_end = data.find("\r\n\r\n", scan_from);
-            continue;
+        // Search from just before the old tail so a terminator split
+        // across recv() calls is still found.
+        const std::size_t scan_from = data.size() < 3 ? 0 : data.size() - 3;
+        if (const auto r = recv_more(fd, data, 4096, deadline);
+            r != read_result::ok) {
+            return r;
         }
-        if (received == 0) {
-            return read_result::closed;
-        }
-        if (errno == EINTR) {
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            if (!wait_ready(fd, POLLIN, deadline)) {
-                return read_result::timeout;
-            }
-            continue;
-        }
-        return read_result::error;
+        header_end = data.find("\r\n\r\n", scan_from);
     }
     if (header_end > max_header_bytes) {
-        return read_result::too_large;
+        return read_result::header_too_large;
     }
     out = HttpRequest{};
     if (!parse_header_block(data.substr(0, header_end), out)) {
@@ -231,7 +201,7 @@ read_result read_http_request(int fd, HttpRequest& out,
         body_size = static_cast<std::size_t>(parsed);
     }
     if (body_size > max_body_bytes) {
-        return read_result::too_large;
+        return read_result::body_too_large;
     }
     out.body = data.substr(header_end + 4);
     if (out.body.size() > body_size) {
@@ -239,27 +209,11 @@ read_result read_http_request(int fd, HttpRequest& out,
         out.body.resize(body_size);
     }
     while (out.body.size() < body_size) {
-        char buffer[16 * 1024];
-        const std::size_t want = std::min(sizeof(buffer),
-                                          body_size - out.body.size());
-        const ssize_t received = ::recv(fd, buffer, want, 0);
-        if (received > 0) {
-            out.body.append(buffer, static_cast<std::size_t>(received));
-            continue;
+        if (const auto r = recv_more(fd, out.body,
+                                     body_size - out.body.size(), deadline);
+            r != read_result::ok) {
+            return r;
         }
-        if (received == 0) {
-            return read_result::closed;
-        }
-        if (errno == EINTR) {
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            if (!wait_ready(fd, POLLIN, deadline)) {
-                return read_result::timeout;
-            }
-            continue;
-        }
-        return read_result::error;
     }
     return read_result::ok;
 }
@@ -297,30 +251,23 @@ bool send_all(int fd, const std::string& data, int deadline_ms)
 
 const char* http_status_text(int status)
 {
-    switch (status) {
-    case 200:
-        return "OK";
-    case 400:
-        return "Bad Request";
-    case 404:
-        return "Not Found";
-    case 405:
-        return "Method Not Allowed";
-    case 408:
-        return "Request Timeout";
-    case 413:
-        return "Payload Too Large";
-    case 429:
-        return "Too Many Requests";
-    case 431:
-        return "Request Header Fields Too Large";
-    case 500:
-        return "Internal Server Error";
-    case 503:
-        return "Service Unavailable";
-    default:
-        return "Unknown";
+    static const std::pair<int, const char*> texts[] = {
+        {200, "OK"},
+        {400, "Bad Request"},
+        {404, "Not Found"},
+        {405, "Method Not Allowed"},
+        {408, "Request Timeout"},
+        {413, "Payload Too Large"},
+        {429, "Too Many Requests"},
+        {431, "Request Header Fields Too Large"},
+        {500, "Internal Server Error"},
+        {503, "Service Unavailable"}};
+    for (const auto& [code, text] : texts) {
+        if (code == status) {
+            return text;
+        }
     }
+    return "Unknown";
 }
 
 
@@ -390,34 +337,6 @@ std::string query_param(const std::string& target, const std::string& key)
 }
 
 
-std::uint64_t parse_trace_filter(const std::string& value, bool& ok)
-{
-    ok = false;
-    if (value.size() != 16 && value.size() != 32) {
-        return 0;
-    }
-    std::uint64_t word = 0;
-    for (std::size_t i = value.size() - 16; i < value.size(); ++i) {
-        const char c = value[i];
-        const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        if (!hex) {
-            return 0;
-        }
-        word = (word << 4) |
-               static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-    }
-    // The high half must still be hex when a full 32-hex id was given.
-    for (std::size_t i = 0; i + 16 < value.size(); ++i) {
-        const char c = value[i];
-        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) {
-            return 0;
-        }
-    }
-    ok = true;
-    return word;
-}
-
-
 namespace {
 
 /// True when `text` is exactly `len` lowercase hex digits; `nonzero_out`
@@ -458,6 +377,25 @@ std::uint64_t hex_to_u64(const std::string& text, std::size_t pos,
 }  // namespace
 
 
+std::uint64_t trace_id_filter(const std::string& target,
+                              std::string& refusal)
+{
+    const auto value = query_param(target, "trace_id");
+    bool nonzero = false;
+    if (value.empty()) {
+        return 0;
+    }
+    if ((value.size() != 16 && value.size() != 32) ||
+        !parse_hex_field(value, 0, value.size(), nonzero)) {
+        refusal = json_response(
+            400, error_json("trace_id must be 16 or 32 lowercase hex "
+                            "characters"));
+        return 0;
+    }
+    return hex_to_u64(value, value.size() - 16, 16);
+}
+
+
 log::TraceContext parse_traceparent(const std::string& header_value)
 {
     // 00-<32 hex>-<16 hex>-<2 hex>: 55 characters, fixed dashes.  Version
@@ -493,6 +431,218 @@ log::TraceContext parse_traceparent(const std::string& header_value)
 std::string emit_traceparent(const log::TraceContext& ctx)
 {
     return "traceparent: " + ctx.traceparent() + "\r\n";
+}
+
+
+const char* to_string(server_state s)
+{
+    static const char* const names[] = {"accepting", "draining", "stopped"};
+    return names[static_cast<int>(s)];
+}
+
+
+std::unique_ptr<HttpServer> HttpServer::start(HttpServerOptions options)
+{
+    std::unique_ptr<HttpServer> server{new HttpServer{}};
+    auto& self = *server;
+    self.options_ = std::move(options);
+    const std::string& owner = self.options_.owner;
+    MGKO_ENSURE(self.options_.num_workers > 0 &&
+                    self.options_.queue_capacity > 0,
+                owner + " needs >= 1 worker and a queue of >= 1");
+    // Unchecked, the uint16_t port field wraps these onto other ports.
+    if (self.options_.port < 0 || self.options_.port > 65535) {
+        throw BadParameter(__FILE__, __LINE__,
+                           owner + ": port " +
+                               std::to_string(self.options_.port) +
+                               " is outside [0, 65535]");
+    }
+    self.listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    MGKO_ENSURE(self.listen_fd_ >= 0, owner + ": cannot create socket");
+    const int reuse = 1;
+    ::setsockopt(self.listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse,
+                 sizeof(reuse));
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_ANY);
+    address.sin_port = htons(static_cast<std::uint16_t>(self.options_.port));
+    socklen_t length = sizeof(address);
+    auto* raw_address = reinterpret_cast<sockaddr*>(&address);
+    MGKO_ENSURE(::bind(self.listen_fd_, raw_address, length) == 0 &&
+                    ::listen(self.listen_fd_,
+                             static_cast<int>(self.options_.queue_capacity)) ==
+                        0 &&
+                    ::getsockname(self.listen_fd_, raw_address, &length) == 0,
+                owner + ": cannot bind port " +
+                    std::to_string(self.options_.port));
+    self.port_ = static_cast<int>(ntohs(address.sin_port));
+    // A non-blocking listener lets accept_backlog() stop at EAGAIN.
+    MGKO_ENSURE(set_nonblocking(self.listen_fd_) && ::pipe(self.wake_fds_) == 0,
+                owner + ": cannot set up the listener");
+    for (std::size_t w = 0; w < self.options_.num_workers; ++w) {
+        self.workers_.emplace_back([&self] { self.worker_loop(); });
+    }
+    self.acceptor_ = std::thread{[&self] { self.accept_loop(); }};
+    return server;
+}
+
+
+HttpServer::~HttpServer() { stop(); }
+
+
+void HttpServer::accept_loop()
+{
+    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    for (;;) {
+        if (::poll(fds, 2, -1) <= 0) {
+            continue;  // EINTR
+        }
+        if (fds[1].revents != 0) {
+            return;  // woken by stop(), which accepts what is left itself
+        }
+        if ((fds[0].revents & POLLIN) != 0) {
+            accept_backlog();
+        }
+    }
+}
+
+
+void HttpServer::accept_backlog()
+{
+    for (;;) {
+        const int client = ::accept(listen_fd_, nullptr, nullptr);
+        if (client >= 0) {
+            admit(client);
+        } else if (errno != EINTR && errno != ECONNABORTED) {
+            return;  // EAGAIN: the backlog is empty
+        }
+    }
+}
+
+
+void HttpServer::admit(int fd)
+{
+    set_nonblocking(fd);
+    {
+        std::lock_guard<std::mutex> guard{queue_mutex_};
+        if (queue_.size() < options_.queue_capacity) {
+            queue_.push_back(fd);
+            queue_peak_.store(std::max<std::uint64_t>(queue_peak_.load(),
+                                                      queue_.size()));
+            queue_cv_.notify_one();
+            return;
+        }
+    }
+    // Backpressure: answer 429 at once instead of queueing unboundedly.
+    // The short send deadline keeps the acceptor responsive even against
+    // a client that does not read.
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    send_all(fd,
+             with_response_header(
+                 refusal(429, "server saturated, retry later"),
+                 "Retry-After: 1\r\n"),
+             250);
+    ::close(fd);
+}
+
+
+void HttpServer::worker_loop()
+{
+    for (;;) {
+        int fd = -1;
+        {
+            std::unique_lock<std::mutex> lock{queue_mutex_};
+            queue_cv_.wait(lock,
+                           [this] { return !queue_.empty() || draining_; });
+            if (queue_.empty()) {
+                return;  // draining and nothing left: graceful exit
+            }
+            fd = queue_.front();
+            queue_.pop_front();
+        }
+        if (options_.worker_hook) {
+            options_.worker_hook();
+        }
+        serve(fd);
+    }
+}
+
+
+void HttpServer::serve(int fd)
+{
+    HttpRequest request;
+    const auto result =
+        read_http_request(fd, request, 8 * 1024, options_.max_body_bytes,
+                          options_.deadline_ms);
+    std::string response;
+    if (result == read_result::ok) {
+        try {
+            response = options_.handle(request);
+        } catch (const std::exception& e) {
+            response = refusal(500, e.what());
+        }
+    } else if (result != read_result::closed && result != read_result::error) {
+        read_failures_.fetch_add(1, std::memory_order_relaxed);
+        response =
+            result == read_result::timeout ? refusal(408, "request timeout")
+            : result == read_result::header_too_large
+                ? refusal(431, "request header fields too large")
+            : result == read_result::body_too_large
+                ? refusal(413, "request body too large")
+                : refusal(400, "malformed request");
+    }
+    if (!response.empty() && !send_all(fd, response, options_.deadline_ms)) {
+        send_failures_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ::close(fd);
+}
+
+
+std::string HttpServer::refusal(int status, const std::string& reason) const
+{
+    return options_.refuse ? options_.refuse(status, reason)
+                           : json_response(status, error_json(reason));
+}
+
+
+void HttpServer::stop()
+{
+    auto expected = server_state::accepting;
+    if (!state_.compare_exchange_strong(expected, server_state::draining)) {
+        return;
+    }
+    // Clients whose connect() returned wait in the listen backlog, and
+    // closing the listener would reset them: accept and admit them first.
+    if (acceptor_.joinable()) {
+        [[maybe_unused]] const ssize_t woken = ::write(wake_fds_[1], "x", 1);
+        acceptor_.join();
+        accept_backlog();
+    }
+    for (int* fd : {&listen_fd_, &wake_fds_[0], &wake_fds_[1]}) {
+        if (*fd >= 0) {
+            ::close(*fd);
+            *fd = -1;
+        }
+    }
+    {
+        std::lock_guard<std::mutex> guard{queue_mutex_};
+        draining_ = true;
+    }
+    queue_cv_.notify_all();
+    for (auto& worker : workers_) {
+        worker.join();
+    }
+    workers_.clear();
+    state_.store(server_state::stopped, std::memory_order_release);
+}
+
+
+HttpServer::Stats HttpServer::stats() const
+{
+    return {rejected_.load(std::memory_order_relaxed),
+            read_failures_.load(std::memory_order_relaxed),
+            send_failures_.load(std::memory_order_relaxed),
+            queue_peak_.load(std::memory_order_relaxed)};
 }
 
 

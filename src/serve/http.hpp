@@ -1,51 +1,42 @@
-// Shared POSIX HTTP plumbing for the serve:: layer.
+// The serve:: layer's HTTP plumbing and the one server core both servers
+// run on (DESIGN.md §15).
 //
-// TelemetryServer proved a dependency-free HTTP endpoint can live in-tree;
-// SolveServer put real traffic on it.  Both now share the hardened helpers
-// here instead of each open-coding recv/send loops:
+//   * HttpServer      the socket machinery of SolveServer and
+//                     TelemetryServer: the listener, one acceptor, a
+//                     bounded queue (429 + Retry-After when full), a worker
+//                     pool, bounded request reads (408/431/413/400), sends
+//                     with a deadline, readiness and a graceful stop().  A
+//                     server on it keeps only its routes and its counters.
+//   * ProcessServer   the process-wide instance behind each server's
+//                     *_start / *_stop / *_active / *_port functions.
+//   * read_http_request() / send_all()  one request in, one response out,
+//                     under any TCP segmentation, EINTR and EAGAIN, each
+//                     within a wall-clock deadline.
+//   * http_response() / json_response() / error_json()  the response
+//                     shapes; every error is {"error": "..."} JSON.
+//   * parse_traceparent() / emit_traceparent()  W3C Trace Context in and
+//                     out (log/trace_context.hpp, DESIGN.md §17).
 //
-//   * send_all()          writes a full response even when the socket is
-//                         non-blocking, the send buffer is tiny, or a
-//                         signal lands mid-write: EINTR retries, EAGAIN
-//                         polls for writability with a deadline, all other
-//                         errnos are surfaced to the caller instead of
-//                         silently truncating the response.
-//   * read_http_request() reads one request without assuming it arrives in
-//                         a single recv(): it accumulates until the
-//                         "\r\n\r\n" header terminator (bounded), then
-//                         reads Content-Length body bytes (bounded
-//                         separately), with a wall-clock deadline so a
-//                         stalled client cannot pin a worker.  The request
-//                         line and headers are parsed into HttpRequest.
-//   * listen_on()         the one socket/bind/listen path both servers
-//                         start from; rejects ports outside [0, 65535],
-//                         which the uint16_t port field would wrap onto
-//                         other ports.
-//   * http_response()     formats a full HTTP/1.0 response with
-//                         Content-Length and Connection: close, plus any
-//                         extra headers (e.g. Retry-After for 429s).
-//   * json_response() /   the one error shape every serve:: endpoint
-//     error_json()        answers with ({"error": "..."} as
-//                         application/json), so clients need one parser
-//                         for telemetry and solve traffic alike.
-//   * parse_traceparent() W3C Trace Context propagation: servers adopt a
-//     emit_traceparent()  caller's trace id from its `traceparent` header
-//                         (malformed headers are ignored, never rejected),
-//                         mint one when absent, and echo the context on
-//                         every response (see log/trace_context.hpp and
-//                         DESIGN.md §17).
-//
-// Servers put accepted client sockets into non-blocking mode (see
-// set_nonblocking) so every wait happens in poll() under an explicit
-// deadline rather than inside a blocking syscall.
+// Client sockets are non-blocking, so every wait happens in poll() under
+// an explicit deadline.  http.cpp is the only file in src/ that touches
+// sockets; a CI step keeps it that way.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "config/json.hpp"
+#include "core/exception.hpp"
 #include "log/trace_context.hpp"
 
 namespace mgko::serve {
@@ -71,12 +62,13 @@ struct HttpRequest {
 
 /// Outcome of read_http_request.
 enum class read_result {
-    ok,         ///< a complete request was parsed
-    timeout,    ///< the deadline expired before the request completed (408)
-    too_large,  ///< header block or body exceeded its bound (431 / 413)
-    closed,     ///< the peer closed before sending a complete request
-    malformed,  ///< bytes arrived but do not parse as an HTTP request (400)
-    error,      ///< a socket error other than EINTR/EAGAIN
+    ok,                ///< a complete request was parsed
+    timeout,           ///< the deadline expired first (408)
+    header_too_large,  ///< the header block exceeded its bound (431)
+    body_too_large,    ///< the declared body exceeds its bound (413)
+    closed,            ///< the peer closed before a complete request
+    malformed,         ///< the bytes do not parse as HTTP (400)
+    error,             ///< a socket error other than EINTR/EAGAIN
 };
 
 /// Human-readable name of a read_result (diagnostics and tests).
@@ -85,25 +77,15 @@ const char* to_string(read_result r);
 /// Puts `fd` into non-blocking mode; returns false on fcntl failure.
 bool set_nonblocking(int fd);
 
-/// A listening socket and the port it is bound to.
-struct Listener {
-    int fd{-1};
-    int port{0};
-};
-
-/// Binds a TCP socket to 0.0.0.0:`port` (0 picks an ephemeral port) and
-/// listens with `backlog`; the result carries the concrete bound port.
-/// Throws BadParameter naming `owner` when `port` lies outside
-/// [0, 65535] or the socket cannot be created or bound.
-Listener listen_on(int port, int backlog, const std::string& owner);
-
 /// Reads one HTTP request from `fd` (which should be non-blocking):
 /// accumulates until the "\r\n\r\n" header terminator — tolerating
 /// arbitrary TCP segmentation, down to one byte per segment — then reads
 /// the Content-Length body.  The header block is bounded by
 /// `max_header_bytes`, the body by `max_body_bytes`, and the whole read by
-/// `deadline_ms` of wall time.  On read_result::ok, `out` carries the
-/// parsed request; on any other result its contents are unspecified.
+/// `deadline_ms` of wall time; a server that takes no body passes
+/// `max_body_bytes` 0, so any declared body is body_too_large.  On
+/// read_result::ok, `out` carries the parsed request; on any other result
+/// its contents are unspecified.
 read_result read_http_request(int fd, HttpRequest& out,
                               std::size_t max_header_bytes = 8 * 1024,
                               std::size_t max_body_bytes = 0,
@@ -148,11 +130,12 @@ std::string with_response_header(std::string response,
 /// queries identically.
 std::string query_param(const std::string& target, const std::string& key);
 
-/// Parses a trace id filter: 32 or 16 lowercase hex digits (the full W3C
-/// trace id or just its low 64 bits — records carry the low word).
-/// Returns 0 on malformed input, with `ok` false; endpoints turn that
-/// into the one typed 400 every filter answers with.
-std::uint64_t parse_trace_filter(const std::string& value, bool& ok);
+/// The ?trace_id= filter of a request target: 32 or 16 lowercase hex
+/// digits (the full W3C trace id or just the low 64 bits records carry),
+/// returned as the low word; 0 when absent.  A malformed value returns 0
+/// and sets `refusal` to the typed 400 every filtering endpoint answers.
+std::uint64_t trace_id_filter(const std::string& target,
+                              std::string& refusal);
 
 /// Parses a W3C `traceparent` header value
 /// ("00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>") into a
@@ -166,6 +149,171 @@ log::TraceContext parse_traceparent(const std::string& header_value);
 /// The "traceparent: 00-...-...-0?\r\n" header line for `ctx`, ready for
 /// extra_headers or with_response_header.
 std::string emit_traceparent(const log::TraceContext& ctx);
+
+
+/// Readiness of an HttpServer: accepting -> draining (stop() running; the
+/// listen backlog, the queue and the requests in flight are still served)
+/// -> stopped (all answered, threads joined).
+enum class server_state { accepting, draining, stopped };
+
+/// "accepting", "draining" or "stopped".
+const char* to_string(server_state s);
+
+
+struct HttpServerOptions {
+    int port{0};  ///< 0 binds an ephemeral port
+    std::string owner{"http server"};  ///< names the server in errors
+    std::size_t num_workers{1};
+    /// Connections waiting for a worker (also the listen backlog); past it
+    /// the acceptor answers 429 + Retry-After.
+    std::size_t queue_capacity{16};
+    /// Body bound: 413 beyond it, 0 admits no body.  Every server bounds
+    /// the header block at 8 KiB (431 beyond it).
+    std::size_t max_body_bytes{0};
+    /// Bounds reading one request (408) and writing its response.
+    int deadline_ms{1000};
+    /// Routes a request read in full; called concurrently by the workers.
+    std::function<std::string(const HttpRequest&)> handle;
+    /// Formats the core's own answers: 429, 408/431/413/400 for requests
+    /// it could not read, 500 when `handle` throws.  Empty means
+    /// json_response(status, error_json(reason)).
+    std::function<std::string(int status, const std::string& reason)>
+        refuse;
+    /// Test-only: each worker calls it after dequeuing a connection.
+    std::function<void()> worker_hook;
+};
+
+
+/// The one accept-and-serve loop of the serve:: layer: an acceptor thread
+/// admits connections into a bounded queue, and a worker pool reads each
+/// request, routes it through `handle` and sends the answer.
+class HttpServer {
+public:
+    /// Binds 0.0.0.0:`options.port` and starts the threads.  Throws
+    /// BadParameter when the port lies outside [0, 65535] or cannot be
+    /// bound, or when there are no workers or no queue.
+    static std::unique_ptr<HttpServer> start(HttpServerOptions options);
+
+    ~HttpServer();
+
+    HttpServer(const HttpServer&) = delete;
+    HttpServer& operator=(const HttpServer&) = delete;
+
+    /// The bound port; it stays readable after stop().
+    int port() const { return port_; }
+
+    server_state state() const
+    {
+        return state_.load(std::memory_order_acquire);
+    }
+
+    /// Graceful shutdown, in this order: stop accepting; accept what waits
+    /// in the listen backlog and admit it like any connection; close the
+    /// listener, so later connects are refused rather than reset; serve
+    /// the queue and the requests in flight; join.  Idempotent; the
+    /// destructor calls it.
+    void stop();
+
+    struct Stats {
+        std::uint64_t rejected{0};       ///< 429s: the queue was full
+        std::uint64_t read_failures{0};  ///< answered 408/431/413/400
+        std::uint64_t send_failures{0};  ///< answers we could not write
+        std::uint64_t queue_peak{0};
+    };
+    Stats stats() const;
+
+private:
+    HttpServer() = default;
+
+    void accept_loop();
+    void accept_backlog();
+    void admit(int fd);
+    void worker_loop();
+    void serve(int fd);
+    std::string refusal(int status, const std::string& reason) const;
+
+    HttpServerOptions options_;
+    int listen_fd_{-1};
+    int port_{0};
+    int wake_fds_[2]{-1, -1};  ///< stop() writes here to wake the acceptor
+    std::atomic<server_state> state_{server_state::accepting};
+    std::mutex queue_mutex_;
+    std::condition_variable queue_cv_;
+    std::deque<int> queue_;
+    bool draining_{false};
+    std::thread acceptor_;
+    std::vector<std::thread> workers_;
+    std::atomic<std::uint64_t> rejected_{0};
+    std::atomic<std::uint64_t> read_failures_{0};
+    std::atomic<std::uint64_t> send_failures_{0};
+    std::atomic<std::uint64_t> queue_peak_{0};  ///< written under the lock
+};
+
+
+/// The process-wide instance of one server type, behind its *_start,
+/// *_stop, *_active and *_port functions.
+template <typename Server>
+class ProcessServer {
+public:
+    /// `name` and `stop_call` word the conflicting-port error.
+    ProcessServer(const char* name, const char* stop_call)
+        : name_{name}, stop_call_{stop_call}
+    {}
+
+    /// Starts a server with `launch(port)` when none runs and returns the
+    /// running server's port.  While one runs, port 0 ("any port")
+    /// reports it and a different explicit port throws BadParameter: a
+    /// second port is a conflicting configuration, not a request the
+    /// running server can satisfy.
+    template <typename Launch>
+    int start(int port, Launch&& launch)
+    {
+        std::lock_guard<std::mutex> guard{mutex_};
+        if (!server_) {
+            server_ = launch(port);
+            port_.store(server_->port(), std::memory_order_release);
+        } else if (port != 0 && port != server_->port()) {
+            throw BadParameter(
+                __FILE__, __LINE__,
+                std::string{name_} + " already running on port " +
+                    std::to_string(server_->port()) + ", cannot rebind to " +
+                    std::to_string(port) + " (" + stop_call_ + " it first)");
+        }
+        return server_->port();
+    }
+
+    /// Stops and discards the running server (a no-op when none runs);
+    /// `first`, when given, runs just before under the same lock.
+    void stop(void (*first)() = nullptr)
+    {
+        std::lock_guard<std::mutex> guard{mutex_};
+        if (first != nullptr) {
+            first();
+        }
+        port_.store(0, std::memory_order_release);
+        server_.reset();
+    }
+
+    /// The running server's port; 0 when none runs.
+    int port() const { return port_.load(std::memory_order_acquire); }
+
+    /// Calls `f(server)` under the lock when a server runs.
+    template <typename F>
+    void visit(F&& f)
+    {
+        std::lock_guard<std::mutex> guard{mutex_};
+        if (server_) {
+            f(*server_);
+        }
+    }
+
+private:
+    const char* name_;
+    const char* stop_call_;
+    std::mutex mutex_;
+    std::unique_ptr<Server> server_;
+    std::atomic<int> port_{0};
+};
 
 
 }  // namespace mgko::serve

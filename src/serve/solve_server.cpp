@@ -1,15 +1,11 @@
 #include "serve/solve_server.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <initializer_list>
 #include <list>
 #include <map>
 #include <mutex>
@@ -21,6 +17,7 @@
 #include "core/exception.hpp"
 #include "core/executor.hpp"
 #include "core/mtx_io.hpp"
+#include "log/dump_path.hpp"
 #include "log/flight_recorder.hpp"
 #include "log/hw_counters.hpp"
 #include "log/metrics.hpp"
@@ -105,7 +102,7 @@ std::vector<double> parse_vector(const Json& body, const std::string& key,
 }  // namespace
 
 
-/// Cache and queue state behind the public interface.
+/// Cache and request-ring state behind the public interface.
 struct SolveServer::Impl {
     /// One generated solver: the product of parse + convert + factor for a
     /// concrete (operator, config) pair.  Iterative solvers keep
@@ -136,22 +133,6 @@ struct SolveServer::Impl {
     size_type cache_bytes{0};
     std::uint64_t next_handle{0};
 
-    // --- request queue ---
-    /// One accepted connection awaiting a worker.  The acceptor captures
-    /// its trace context at enqueue time and the worker re-enters it
-    /// before serving, so request-scoped attribution survives the
-    /// accept -> queue -> worker-pool thread hop explicitly instead of
-    /// leaking whatever context the worker last held.
-    struct pending {
-        int fd{-1};
-        log::TraceContext ambient{};
-    };
-    std::mutex queue_mutex;
-    std::condition_variable queue_cv;
-    std::deque<pending> queue;
-    bool draining{false};
-    std::vector<std::thread> workers;
-
     // --- recent-request ring (GET /v1/requests) ---
     /// One served request's summary: identity plus the cost attributed to
     /// it while its context was in scope.
@@ -179,20 +160,18 @@ struct SolveServer::Impl {
         }
     }
 
-    // --- counters (relaxed: each is independently monotone) ---
-    std::atomic<std::uint64_t> requests_total{0};
+    // --- counters (relaxed: each is independently monotone); the core
+    // counts 429s, unreadable requests, send failures and the queue peak.
+    std::atomic<std::uint64_t> requests_total{0};  ///< handle() calls
     std::atomic<std::uint64_t> ok{0};
     std::atomic<std::uint64_t> client_errors{0};
     std::atomic<std::uint64_t> server_errors{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> send_failures{0};
     std::atomic<std::uint64_t> uploads{0};
     std::atomic<std::uint64_t> solves{0};
     std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> cache_misses{0};
     std::atomic<std::uint64_t> cache_evictions{0};
     std::atomic<std::uint64_t> solver_generations{0};
-    std::atomic<std::uint64_t> queue_peak{0};
 
     /// Moves `handle` to the back (most recently used) of the LRU list.
     /// Caller holds cache_mutex.
@@ -228,156 +207,40 @@ struct SolveServer::Impl {
 };
 
 
-SolveServer::~SolveServer() { stop(); }
+SolveServer::~SolveServer() = default;
 
 
 std::unique_ptr<SolveServer> SolveServer::start(SolveServerOptions options)
 {
-    MGKO_ENSURE(options.num_workers > 0, "solve server needs >= 1 worker");
-    MGKO_ENSURE(options.queue_capacity > 0,
-                "solve server needs a queue of >= 1");
     std::unique_ptr<SolveServer> server{new SolveServer{}};
     server->options_ = std::move(options);
     server->impl_ = std::make_unique<Impl>();
     server->impl_->exec = OmpExecutor::create();
 
-    const auto listener = listen_on(
-        server->options_.port,
-        static_cast<int>(server->options_.queue_capacity), "solve server");
-    server->listen_fd_ = listener.fd;
-    server->port_ = listener.port;
-
-    server->accepting_.store(true, std::memory_order_release);
-    for (size_type w = 0; w < server->options_.num_workers; ++w) {
-        server->impl_->workers.emplace_back(
-            [raw = server.get()] { raw->worker_loop(); });
-    }
-    server->acceptor_ =
-        std::thread{[raw = server.get()] { raw->accept_loop(); }};
+    HttpServerOptions http;
+    http.port = server->options_.port;
+    http.owner = "solve server";
+    http.num_workers = server->options_.num_workers;
+    http.queue_capacity = server->options_.queue_capacity;
+    http.max_body_bytes = server->options_.max_body_bytes;
+    http.deadline_ms = server->options_.request_deadline_ms;
+    http.worker_hook = server->options_.worker_test_hook;
+    http.handle = [raw = server.get()](const HttpRequest& request) {
+        return raw->handle(request);
+    };
+    // The core's own answers (429, 408/431/413/400) carry a traceparent
+    // like every routed response; a 429 also counts as an outcome in the
+    // shared registry.
+    http.refuse = [](int status, const std::string& reason) {
+        if (status == 429) {
+            log::shared_metrics()->registry().inc_counter(
+                "mgko_solve_requests_total", "serve.rejected");
+        }
+        return json_response(status, error_json(reason),
+                             emit_traceparent(log::make_trace_context()));
+    };
+    server->http_ = HttpServer::start(std::move(http));
     return server;
-}
-
-
-void SolveServer::accept_loop()
-{
-    while (accepting_.load(std::memory_order_acquire)) {
-        pollfd pfd{listen_fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 100);
-        if (ready <= 0 || (pfd.revents & POLLIN) == 0) {
-            continue;
-        }
-        const int client = ::accept(listen_fd_, nullptr, nullptr);
-        if (client < 0) {
-            continue;
-        }
-        set_nonblocking(client);
-        bool enqueued = false;
-        {
-            std::lock_guard<std::mutex> guard{impl_->queue_mutex};
-            if (impl_->queue.size() <
-                static_cast<std::size_t>(options_.queue_capacity)) {
-                // Capture the acceptor's context for the worker to
-                // restore; the request's own traceparent (parsed on the
-                // worker once the headers are read) then nests under it.
-                impl_->queue.push_back(
-                    {client, log::current_trace_context()});
-                const auto depth =
-                    static_cast<std::uint64_t>(impl_->queue.size());
-                auto& peak = impl_->queue_peak;
-                std::uint64_t seen = peak.load(std::memory_order_relaxed);
-                while (seen < depth &&
-                       !peak.compare_exchange_weak(
-                           seen, depth, std::memory_order_relaxed)) {
-                }
-                enqueued = true;
-            }
-        }
-        if (enqueued) {
-            impl_->queue_cv.notify_one();
-            continue;
-        }
-        // Backpressure: answer 429 immediately instead of queueing
-        // unboundedly.  The response is small; a short send deadline keeps
-        // the acceptor responsive even against a stalled client.
-        impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
-        impl_->rejected.fetch_add(1, std::memory_order_relaxed);
-        log::shared_metrics()->registry().inc_counter(
-            "mgko_solve_requests_total", "serve.rejected");
-        send_all(client,
-                 json_response(429,
-                               error_json("server saturated, retry later"),
-                               "Retry-After: 1\r\n"),
-                 250);
-        ::close(client);
-    }
-}
-
-
-void SolveServer::worker_loop()
-{
-    for (;;) {
-        Impl::pending next;
-        {
-            std::unique_lock<std::mutex> lock{impl_->queue_mutex};
-            impl_->queue_cv.wait(lock, [this] {
-                return !impl_->queue.empty() || impl_->draining;
-            });
-            if (impl_->queue.empty()) {
-                return;  // draining and nothing left: graceful exit
-            }
-            next = impl_->queue.front();
-            impl_->queue.pop_front();
-        }
-        if (options_.worker_test_hook) {
-            options_.worker_test_hook();
-        }
-        // Restore the context captured at enqueue time for the duration
-        // of this connection — the explicit half of the accept -> worker
-        // handoff.
-        log::TraceContextScope scope{next.ambient};
-        serve_connection(next.fd);
-    }
-}
-
-
-void SolveServer::serve_connection(int fd)
-{
-    HttpRequest request;
-    const auto result =
-        read_http_request(fd, request, 8 * 1024, options_.max_body_bytes,
-                          options_.request_deadline_ms);
-    std::string response;
-    switch (result) {
-    case read_result::ok:
-        response = handle(request);
-        break;
-    case read_result::timeout:
-        impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
-        impl_->client_errors.fetch_add(1, std::memory_order_relaxed);
-        response = json_response(408, error_json("request timeout"),
-                                 emit_traceparent(log::make_trace_context()));
-        break;
-    case read_result::too_large:
-        impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
-        impl_->client_errors.fetch_add(1, std::memory_order_relaxed);
-        response = json_response(413, error_json("request too large"),
-                                 emit_traceparent(log::make_trace_context()));
-        break;
-    case read_result::malformed:
-        impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
-        impl_->client_errors.fetch_add(1, std::memory_order_relaxed);
-        response = json_response(400, error_json("malformed request"),
-                                 emit_traceparent(log::make_trace_context()));
-        break;
-    case read_result::closed:
-    case read_result::error:
-        ::close(fd);
-        return;  // nothing to answer
-    }
-    if (!send_all(fd, response, options_.request_deadline_ms)) {
-        impl_->send_failures.fetch_add(1, std::memory_order_relaxed);
-    }
-    ::close(fd);
 }
 
 
@@ -415,11 +278,17 @@ std::string SolveServer::handle(const HttpRequest& request)
     auto recorder = log::shared_flight_recorder();
     recorder->on_span_begin(route);
     const auto started = std::chrono::steady_clock::now();
+    // Each /v1 route takes one method; any other is a typed 405.
+    const char* method =
+        path == "/v1/operators" || path == "/v1/solve"   ? "POST"
+        : path == "/v1/stats" || path == "/v1/requests" ? "GET"
+                                                         : nullptr;
     std::string response;
-    int status = 500;
     try {
-        if (path == "/healthz") {
-            status = 200;
+        if (method != nullptr && request.method != method) {
+            response = json_response(
+                405, error_json(path + " is " + method + "-only"));
+        } else if (path == "/healthz") {
             response = http_response(200, "text/plain", "ok\n");
         } else if (path == "/readyz") {
             // Readiness is stricter than liveness: a load balancer pulls
@@ -428,122 +297,62 @@ std::string SolveServer::handle(const HttpRequest& request)
             // accepting -> draining (stop() running, queue still served)
             // -> stopped (drain complete).
             Json ready = Json::make_object();
-            const bool accepting =
-                accepting_.load(std::memory_order_acquire);
-            const char* state =
-                accepting ? "accepting"
-                          : (drained_.load(std::memory_order_acquire)
-                                 ? "stopped"
-                                 : "draining");
-            ready["state"] = Json{std::string{state}};
+            const auto state = http_->state();
+            const bool accepting = state == server_state::accepting;
+            ready["state"] = Json{std::string{to_string(state)}};
             ready["accepting"] = Json{accepting};
-            status = accepting ? 200 : 503;
-            response = json_response(status, ready);
+            response = json_response(accepting ? 200 : 503, ready);
         } else if (path == "/metrics") {
-            status = 200;
             response = http_response(200, "text/plain; version=0.0.4",
                                      metrics_text());
         } else if (path == "/v1/stats") {
-            if (request.method != "GET") {
-                status = 405;
-                response = json_response(
-                    405, error_json("stats is GET-only"));
-            } else {
-                status = 200;
-                response = http_response(200, "application/json",
-                                         stats_json() + "\n");
-            }
+            response = http_response(200, "application/json",
+                                     stats_json() + "\n");
         } else if (path == "/v1/requests") {
-            if (request.method != "GET") {
-                status = 405;
+            // ?limit=N bounds the answer to the N most recent entries,
+            // ?trace_id= narrows it to one request.  Malformed values are
+            // typed 400s in the same shape /trace.json answers with, not
+            // silently ignored filters.
+            const auto limit_text = query_param(request.target, "limit");
+            char* end = nullptr;
+            const long limit = std::strtol(limit_text.c_str(), &end, 10);
+            std::string bad_trace_id;
+            const auto trace_filter =
+                trace_id_filter(request.target, bad_trace_id);
+            if (!limit_text.empty() &&
+                (*end != '\0' || limit < 1 ||
+                 limit > static_cast<long>(Impl::recent_capacity))) {
                 response = json_response(
-                    405, error_json("requests is GET-only"));
+                    400, error_json("limit must be an integer in [1, " +
+                                    std::to_string(Impl::recent_capacity) +
+                                    "]"));
+            } else if (!bad_trace_id.empty()) {
+                response = std::move(bad_trace_id);
             } else {
-                // ?limit=N bounds the answer to the N most recent entries,
-                // ?trace_id= narrows it to one request.  Malformed values
-                // are typed 400s in the same shape /trace.json answers
-                // with, not silently ignored filters.
-                std::size_t limit = 0;
-                std::uint64_t trace_filter = 0;
-                bool bad = false;
-                const auto limit_text =
-                    query_param(request.target, "limit");
-                if (!limit_text.empty()) {
-                    char* end = nullptr;
-                    const long parsed =
-                        std::strtol(limit_text.c_str(), &end, 10);
-                    if (end == limit_text.c_str() || *end != '\0' ||
-                        parsed < 1 ||
-                        parsed >
-                            static_cast<long>(Impl::recent_capacity)) {
-                        status = 400;
-                        response = json_response(
-                            400,
-                            error_json(
-                                "limit must be an integer in [1, " +
-                                std::to_string(Impl::recent_capacity) +
-                                "]"));
-                        bad = true;
-                    } else {
-                        limit = static_cast<std::size_t>(parsed);
-                    }
-                }
-                const auto wanted =
-                    query_param(request.target, "trace_id");
-                if (!bad && !wanted.empty()) {
-                    bool ok = false;
-                    trace_filter = parse_trace_filter(wanted, ok);
-                    if (!ok) {
-                        status = 400;
-                        response = json_response(
-                            400,
-                            error_json("trace_id must be 16 or 32 "
-                                       "lowercase hex characters"));
-                        bad = true;
-                    }
-                }
-                if (!bad) {
-                    status = 200;
-                    response = http_response(
-                        200, "application/json",
-                        requests_json(limit, trace_filter) + "\n");
-                }
+                response = http_response(
+                    200, "application/json",
+                    requests_json(static_cast<std::size_t>(limit),
+                                  trace_filter) +
+                        "\n");
             }
         } else if (path == "/v1/operators") {
-            if (request.method != "POST") {
-                status = 405;
-                response = json_response(
-                    405, error_json("operator upload is POST-only"));
-            } else {
-                status = 200;
-                response = handle_upload(request);
-            }
+            response = handle_upload(request);
         } else if (path == "/v1/solve") {
-            if (request.method != "POST") {
-                status = 405;
-                response = json_response(
-                    405, error_json("solve is POST-only"));
-            } else {
-                status = 200;
-                response = handle_solve(request);
-            }
+            response = handle_solve(request);
         } else {
-            status = 404;
             response = json_response(
                 404, error_json("unknown target: " + path));
         }
     } catch (const NotFoundError& e) {
-        status = 404;
         response = json_response(404, error_json(e.what()));
     } catch (const Error& e) {
         // The repo's own exceptions are client errors: malformed configs,
         // malformed matrices, mismatched shapes.
-        status = 400;
         response = json_response(400, error_json(e.what()));
     } catch (const std::exception& e) {
-        status = 500;
         response = json_response(500, error_json(e.what()));
     }
+    const int status = std::atoi(response.c_str() + 9);  // "HTTP/1.0 NNN"
     const auto wall_ns =
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -565,20 +374,10 @@ std::string SolveServer::handle(const HttpRequest& request)
     } else {
         impl_->server_errors.fetch_add(1, std::memory_order_relaxed);
     }
-    {
-        const auto totals = cost.quick_totals();
-        Impl::RequestSummary summary;
-        summary.trace_id = ctx.trace_id_hex();
-        summary.route = route;
-        summary.status = status;
-        summary.sampled = ctx.sampled;
-        summary.wall_ns = wall_ns;
-        summary.flops = totals.flops;
-        summary.bytes = totals.bytes;
-        summary.alloc_bytes = totals.alloc_bytes;
-        summary.kernels = totals.kernels;
-        impl_->record_request(std::move(summary));
-    }
+    const auto totals = cost.quick_totals();
+    impl_->record_request({ctx.trace_id_hex(), route, status, ctx.sampled,
+                           wall_ns, totals.flops, totals.bytes,
+                           totals.alloc_bytes, totals.kernels});
     // Echo the context on every response so the caller can navigate from
     // its own logs to /trace.json?trace_id= and /v1/requests.
     return with_response_header(std::move(response), emit_traceparent(ctx));
@@ -816,34 +615,35 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
     const auto totals = ctx.cost->snapshot();
     std::string cost;
     cost.reserve(256 + totals.per_kernel.size() * 128);
-    const auto number = [&cost](const char* key, double value) {
-        char buffer[48];
-        if (std::isfinite(value)) {
-            std::snprintf(buffer, sizeof(buffer), "\"%s\": %.6g", key, value);
-        } else {
-            std::snprintf(buffer, sizeof(buffer), "\"%s\": null", key);
-        }
-        cost += buffer;
-    };
+    // `"key": value` pairs, comma-separated, each number in the shortest
+    // text that reads back exactly (null when not finite).
+    const auto fields =
+        [&cost](std::initializer_list<std::pair<const char*, double>> list) {
+            const char* separator = "";
+            for (const auto& [key, value] : list) {
+                cost += separator;
+                cost += '"';
+                cost += key;
+                cost += "\": ";
+                cost += log::json_number(value);
+                separator = ", ";
+            }
+        };
     cost += ",\"cost\": {\"trace_id\": \"" + ctx.trace_id_hex() + "\", ";
-    number("flops", totals.flops);
-    cost += ", ";
-    number("bytes", totals.bytes);
-    cost += ", ";
-    number("alloc_bytes", totals.alloc_bytes);
+    fields({{"flops", totals.flops},
+            {"bytes", totals.bytes},
+            {"alloc_bytes", totals.alloc_bytes}});
     cost += ", \"kernels\": " + std::to_string(totals.kernels) +
             ", \"per_kernel\": {";
-    bool first = true;
+    const char* separator = "";
     for (const auto& [name, slice] : totals.per_kernel) {
-        cost += first ? "\"" : ", \"";
-        first = false;
-        cost += name;
-        cost += "\": {\"count\": " + std::to_string(slice.count) + ", ";
-        number("wall_ns", slice.wall_ns);
-        cost += ", ";
-        number("flops", slice.flops);
-        cost += ", ";
-        number("bytes", slice.bytes);
+        cost += separator;
+        separator = ", ";
+        cost += "\"" + name + "\": {\"count\": " +
+                std::to_string(slice.count) + ", ";
+        fields({{"wall_ns", slice.wall_ns},
+                {"flops", slice.flops},
+                {"bytes", slice.bytes}});
         cost += "}";
     }
     cost += "}}";
@@ -856,19 +656,13 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
     cost += ",\"measured\": {\"source\": \"";
     cost += log::hw_counters_source();
     cost += "\", ";
-    number("wall_ns", hw_delta.wall_ns);
-    cost += ", ";
-    number("cpu_ns", cpu_ns);
-    cost += ", ";
-    number("cycles", hw_delta.cycles);
-    cost += ", ";
-    number("instructions", hw_delta.instructions);
-    cost += ", ";
-    number("llc_misses", hw_delta.llc_misses);
-    cost += ", ";
-    number("gflops_proxy", cpu_ns > 0.0 ? totals.flops / cpu_ns : 0.0);
-    cost += ", ";
-    number("gbps_proxy", cpu_ns > 0.0 ? totals.bytes / cpu_ns : 0.0);
+    fields({{"wall_ns", hw_delta.wall_ns},
+            {"cpu_ns", cpu_ns},
+            {"cycles", hw_delta.cycles},
+            {"instructions", hw_delta.instructions},
+            {"llc_misses", hw_delta.llc_misses},
+            {"gflops_proxy", cpu_ns > 0.0 ? totals.flops / cpu_ns : 0.0},
+            {"gbps_proxy", cpu_ns > 0.0 ? totals.bytes / cpu_ns : 0.0}});
     cost += "}";
     auto payload = response.dump();
     payload.insert(payload.size() - 1, cost);
@@ -880,7 +674,7 @@ std::string SolveServer::metrics_text() const
 {
     const auto s = stats();
     std::ostringstream body;
-    body << log::shared_metrics()->registry().prometheus_text();
+    body << process_metrics_text();
     body << "# TYPE mgko_solve_requests_served_total counter\n"
          << "mgko_solve_requests_served_total " << s.requests_total << "\n"
          << "# TYPE mgko_solve_rejected_total counter\n"
@@ -895,30 +689,25 @@ std::string SolveServer::metrics_text() const
          << "mgko_solve_cache_bytes " << s.cache_bytes << "\n"
          << "# TYPE mgko_solve_queue_peak gauge\n"
          << "mgko_solve_queue_peak " << s.queue_peak << "\n";
-    // Measured tier: the same mgko_hw_*/mgko_sampling_* series the
-    // telemetry endpoint scrapes, so either server alone tells the story.
-    body << log::hw_counters_prometheus();
-    body << "# TYPE mgko_sampling_hz gauge\n"
-         << "mgko_sampling_hz " << log::sampling_hz() << "\n"
-         << "# TYPE mgko_sampling_samples_total counter\n"
-         << "mgko_sampling_samples_total " << log::sampling_samples() << "\n"
-         << "# TYPE mgko_sampling_dropped_total counter\n"
-         << "mgko_sampling_dropped_total " << log::sampling_dropped()
-         << "\n";
     return body.str();
 }
 
 
 SolveServer::Stats SolveServer::stats() const
 {
+    const auto http = http_->stats();
     Stats s;
-    s.requests_total =
-        impl_->requests_total.load(std::memory_order_relaxed);
+    // Requests the core refused (429) or could not read (408/431/413/400)
+    // never reach handle(); they still count, the unreadable ones as
+    // client errors.
+    s.requests_total = impl_->requests_total.load(std::memory_order_relaxed) +
+                       http.read_failures + http.rejected;
     s.ok = impl_->ok.load(std::memory_order_relaxed);
-    s.client_errors = impl_->client_errors.load(std::memory_order_relaxed);
+    s.client_errors = impl_->client_errors.load(std::memory_order_relaxed) +
+                      http.read_failures;
     s.server_errors = impl_->server_errors.load(std::memory_order_relaxed);
-    s.rejected = impl_->rejected.load(std::memory_order_relaxed);
-    s.send_failures = impl_->send_failures.load(std::memory_order_relaxed);
+    s.rejected = http.rejected;
+    s.send_failures = http.send_failures;
     s.uploads = impl_->uploads.load(std::memory_order_relaxed);
     s.solves = impl_->solves.load(std::memory_order_relaxed);
     s.cache_hits = impl_->cache_hits.load(std::memory_order_relaxed);
@@ -927,7 +716,7 @@ SolveServer::Stats SolveServer::stats() const
         impl_->cache_evictions.load(std::memory_order_relaxed);
     s.solver_generations =
         impl_->solver_generations.load(std::memory_order_relaxed);
-    s.queue_peak = impl_->queue_peak.load(std::memory_order_relaxed);
+    s.queue_peak = http.queue_peak;
     s.queue_capacity = options_.queue_capacity;
     {
         std::lock_guard<std::mutex> guard{impl_->cache_mutex};
@@ -976,56 +765,16 @@ std::string SolveServer::stats_json() const
 }
 
 
-void SolveServer::stop()
-{
-    if (stopped_.exchange(true)) {
-        return;
-    }
-    // Phase 1: no new connections.
-    accepting_.store(false, std::memory_order_release);
-    if (acceptor_.joinable()) {
-        acceptor_.join();
-    }
-    // Phase 2: drain — workers keep serving until the queue is empty,
-    // finish whatever solve is in flight, then exit.
-    {
-        std::lock_guard<std::mutex> guard{impl_->queue_mutex};
-        impl_->draining = true;
-    }
-    impl_->queue_cv.notify_all();
-    for (auto& worker : impl_->workers) {
-        if (worker.joinable()) {
-            worker.join();
-        }
-    }
-    impl_->workers.clear();
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-    // Drain complete: /readyz flips from "draining" to "stopped".
-    drained_.store(true, std::memory_order_release);
-}
-
-
 // --- process-wide server ---------------------------------------------------
 
 namespace {
 
-std::mutex& global_mutex()
+ProcessServer<SolveServer>& process_server()
 {
-    static std::mutex mutex;
-    return mutex;
-}
-
-std::unique_ptr<SolveServer>& global_server()
-{
-    static std::unique_ptr<SolveServer> server;
+    static ProcessServer<SolveServer> server{"solve server",
+                                             "solve_server_stop()"};
     return server;
 }
-
-std::atomic<bool> global_active{false};
-std::atomic<int> global_port{0};
 
 /// Starts one process-wide server on the port environment variable
 /// `variable` names, if set.  A value that is not a port number in
@@ -1059,48 +808,29 @@ void start_on_env_port(const char* variable, const char* what,
 
 int solve_server_start(int port)
 {
-    std::lock_guard<std::mutex> guard{global_mutex()};
-    auto& server = global_server();
-    if (!server) {
+    return process_server().start(port, [](int p) {
         SolveServerOptions options;
-        options.port = port;
-        server = SolveServer::start(std::move(options));
-        global_active.store(true, std::memory_order_release);
-        global_port.store(server->port(), std::memory_order_release);
-    } else if (port != 0 && port != server->port()) {
-        throw BadParameter(
-            __FILE__, __LINE__,
-            "solve server already running on port " +
-                std::to_string(server->port()) + ", cannot rebind to " +
-                std::to_string(port) + " (solve_server_stop() it first)");
-    }
-    return server->port();
+        options.port = p;
+        return SolveServer::start(std::move(options));
+    });
 }
 
 
-void solve_server_stop()
-{
-    std::lock_guard<std::mutex> guard{global_mutex()};
-    global_active.store(false, std::memory_order_release);
-    global_port.store(0, std::memory_order_release);
-    global_server().reset();
-}
+void solve_server_stop() { process_server().stop(); }
 
 
-bool solve_server_active()
-{
-    return global_active.load(std::memory_order_acquire);
-}
+bool solve_server_active() { return solve_server_port() != 0; }
 
 
-int solve_server_port() { return global_port.load(std::memory_order_acquire); }
+int solve_server_port() { return process_server().port(); }
 
 
 std::string solve_server_stats_json()
 {
-    std::lock_guard<std::mutex> guard{global_mutex()};
-    auto& server = global_server();
-    return server ? server->stats_json() : std::string{"{}"};
+    std::string json = "{}";
+    process_server().visit(
+        [&json](SolveServer& server) { json = server.stats_json(); });
+    return json;
 }
 
 

@@ -1,7 +1,7 @@
 // Solve-as-a-service: the request-serving layer on the serve:: spine.
 //
-// TelemetryServer proved a dependency-free POSIX HTTP endpoint can live
-// in-tree; SolveServer promotes that spine into a real service.  The
+// SolveServer runs the serve:: server core (serve/http.hpp) with a worker
+// pool and keeps only its routes, its cache and its counters.  The
 // economics mirror Ginkgo's LinOp design (generate once, apply many): a
 // matrix uploaded once is parsed and factored once, then solved thousands
 // of times against different right-hand sides.
@@ -63,15 +63,19 @@
 //                        the signal a load balancer needs to pull the
 //                        instance before /healthz ever flips.
 //
-// Concurrency: one acceptor thread feeds a bounded queue drained by a
-// worker pool.  Admission control is explicit backpressure — when the
-// queue is full the acceptor answers 429 with a Retry-After header
-// immediately instead of queueing unboundedly (clients see latency honestly
-// instead of through a growing queue).  Cached solvers hold persistent
-// workspaces, so each one is applied under its own mutex; different
-// operators (and different configs on one operator) solve concurrently.
-// stop() is graceful: it stops accepting, then drains queued and
-// in-flight requests before joining the workers.
+// Concurrency: the core's acceptor feeds a bounded queue drained by
+// `num_workers` workers.  Admission control is explicit backpressure —
+// when the queue is full the acceptor answers 429 with a Retry-After
+// header immediately instead of queueing unboundedly (clients see latency
+// honestly instead of through a growing queue).  A request whose header
+// block exceeds 8 KiB answers 431, a body beyond `max_body_bytes` 413, a
+// read that misses the deadline 408; each of these carries a traceparent
+// like every routed response.  Cached solvers hold persistent workspaces,
+// so each one is applied under its own mutex; different operators (and
+// different configs on one operator) solve concurrently.  stop() is the
+// core's graceful stop: it stops accepting, answers the connections still
+// in the listen backlog, then drains queued and in-flight requests before
+// joining the workers.
 //
 // Observability rides both stores of the event spine: every request adds
 // to the totals in the shared MetricsRegistry (mgko_solve_latency_ns
@@ -81,12 +85,10 @@
 // with no extra wiring.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "core/types.hpp"
 #include "serve/http.hpp"
@@ -120,7 +122,8 @@ struct SolveServerOptions {
 class SolveServer {
 public:
     /// Binds and starts the acceptor + worker pool.  Throws BadParameter
-    /// when the port lies outside [0, 65535] or cannot be bound.
+    /// when the port lies outside [0, 65535] or cannot be bound, or when
+    /// `num_workers` or `queue_capacity` is 0.
     static std::unique_ptr<SolveServer> start(SolveServerOptions options = {});
 
     ~SolveServer();
@@ -129,14 +132,16 @@ public:
     SolveServer& operator=(const SolveServer&) = delete;
 
     /// The bound port (the concrete one when constructed with port 0).
-    int port() const { return port_; }
+    int port() const { return http_->port(); }
 
-    /// Graceful shutdown: stop accepting, serve everything queued and
-    /// in flight, join the pool.  Idempotent; the destructor calls it.
-    void stop();
+    /// Graceful shutdown: stop accepting, serve everything in the listen
+    /// backlog, queued and in flight, join the pool.  Idempotent;
+    /// destroying the server stops it too.
+    void stop() { http_->stop(); }
 
     /// Point-in-time counters (also exported as /v1/stats and /metrics).
     struct Stats {
+        /// Routed requests + unreadable ones (408/431/413/400) + 429s.
         std::uint64_t requests_total{0};
         std::uint64_t ok{0};
         std::uint64_t client_errors{0};  ///< 4xx other than 429
@@ -172,10 +177,6 @@ public:
 private:
     SolveServer() = default;
 
-    void accept_loop();
-    void worker_loop();
-    void serve_connection(int fd);
-
     std::string handle_upload(const HttpRequest& request);
     std::string handle_solve(const HttpRequest& request);
     std::string metrics_text() const;
@@ -184,15 +185,8 @@ private:
     std::unique_ptr<Impl> impl_;
 
     SolveServerOptions options_;
-    int listen_fd_{-1};
-    int port_{0};
-    std::atomic<bool> accepting_{false};
-    std::atomic<bool> stopped_{false};
-    /// Set when stop() finishes draining; /readyz distinguishes
-    /// "draining" (stopped_ set, workers still serving the queue) from
-    /// "stopped" (drain complete) with it.
-    std::atomic<bool> drained_{false};
-    std::thread acceptor_;
+    /// Declared last, so it is destroyed, and its workers joined, first.
+    std::unique_ptr<HttpServer> http_;
 };
 
 
@@ -204,7 +198,8 @@ int solve_server_start(int port);
 /// Graceful stop + discard of the process-wide server; no-op when none.
 void solve_server_stop();
 
-/// True while the process-wide server is running.
+/// True while the process-wide server is running (solve_server_port()
+/// != 0).
 bool solve_server_active();
 
 /// The process-wide server's port, 0 when inactive.

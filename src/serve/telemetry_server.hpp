@@ -1,15 +1,14 @@
 // Live telemetry exposition — the pull side of the always-on tier.
 //
-// TelemetryServer is a minimal dependency-free HTTP/1.0 endpoint over raw
-// POSIX sockets: one background thread accepts loopback or scrape traffic
-// and serves
+// TelemetryServer is a minimal dependency-free HTTP/1.0 endpoint on the
+// serve:: server core (serve/http.hpp) with one worker, and serves
 //
 //   GET /healthz           "ok" liveness probe
-//   GET /metrics           Prometheus text from the shared MetricsRegistry,
-//                          plus the server's own mgko_flight_*/
-//                          mgko_telemetry_* series (so a scrape is never
-//                          empty) and the measured tier's mgko_hw_* /
-//                          mgko_sampling_* series
+//   GET /metrics           Prometheus text: process_metrics_text() (the
+//                          shared MetricsRegistry and the measured tier's
+//                          mgko_hw_* / mgko_sampling_* series) plus the
+//                          server's own mgko_flight_*/mgko_telemetry_*
+//                          series, so a scrape is never empty
 //   GET /profile.json      the shared MetricsRegistry's per-tag profile
 //                          view ({"tags": ...}, the MGKO_PROFILE schema):
 //                          totals since executors started feeding it
@@ -25,10 +24,11 @@
 // so a production host can be inspected while it runs instead of waiting
 // for an exit-time dump (cf. Koch et al. on observability surviving
 // embedding).  Serving is serial by design: responses are small snapshots
-// and the instrumented threads never block on a scrape.  Socket I/O goes
-// through the shared serve/http.hpp helpers (bounded segmented request
-// reads, EINTR/EAGAIN-hardened sends) — the same spine SolveServer's
-// request traffic rides on.
+// and the instrumented threads never block on a scrape.  Up to 16 scrapes
+// wait in the core's queue; past that a scrape is answered 429 with
+// Retry-After at once.  Requests carry no body (413 when one is declared),
+// a header block of at most 8 KiB (431 beyond it), and have 1000 ms to
+// arrive (408) and to be written back.
 //
 // Process-wide control: telemetry_start(port) / telemetry_stop() manage a
 // single shared server (also reachable through the `telemetry_start` /
@@ -42,34 +42,34 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
+
+#include "serve/http.hpp"
 
 namespace mgko::serve {
 
 
 class TelemetryServer {
 public:
-    /// Binds 0.0.0.0:`port` (0 picks an ephemeral port) and starts the
-    /// accept thread.  Throws BadParameter when `port` lies outside
-    /// [0, 65535] or the socket cannot be bound.
+    /// Binds 0.0.0.0:`port` (0 picks an ephemeral port) and starts
+    /// serving.  Throws BadParameter when `port` lies outside [0, 65535]
+    /// or the socket cannot be bound.
     static std::unique_ptr<TelemetryServer> start(int port);
-
-    ~TelemetryServer();
 
     TelemetryServer(const TelemetryServer&) = delete;
     TelemetryServer& operator=(const TelemetryServer&) = delete;
 
     /// The bound port (the concrete one when constructed with port 0).
-    int port() const { return port_; }
+    int port() const { return http_->port(); }
 
     std::uint64_t requests_served() const
     {
         return requests_.load(std::memory_order_relaxed);
     }
 
-    /// Stops the accept loop and joins the thread; idempotent (the
-    /// destructor calls it).
-    void stop();
+    /// The core's graceful stop: scrapes already accepted or waiting in
+    /// the listen backlog are answered first.  Idempotent; destroying the
+    /// server stops it too.
+    void stop() { http_->stop(); }
 
     /// Routes one request to a full HTTP response string; exposed so unit
     /// tests can exercise routing without sockets.
@@ -79,29 +79,29 @@ public:
 
 private:
     TelemetryServer() = default;
-    void serve_loop();
 
-    int listen_fd_{-1};
-    int port_{0};
-    std::atomic<bool> running_{false};
     std::atomic<std::uint64_t> requests_{0};
-    std::thread thread_;
+    /// Declared last, so it is destroyed, and its workers joined, first.
+    std::unique_ptr<HttpServer> http_;
 };
 
 
-/// Starts the process-wide server if none is running; returns the bound
-/// port.  When a server is already running, `port` 0 (meaning "any
-/// port") reports the running server's port, while a non-zero `port`
-/// that differs from the bound one throws BadParameter — a second
-/// explicit port is a conflicting configuration, not a request the
-/// running server can satisfy.  Pass 0 to bind an ephemeral port on
-/// first start (the concrete port comes back as the return value).
+/// The Prometheus text both servers' /metrics start with: the shared
+/// MetricsRegistry, the hardware-counter series and the sampling
+/// profiler's mgko_sampling_* series.  Each server appends its own.
+std::string process_metrics_text();
+
+
+/// Starts the process-wide server if none is running and returns its
+/// port.  With one running, port 0 reports it and a different explicit
+/// port throws BadParameter (the ProcessServer rule in serve/http.hpp).
+/// Pass 0 to bind an ephemeral port on first start.
 int telemetry_start(int port);
 
 /// Stops and discards the process-wide server; no-op when none runs.
 void telemetry_stop();
 
-/// True while the process-wide server is running.
+/// True while the process-wide server is running (telemetry_port() != 0).
 bool telemetry_active();
 
 /// The process-wide server's port, 0 when inactive.

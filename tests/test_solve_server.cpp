@@ -15,6 +15,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -269,28 +270,40 @@ TEST(HttpHelpers, ReportsTimeoutWhenTheTerminatorNeverArrives)
 
 TEST(HttpHelpers, BoundsTheHeaderBlockAndTheBody)
 {
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    ASSERT_TRUE(serve::set_nonblocking(fds[0]));
-    const std::string oversized =
-        "GET /x HTTP/1.0\r\nx-junk: " + std::string(16 * 1024, 'j');
-    ASSERT_GT(::send(fds[1], oversized.data(), oversized.size(), 0), 0);
-    serve::HttpRequest parsed;
-    EXPECT_EQ(serve::read_http_request(fds[0], parsed, 1024, 0, 1000),
-              serve::read_result::too_large);
-    ::close(fds[0]);
-    ::close(fds[1]);
-
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    ASSERT_TRUE(serve::set_nonblocking(fds[0]));
-    const std::string big_body =
-        "POST /x HTTP/1.0\r\nContent-Length: 999999\r\n\r\n";
-    ASSERT_EQ(::send(fds[1], big_body.data(), big_body.size(), 0),
-              static_cast<ssize_t>(big_body.size()));
-    EXPECT_EQ(serve::read_http_request(fds[0], parsed, 8 * 1024, 1024, 1000),
-              serve::read_result::too_large);
-    ::close(fds[0]);
-    ::close(fds[1]);
+    // The two bounds fail differently, so servers can answer 431 for the
+    // header block and 413 for the body.
+    const auto read_after = [](const std::string& bytes,
+                               std::size_t max_body_bytes) {
+        int fds[2];
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        EXPECT_TRUE(serve::set_nonblocking(fds[0]));
+        EXPECT_GT(::send(fds[1], bytes.data(), bytes.size(), 0), 0);
+        serve::HttpRequest parsed;
+        const auto result = serve::read_http_request(fds[0], parsed, 1024,
+                                                     max_body_bytes, 1000);
+        ::close(fds[0]);
+        ::close(fds[1]);
+        return result;
+    };
+    EXPECT_EQ(read_after("GET /x HTTP/1.0\r\nx-junk: " +
+                             std::string(16 * 1024, 'j'),
+                         0),
+              serve::read_result::header_too_large);
+    // A complete header block that is still too long.
+    EXPECT_EQ(read_after("GET /x HTTP/1.0\r\nx-junk: " +
+                             std::string(1100, 'j') + "\r\n\r\n",
+                         0),
+              serve::read_result::header_too_large);
+    EXPECT_EQ(read_after("POST /x HTTP/1.0\r\nContent-Length: 999999\r\n\r\n",
+                         1024),
+              serve::read_result::body_too_large);
+    // With no body allowed, any declared body is too large...
+    EXPECT_EQ(read_after("POST /x HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello",
+                         0),
+              serve::read_result::body_too_large);
+    // ...but an empty one is fine.
+    EXPECT_EQ(read_after("GET /x HTTP/1.0\r\nContent-Length: 0\r\n\r\n", 0),
+              serve::read_result::ok);
 }
 
 TEST(HttpHelpers, ConcurrentClientsEachGetTheirFullResponse)
@@ -638,6 +651,33 @@ TEST(SolveServerTracing, EveryRouteEchoesATraceparent)
     server->stop();
 }
 
+TEST(SolveServerTracing, CostBlockCountsAreExact)
+{
+    // 300 CG iterations on a 2000-point Laplacian: 301 csr_spmv calls of
+    // 2 * 5998 flops each, 3,610,796 in all, which six significant digits
+    // cannot hold.
+    auto server = serve::SolveServer::start({});
+    constexpr int n = 2000;
+    Json config = cg_config();
+    config["max_iters"] = Json{std::int64_t{300}};
+    config["reduction_factor"] = Json{1e-30};
+    Json solve = Json::make_object();
+    solve["triplet"] = laplacian_triplet(n);
+    solve["config"] = config;
+    const auto response = http_request(
+        server->port(), "POST", "/v1/solve", solve.dump(),
+        std::string{"traceparent: "} + kTraceparent + "\r\n");
+    ASSERT_EQ(status_of(response), 200) << response;
+    const auto result = Json::parse(body_of(response));
+    const auto& spmv = result.at("cost").at("per_kernel").at("csr_spmv");
+    const std::int64_t nnz = 3 * n - 2;
+    EXPECT_EQ(spmv.at("count").as_int(), 301);
+    EXPECT_EQ(spmv.at("flops").as_double(),
+              static_cast<double>(spmv.at("count").as_int() * 2 * nnz))
+        << body_of(response);
+    server->stop();
+}
+
 TEST(SolveServerTracing, RecentRequestsRingExposesPerRequestSummaries)
 {
     auto server = serve::SolveServer::start({});
@@ -896,6 +936,86 @@ TEST(SolveServer, StopDrainsQueuedAndInFlightRequests)
     ::close(queued);
     // New connections are refused after stop.
     EXPECT_EQ(http_request(server->port(), "GET", "/healthz", ""), "");
+}
+
+/// Opens `clients` connections to `port`, sends `request` on each, calls
+/// `stop()` at once and returns how many connections got no complete
+/// HTTP response.
+int lost_at_stop(int port, int clients, const std::string& request,
+                 const std::function<void()>& stop)
+{
+    std::vector<int> fds;
+    for (int i = 0; i < clients; ++i) {
+        const int fd = connect_loopback(port);
+        if (fd >= 0) {
+            EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
+                      static_cast<ssize_t>(request.size()));
+        }
+        fds.push_back(fd);
+    }
+    stop();
+    int lost = 0;
+    for (const int fd : fds) {
+        if (fd < 0 || !test::is_complete_http_response(recv_all(fd))) {
+            ++lost;
+        }
+        if (fd >= 0) {
+            ::close(fd);
+        }
+    }
+    return lost;
+}
+
+TEST(SolveServer, StopAnswersEveryConnectionInTheListenBacklog)
+{
+    // A client whose connect() returned may still sit in the kernel's
+    // listen backlog when stop() runs; stop() must accept and answer it,
+    // not close the listener on it (a reset instead of a response).
+    constexpr int rounds = 100;
+    constexpr int clients = 6;
+    int lost_rounds = 0;
+    int lost_connections = 0;
+    for (int round = 0; round < rounds; ++round) {
+        serve::SolveServerOptions options;
+        options.num_workers = 1;
+        auto server = serve::SolveServer::start(std::move(options));
+        const int lost =
+            lost_at_stop(server->port(), clients,
+                         "GET /healthz HTTP/1.0\r\n\r\n",
+                         [&server] { server->stop(); });
+        lost_rounds += lost > 0 ? 1 : 0;
+        lost_connections += lost;
+    }
+    EXPECT_EQ(lost_connections, 0)
+        << lost_connections << " of " << rounds * clients
+        << " connections got no complete response, in " << lost_rounds
+        << " of " << rounds << " rounds";
+}
+
+TEST(SolveServer, AnswersOversizedHeadersWith431AndOversizedBodiesWith413)
+{
+    serve::SolveServerOptions options;
+    options.max_body_bytes = 1024;
+    auto server = serve::SolveServer::start(std::move(options));
+    const auto headers =
+        http_request(server->port(), "GET", "/healthz", "",
+                     "x-junk: " + std::string(9 * 1024, 'j') + "\r\n");
+    EXPECT_EQ(status_of(headers), 431) << headers;
+    const auto body = http_request(server->port(), "POST", "/v1/solve",
+                                   std::string(4096, 'b'));
+    EXPECT_EQ(status_of(body), 413) << body;
+    for (const auto& response : {headers, body}) {
+        EXPECT_TRUE(Json::parse(body_of(response)).contains("error"));
+        // Refusals echo a traceparent like every routed response.
+        EXPECT_TRUE(
+            serve::parse_traceparent(header_of(response, "traceparent"))
+                .valid())
+            << response;
+    }
+    server->stop();
+    const auto stats = server->stats();
+    EXPECT_EQ(stats.requests_total, 2u);
+    EXPECT_EQ(stats.client_errors, 2u);
 }
 
 TEST(SolveServer, ReadyzDistinguishesAcceptingDrainingAndStopped)

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bindings/api.hpp"
 #include "bindings/registry.hpp"
@@ -35,13 +36,12 @@ namespace {
 using namespace mgko;
 
 
-// Blocking HTTP/1.0 GET against 127.0.0.1:port; empty string when the
-// connection is refused.
-std::string http_get(int port, const std::string& target)
+// A connected loopback socket to 127.0.0.1:port; -1 when refused.
+int connect_loopback(int port)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) {
-        return {};
+        return -1;
     }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -50,9 +50,31 @@ std::string http_get(int port, const std::string& target)
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) != 0) {
         ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+// Everything the peer sends until it closes.
+std::string recv_all(int fd)
+{
+    std::string response;
+    char buffer[4096];
+    ssize_t received;
+    while ((received = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+        response.append(buffer, static_cast<std::size_t>(received));
+    }
+    return response;
+}
+
+// Sends `request` verbatim and returns the whole response; empty string
+// when the connection is refused.
+std::string http_send(int port, const std::string& request)
+{
+    const int fd = connect_loopback(port);
+    if (fd < 0) {
         return {};
     }
-    const std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
     std::size_t sent = 0;
     while (sent < request.size()) {
         const ssize_t n =
@@ -63,14 +85,16 @@ std::string http_get(int port, const std::string& target)
         }
         sent += static_cast<std::size_t>(n);
     }
-    std::string response;
-    char buffer[4096];
-    ssize_t received;
-    while ((received = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-        response.append(buffer, static_cast<std::size_t>(received));
-    }
+    auto response = recv_all(fd);
     ::close(fd);
     return response;
+}
+
+// Blocking HTTP/1.0 GET against 127.0.0.1:port; empty string when the
+// connection is refused.
+std::string http_get(int port, const std::string& target)
+{
+    return http_send(port, "GET " + target + " HTTP/1.0\r\n\r\n");
 }
 
 std::string body_of(const std::string& response)
@@ -358,6 +382,118 @@ TEST(TelemetryServer, StopRefusesFurtherConnections)
     server->stop();
     EXPECT_TRUE(http_get(port, "/healthz").empty());
     server->stop();  // idempotent
+}
+
+TEST(TelemetryServer, StopAnswersEveryConnectionInTheListenBacklog)
+{
+    // A scrape whose connect() returned may still sit in the kernel's
+    // listen backlog when stop() runs; stop() must accept and answer it,
+    // not close the listener on it (a reset instead of a response).
+    constexpr int rounds = 100;
+    constexpr int clients = 6;
+    const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
+    int lost_rounds = 0;
+    int lost_connections = 0;
+    for (int round = 0; round < rounds; ++round) {
+        auto server = serve::TelemetryServer::start(0);
+        std::vector<int> fds;
+        for (int i = 0; i < clients; ++i) {
+            const int fd = connect_loopback(server->port());
+            if (fd >= 0) {
+                EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
+                          static_cast<ssize_t>(request.size()));
+            }
+            fds.push_back(fd);
+        }
+        server->stop();
+        int lost = 0;
+        for (const int fd : fds) {
+            if (fd < 0 || !test::is_complete_http_response(recv_all(fd))) {
+                ++lost;
+            }
+            if (fd >= 0) {
+                ::close(fd);
+            }
+        }
+        lost_rounds += lost > 0 ? 1 : 0;
+        lost_connections += lost;
+    }
+    EXPECT_EQ(lost_connections, 0)
+        << lost_connections << " of " << rounds * clients
+        << " connections got no complete response, in " << lost_rounds
+        << " of " << rounds << " rounds";
+}
+
+TEST(TelemetryServer, AnswersOversizedHeadersWith431AndAnyBodyWith413)
+{
+    auto server = serve::TelemetryServer::start(0);
+    const auto headers = http_send(
+        server->port(), "GET /healthz HTTP/1.0\r\nx-junk: " +
+                            std::string(9 * 1024, 'j') + "\r\n\r\n");
+    EXPECT_NE(headers.find("HTTP/1.0 431"), std::string::npos) << headers;
+    // Scrapes carry no body: declaring one is a 413, not a header error.
+    const auto body = http_send(
+        server->port(),
+        "GET /metrics HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello");
+    EXPECT_NE(body.find("HTTP/1.0 413"), std::string::npos) << body;
+    for (const auto& response : {headers, body}) {
+        EXPECT_TRUE(
+            config::Json::parse(body_of(response)).contains("error"));
+    }
+    EXPECT_EQ(server->requests_served(), 0u);
+    server->stop();
+}
+
+TEST(TelemetryServer, AnswersRetryAfterPastSixteenQueuedScrapes)
+{
+    // Half a request pins the only worker until its 1000 ms read deadline
+    // (then 408), so of 18 more scrapes at most 16 queue and the rest are
+    // answered 429 + Retry-After at once instead of waiting in the kernel
+    // backlog.  On a loaded machine a connect beyond the 16-deep listen
+    // backlog can wait for a SYN retransmit and push the burst past the
+    // deadline; such a round proves nothing and is run again.
+    const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
+    for (int round = 0; round < 3; ++round) {
+        auto server = serve::TelemetryServer::start(0);
+        const int stalled = connect_loopback(server->port());
+        ASSERT_GE(stalled, 0);
+        const std::string partial = "GET /healthz HT";
+        ASSERT_EQ(::send(stalled, partial.data(), partial.size(), 0),
+                  static_cast<ssize_t>(partial.size()));
+        const auto started = std::chrono::steady_clock::now();
+        std::vector<int> scrapes;
+        for (int i = 0; i < 18; ++i) {
+            const int fd = connect_loopback(server->port());
+            ASSERT_GE(fd, 0);
+            ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+                      static_cast<ssize_t>(request.size()));
+            scrapes.push_back(fd);
+        }
+        const bool in_window = std::chrono::steady_clock::now() - started <
+                               std::chrono::milliseconds(500);
+        int ok = 0;
+        int rejected = 0;
+        for (const int fd : scrapes) {
+            const auto response = recv_all(fd);
+            ::close(fd);
+            EXPECT_TRUE(test::is_complete_http_response(response))
+                << response;
+            if (response.find("HTTP/1.0 200") == 0) {
+                ++ok;
+            } else if (response.find("HTTP/1.0 429") == 0) {
+                EXPECT_NE(response.find("Retry-After: 1"), std::string::npos);
+                ++rejected;
+            }
+        }
+        EXPECT_NE(recv_all(stalled).find("HTTP/1.0 408"), std::string::npos);
+        ::close(stalled);
+        if (in_window) {
+            EXPECT_GE(rejected, 2);
+            EXPECT_EQ(ok + rejected, 18);
+            return;
+        }
+    }
+    FAIL() << "no burst of 18 scrapes finished within 500 ms";
 }
 
 TEST(TelemetryServer, TwoInstancesBindDistinctPorts)

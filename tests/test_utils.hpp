@@ -156,4 +156,21 @@ process_switch_keys()
 }
 
 
+/// True when `response` is one complete HTTP response: a status line, a
+/// header block, and exactly Content-Length body bytes.
+inline bool is_complete_http_response(const std::string& response)
+{
+    const auto head_end = response.find("\r\n\r\n");
+    if (response.rfind("HTTP/1.", 0) != 0 || head_end == std::string::npos) {
+        return false;
+    }
+    const auto key = response.find("Content-Length: ");
+    if (key == std::string::npos || key > head_end) {
+        return false;
+    }
+    const auto declared = std::stoul(response.substr(key + 16));
+    return response.size() - (head_end + 4) == declared;
+}
+
+
 }  // namespace mgko::test
