@@ -199,7 +199,8 @@ std::vector<double> Tensor::to_host() const
     auto result = probed_call(op_->get_executor(),
                               mangle("tensor_export", vt_),
                               {Value{box("tensor", op_)}});
-    return *result.as<const std::vector<double>>("host_f64");
+    // The export is this call's own vector: move it out of its box.
+    return std::move(*result.as<std::vector<double>>("host_f64"));
 }
 
 

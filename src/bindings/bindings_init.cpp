@@ -128,10 +128,12 @@ void register_tensor_bindings(Module& m)
         MGKO_ENSURE(static_cast<size_type>(host->size()) >= rows * cols,
                     "host buffer smaller than requested tensor");
         auto tensor = Dense<V>::create(exec, dim2{rows, cols});
+        const double* src = host->data();
+        V* dst = tensor->get_values();
+        const auto stride = tensor->get_stride();
         for (size_type r = 0; r < rows; ++r) {
             for (size_type c = 0; c < cols; ++c) {
-                tensor->at(r, c) = static_cast<V>(
-                    (*host)[static_cast<std::size_t>(r * cols + c)]);
+                dst[r * stride + c] = static_cast<V>(src[r * cols + c]);
             }
         }
         exec->charge_copy(nullptr, rows * cols *
@@ -247,11 +249,16 @@ void register_tensor_bindings(Module& m)
 
     m.def("tensor_export" + s, [](const List& args) -> Value {
         auto t = unbox_tensor<V>(args.at(0));
-        auto host = std::make_shared<std::vector<double>>();
-        host->reserve(static_cast<std::size_t>(t->get_size().area()));
-        for (size_type r = 0; r < t->get_size().rows; ++r) {
-            for (size_type c = 0; c < t->get_size().cols; ++c) {
-                host->push_back(to_float(t->at(r, c)));
+        const auto rows = t->get_size().rows;
+        const auto cols = t->get_size().cols;
+        auto host = std::make_shared<std::vector<double>>(
+            static_cast<std::size_t>(rows * cols));
+        const V* src = t->get_const_values();
+        const auto stride = t->get_stride();
+        double* dst = host->data();
+        for (size_type r = 0; r < rows; ++r) {
+            for (size_type c = 0; c < cols; ++c) {
+                dst[r * cols + c] = to_float(src[r * stride + c]);
             }
         }
         return box("host_f64", std::shared_ptr<const std::vector<double>>{

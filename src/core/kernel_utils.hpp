@@ -4,6 +4,8 @@
 
 #include <omp.h>
 
+#include <type_traits>
+
 #include "core/executor.hpp"
 #include "log/work_model.hpp"
 #include "sim/cost_model.hpp"
@@ -23,6 +25,27 @@ inline int exec_threads(const Executor* exec)
         return omp_get_max_threads();
     }
     return 1;
+}
+
+
+/// Widest column tile the block kernels (gemm, gemv_t, n x k CSR SpMV) keep
+/// in local accumulators: eight doubles are one cache line of a block row.
+inline constexpr size_type tile_cols = 8;
+
+
+/// Calls `fn(std::integral_constant<size_type, W>{})` for the run-time
+/// width `w` in [1, Max], so full tiles and tails share one body that is
+/// compiled for each width.
+template <size_type Max, typename Fn>
+inline void with_width(size_type w, Fn&& fn)
+{
+    if constexpr (Max > 1) {
+        if (w < Max) {
+            with_width<Max - 1>(w, fn);
+            return;
+        }
+    }
+    fn(std::integral_constant<size_type, Max>{});
 }
 
 

@@ -17,8 +17,35 @@ namespace kernels::csr {
 
 // Each kernel below is a row body; the strategies further down only decide
 // which rows each thread owns.  The body is picked from the operand's shape:
-// one right-hand side gets its own row-range loop, wider blocks walk their
-// columns per row.
+// one right-hand side gets its own row-range loop, wider blocks run the
+// row's entries once per tile of up to 8 columns.
+
+/// Columns [0, W) of one row of y = [alpha *] A * b [+ beta * y]: each
+/// stored entry updates W accumulators from one contiguous segment of a row
+/// of b.
+template <size_type W, typename V, typename I>
+inline void spmv_row_tile(const V* values, const I* col_idxs, const I* row_ptrs,
+                          const V* b, size_type b_stride, V* x, size_type row,
+                          bool advanced, V alpha, V beta)
+{
+    using acc_t = accumulate_t<V>;
+    acc_t acc[W]{};
+    for (I k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+        const auto value = static_cast<acc_t>(values[k]);
+        const V* b_row = b + static_cast<size_type>(col_idxs[k]) * b_stride;
+        for (size_type c = 0; c < W; ++c) {
+            acc[c] += value * static_cast<acc_t>(b_row[c]);
+        }
+    }
+    // beta == 0 must not read x (may be uninitialized).
+    const bool read_x = advanced && beta != zero<V>();
+    for (size_type c = 0; c < W; ++c) {
+        x[c] = !advanced ? V{acc[c]}
+               : read_x  ? alpha * V{acc[c]} + beta * x[c]
+                         : alpha * V{acc[c]};
+    }
+}
+
 
 /// Computes one row of y = [alpha *] A * b [+ beta * y] for all b columns.
 template <typename V, typename I>
@@ -27,20 +54,13 @@ inline void spmv_row(const V* values, const I* col_idxs, const I* row_ptrs,
                      size_type row, size_type vec_cols, bool advanced, V alpha,
                      V beta)
 {
-    using acc_t = accumulate_t<V>;
-    for (size_type c = 0; c < vec_cols; ++c) {
-        acc_t acc{};
-        for (I k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
-            acc += static_cast<acc_t>(values[k]) *
-                   static_cast<acc_t>(b[static_cast<size_type>(col_idxs[k]) *
-                                            b_stride +
-                                        c]);
-        }
-        auto& out = x[row * x_stride + c];
-        // beta == 0 must not read `out` (may be uninitialized).
-        out = !advanced           ? V{acc}
-              : beta == zero<V>() ? alpha * V{acc}
-                                  : alpha * V{acc} + beta * out;
+    for (size_type c0 = 0; c0 < vec_cols; c0 += tile_cols) {
+        with_width<tile_cols>(std::min(tile_cols, vec_cols - c0), [&](auto w) {
+            spmv_row_tile<decltype(w)::value>(values, col_idxs, row_ptrs,
+                                              b + c0, b_stride,
+                                              x + row * x_stride + c0, row,
+                                              advanced, alpha, beta);
+        });
     }
 }
 

@@ -176,26 +176,62 @@ void compute_norm2(const Executor* exec, const V* a, size_type rows,
                                          static_cast<double>(2 * rows * cols)));
 }
 
+// gemm and gemv_t keep tiles of outputs in local accumulators so that
+// each pass reads contiguous row segments of the operands.  Every output
+// still adds its terms in ascending reduction index in accumulate_t, and
+// is computed by one thread, so results are bitwise independent of the
+// tile shape and of the thread count.
+
+/// Columns [0, W) of one output row of x = alpha * a * b + beta * x: `l`
+/// runs once over a[i][l] * b[l][0..W).
+template <size_type W, typename V>
+inline void gemm_row_tile(const V* a_row, const V* b, V* x, size_type k,
+                          size_type b_stride, V alpha, V beta)
+{
+    using acc_t = accumulate_t<V>;
+    acc_t acc[W]{};
+    for (size_type l = 0; l < k; ++l) {
+        const auto a_il = static_cast<acc_t>(a_row[l]);
+        const V* b_row = b + l * b_stride;
+        for (size_type j = 0; j < W; ++j) {
+            acc[j] += a_il * static_cast<acc_t>(b_row[j]);
+        }
+    }
+    // beta == 0 must not read x: it may be uninitialized (0 * NaN would
+    // poison the result).
+    const bool read_x = beta != zero<V>();
+    for (size_type j = 0; j < W; ++j) {
+        x[j] = read_x ? alpha * V{acc[j]} + beta * x[j] : alpha * V{acc[j]};
+    }
+}
+
 template <typename V>
 void gemm(const Executor* exec, const V* a, const V* b, V* x, size_type m,
           size_type k, size_type n, size_type a_stride, size_type b_stride,
           size_type x_stride, V alpha, V beta)
 {
+    // Threads own whole output rows.  A single column (GMRES's basis
+    // update) runs the width-1 tile, the per-row dot, without the width
+    // dispatch in its row loop.
     const int nt = kernels::exec_threads(exec);
+    if (n == 1) {
 #pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type i = 0; i < m; ++i) {
-        for (size_type j = 0; j < n; ++j) {
-            using acc_t = accumulate_t<V>;
-            acc_t acc{};
-            for (size_type l = 0; l < k; ++l) {
-                acc += static_cast<acc_t>(a[i * a_stride + l]) *
-                       static_cast<acc_t>(b[l * b_stride + j]);
+        for (size_type i = 0; i < m; ++i) {
+            gemm_row_tile<1>(a + i * a_stride, b, x + i * x_stride, k,
+                             b_stride, alpha, beta);
+        }
+    } else {
+#pragma omp parallel for num_threads(nt) if (nt > 1)
+        for (size_type i = 0; i < m; ++i) {
+            for (size_type j0 = 0; j0 < n; j0 += tile_cols) {
+                with_width<tile_cols>(std::min(tile_cols, n - j0),
+                                      [&](auto w) {
+                                          gemm_row_tile<decltype(w)::value>(
+                                              a + i * a_stride, b + j0,
+                                              x + i * x_stride + j0, k,
+                                              b_stride, alpha, beta);
+                                      });
             }
-            auto& out = x[i * x_stride + j];
-            // beta == 0 must not read `out`: it may be uninitialized
-            // (0 * NaN would poison the result).
-            out = beta == zero<V>() ? alpha * V{acc}
-                                    : alpha * V{acc} + beta * out;
         }
     }
     const double bytes =
@@ -206,24 +242,71 @@ void gemm(const Executor* exec, const V* a, const V* b, V* x, size_type m,
                                        static_cast<double>(n)));
 }
 
+/// Rows [0, TI) and columns [0, TJ) of a tile of x = aᵀ * b: `l` runs
+/// outermost and reads TI contiguous values of row l of a and TJ of row l
+/// of b.
+template <size_type TI, size_type TJ, typename V>
+inline void gemv_t_tile(const V* a, const V* b, V* x, size_type m,
+                        size_type a_stride, size_type b_stride,
+                        size_type x_stride)
+{
+    using acc_t = accumulate_t<V>;
+    acc_t acc[TI][TJ]{};
+    for (size_type l = 0; l < m; ++l) {
+        const V* a_row = a + l * a_stride;
+        const V* b_row = b + l * b_stride;
+        for (size_type i = 0; i < TI; ++i) {
+            const auto a_li = static_cast<acc_t>(a_row[i]);
+            for (size_type j = 0; j < TJ; ++j) {
+                acc[i][j] += a_li * static_cast<acc_t>(b_row[j]);
+            }
+        }
+    }
+    for (size_type i = 0; i < TI; ++i) {
+        for (size_type j = 0; j < TJ; ++j) {
+            x[i * x_stride + j] = V{acc[i][j]};
+        }
+    }
+}
+
+/// x = aᵀ * b over TI x TJ tiles of x; threads own whole tiles.
+template <size_type TI, size_type TJ, typename V>
+void gemv_t_tiles(int nt, const V* a, const V* b, V* x, size_type m,
+                  size_type k, size_type n, size_type a_stride,
+                  size_type b_stride, size_type x_stride)
+{
+    const size_type i_tiles = ceildiv(k, TI);
+    const size_type j_tiles = ceildiv(n, TJ);
+#pragma omp parallel for num_threads(nt) if (nt > 1)
+    for (size_type t = 0; t < i_tiles * j_tiles; ++t) {
+        const size_type i0 = t / j_tiles * TI;
+        const size_type j0 = t % j_tiles * TJ;
+        with_width<TI>(std::min(TI, k - i0), [&](auto ti) {
+            with_width<TJ>(std::min(TJ, n - j0), [&](auto tj) {
+                gemv_t_tile<decltype(ti)::value, decltype(tj)::value>(
+                    a + i0, b + j0, x + i0 * x_stride + j0, m, a_stride,
+                    b_stride, x_stride);
+            });
+        });
+    }
+}
+
 template <typename V>
 void gemv_t(const Executor* exec, const V* a, const V* b, V* x, size_type m,
             size_type k, size_type n, size_type a_stride, size_type b_stride,
             size_type x_stride)
 {
-    // x(k x n) = aᵀ(k x m) * b(m x n), a stored as (m x k) row-major.
+    // x(k x n) = aᵀ(k x m) * b(m x n), a stored as (m x k) row-major.  The
+    // tile shape follows the operands: a single right-hand side (GMRES
+    // projecting onto its basis) takes 8 contiguous outputs per tile, a
+    // block 2 x 8.
     const int nt = kernels::exec_threads(exec);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type i = 0; i < k; ++i) {
-        for (size_type j = 0; j < n; ++j) {
-            using acc_t = accumulate_t<V>;
-            acc_t acc{};
-            for (size_type l = 0; l < m; ++l) {
-                acc += static_cast<acc_t>(a[l * a_stride + i]) *
-                       static_cast<acc_t>(b[l * b_stride + j]);
-            }
-            x[i * x_stride + j] = V{acc};
-        }
+    if (n == 1) {
+        gemv_t_tiles<tile_cols, 1>(nt, a, b, x, m, k, n, a_stride, b_stride,
+                                   x_stride);
+    } else {
+        gemv_t_tiles<2, tile_cols>(nt, a, b, x, m, k, n, a_stride, b_stride,
+                                   x_stride);
     }
     const double bytes =
         static_cast<double>((m * k + m * n + k * n) * sizeof(V));

@@ -203,20 +203,25 @@ eig_result rayleigh_ritz(const bind::Device& dev, const bind::Matrix& a,
 
         // Residual check: max_i ||A v_i - lambda_i v_i||.
         auto a_ritz = a.spmv(ritz);
+        // One row-major pass with a sum per column; each sum still adds its
+        // rows in ascending i.
         double max_res = 0.0;
         {
-            auto av = a_ritz.to_host();
-            auto v = ritz.to_host();
-            for (size_type j = 0; j < k; ++j) {
-                double res = 0.0;
-                for (size_type i = 0; i < n; ++i) {
+            const auto av = a_ritz.to_host();
+            const auto v = ritz.to_host();
+            std::vector<double> res(static_cast<std::size_t>(k), 0.0);
+            for (size_type i = 0; i < n; ++i) {
+                const double* av_row = av.data() + i * k;
+                const double* v_row = v.data() + i * k;
+                for (size_type j = 0; j < k; ++j) {
                     const double d =
-                        av[static_cast<std::size_t>(i * k + j)] -
-                        values[static_cast<std::size_t>(j)] *
-                            v[static_cast<std::size_t>(i * k + j)];
-                    res += d * d;
+                        av_row[j] -
+                        values[static_cast<std::size_t>(j)] * v_row[j];
+                    res[static_cast<std::size_t>(j)] += d * d;
                 }
-                max_res = std::max(max_res, std::sqrt(res));
+            }
+            for (const double r : res) {
+                max_res = std::max(max_res, std::sqrt(r));
             }
         }
         result.eigenvalues = values;

@@ -3,7 +3,13 @@
 // protocol, overhead accounting, and parity with direct engine calls.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <fstream>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bindings/api.hpp"
 #include "bindings/registry.hpp"
@@ -136,6 +142,159 @@ TEST(BindApi, TensorMatmulAndTransposeMatmul)
     auto atb = a.t_matmul(b);
     EXPECT_DOUBLE_EQ(atb.item(0), 1 * 5 + 3 * 6);
     EXPECT_DOUBLE_EQ(atb.item(1), 2 * 5 + 4 * 6);
+}
+
+/// Element-wise bitwise equality of two host vectors.
+::testing::AssertionResult same_host_bits(const std::vector<double>& expected,
+                                          const std::vector<double>& actual)
+{
+    if (expected.size() != actual.size()) {
+        return ::testing::AssertionFailure()
+               << "size " << actual.size() << ", expected " << expected.size();
+    }
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        if (std::memcmp(&expected[i], &actual[i], sizeof(double)) != 0) {
+            return ::testing::AssertionFailure()
+                   << "differs at " << i << ": expected " << expected[i]
+                   << ", got " << actual[i];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/// `host` as the tensor of value type V stores it, read back as double.
+template <typename V>
+std::vector<double> stored_as(const std::vector<double>& host)
+{
+    std::vector<double> result;
+    for (const double v : host) {
+        result.push_back(to_float(static_cast<V>(v)));
+    }
+    return result;
+}
+
+TEST(BindApi, TensorHostRoundTripKeepsEveryBit)
+{
+    // 1/3 rounds differently in each type; 65504 is half's largest finite
+    // value; 2^-24 is half's smallest subnormal, 2^-140 a float subnormal
+    // and 2^-1070 a double subnormal.
+    const std::vector<double> host{1.0 / 3.0,
+                                   65504.0,
+                                   std::ldexp(1.0, -24),
+                                   std::ldexp(1.0, -140),
+                                   std::ldexp(1.0, -1070),
+                                   -0.0,
+                                   -2.5,
+                                   7.0};
+    const auto in_half = stored_as<half>(host);
+    EXPECT_EQ(in_half[1], 65504.0);
+    EXPECT_EQ(in_half[2], std::ldexp(1.0, -24));
+    for (const char* dev_name : {"reference", "omp", "cuda"}) {
+        auto dev = bind::device(dev_name);
+        for (const auto& [dt, expected] :
+             {std::pair<const char*, std::vector<double>>{"half", in_half},
+              {"float", stored_as<float>(host)},
+              {"double", host}}) {
+            SCOPED_TRACE(std::string{dev_name} + " " + dt);
+            auto t = bind::as_tensor(dev, host, dim2{4, 2}, dt);
+            EXPECT_TRUE(same_host_bits(expected, t.to_host()));
+            // The import fills row-major: (r, c) is host[2 r + c].
+            EXPECT_EQ(t.item(3, 0), expected[6]);
+            // A second export is a fresh vector, not the first one moved.
+            EXPECT_TRUE(same_host_bits(expected, t.to_host()));
+        }
+    }
+}
+
+TEST(BindApi, EmptyTensorsExportNothing)
+{
+    auto dev = bind::device("omp");
+    for (const char* dt : {"half", "float", "double"}) {
+        for (const dim2 dims : {dim2{0, 3}, dim2{3, 0}, dim2{0, 0}}) {
+            auto filled = bind::as_tensor(dev, dims, dt, 1.0);
+            EXPECT_EQ(filled.shape(), dims);
+            EXPECT_TRUE(filled.to_host().empty()) << dt;
+            auto imported = bind::as_tensor(dev, std::vector<double>{}, dims,
+                                            dt);
+            EXPECT_EQ(imported.shape(), dims);
+            EXPECT_TRUE(imported.to_host().empty()) << dt;
+        }
+    }
+}
+
+TEST(BindApi, ViewsExportTheirOwnElements)
+{
+    auto dev = bind::device("reference");
+    double buffer[6] = {1, 2, 3, 4, 5, 6};
+    auto view = bind::from_buffer(dev, buffer, dim2{3, 2});
+    buffer[3] = -4.0;
+    EXPECT_TRUE(same_host_bits({1, 2, 3, -4, 5, 6}, view.to_host()));
+
+    // A strided view (columns 1 and 2 of a 3 x 4 block) exports only its
+    // own columns, row-major.
+    double block[12] = {0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23};
+    auto strided = bind::Tensor::wrap(
+        dtype::f64,
+        std::shared_ptr<LinOp>{Dense<double>::create_view(
+            dev.executor(), dim2{3, 2}, block + 1, 4)});
+    EXPECT_TRUE(same_host_bits({1, 2, 11, 12, 21, 22}, strided.to_host()));
+}
+
+template <typename V>
+void expect_binding_products_match_dense(const bind::Device& dev,
+                                         const char* dt)
+{
+    std::mt19937_64 engine{21};
+    std::uniform_real_distribution<double> dist{-1.0, 1.0};
+    auto random = [&](dim2 dims) {
+        std::vector<double> host(static_cast<std::size_t>(dims.area()));
+        for (auto& v : host) {
+            v = dist(engine);
+        }
+        return bind::as_tensor(dev, host, dims, dt);
+    };
+    auto dense = [](const bind::Tensor& t) {
+        return std::static_pointer_cast<Dense<V>>(t.op());
+    };
+    for (const dim2 shape :
+         {dim2{300, 8}, dim2{300, 1}, dim2{37, 9}, dim2{37, 3}}) {
+        const auto m = shape.rows;
+        const auto k = shape.cols;
+        auto a = random(shape);
+        for (const size_type n : {1, 3, 8, 17}) {
+            SCOPED_TRACE(std::string{dt} + " " + std::to_string(m) + "x" +
+                         std::to_string(k) + " n " + std::to_string(n));
+            auto b = random(dim2{k, n});
+            auto direct = Dense<V>::create(dev.executor(), dim2{m, n});
+            dense(a)->apply(dense(b).get(), direct.get());
+            auto via_binding = a.matmul(b);
+            EXPECT_TRUE(same_host_bits(
+                bind::Tensor::wrap(a.value_type(), std::move(direct))
+                    .to_host(),
+                via_binding.to_host()))
+                << "matmul";
+
+            auto c = random(dim2{m, n});
+            auto direct_t = Dense<V>::create(dev.executor(), dim2{k, n});
+            dense(a)->transpose_apply(dense(c).get(), direct_t.get());
+            auto via_binding_t = a.t_matmul(c);
+            EXPECT_TRUE(same_host_bits(
+                bind::Tensor::wrap(a.value_type(), std::move(direct_t))
+                    .to_host(),
+                via_binding_t.to_host()))
+                << "t_matmul";
+        }
+    }
+}
+
+TEST(BindApi, MatmulAndTransposeMatmulEqualDirectDenseCalls)
+{
+    for (const char* dev_name : {"reference", "omp"}) {
+        auto dev = bind::device(dev_name);
+        expect_binding_products_match_dense<half>(dev, "half");
+        expect_binding_products_match_dense<float>(dev, "float");
+        expect_binding_products_match_dense<double>(dev, "double");
+    }
 }
 
 TEST(BindApi, HalfAndFloatTensorsDispatchCorrectly)

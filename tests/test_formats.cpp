@@ -664,6 +664,295 @@ TEST(Csr, MultiColumnSpmvMatchesReferenceBitwise)
     }
 }
 
+// --- Block kernels keep their summation order ------------------------------
+//
+// gemm, gemv_t and the n x k CSR body keep tiles of outputs in local
+// accumulators.  Each output must still be the sum of its terms in
+// ascending reduction index, accumulated in accumulate_t, on every
+// executor, thread count, tile tail and operand layout: the expected
+// values below come from test-local loops in that order.
+
+constexpr size_type block_column_counts[] = {1, 2, 3, 7, 8, 9, 16, 17, 33};
+constexpr size_type block_inner_dims[] = {1, 8, 31};
+
+/// The four backends plus OpenMP on one thread (all_executors() has it on
+/// four), by name.
+std::vector<std::pair<std::string, std::shared_ptr<Executor>>>
+block_executors()
+{
+    std::vector<std::pair<std::string, std::shared_ptr<Executor>>> result;
+    const auto execs = test::all_executors();
+    const auto names = test::all_executor_names();
+    for (std::size_t i = 0; i < execs.size(); ++i) {
+        result.emplace_back(names[i], execs[i]);
+    }
+    result.emplace_back("omp1", OmpExecutor::create(1));
+    return result;
+}
+
+template <typename V>
+std::unique_ptr<Dense<V>> random_dense(std::shared_ptr<const Executor> exec,
+                                       dim2 size, std::uint64_t seed)
+{
+    std::mt19937_64 engine{seed};
+    std::uniform_real_distribution<double> dist{-1.0, 1.0};
+    auto m = Dense<V>::create(std::move(exec), size);
+    for (size_type r = 0; r < size.rows; ++r) {
+        for (size_type c = 0; c < size.cols; ++c) {
+            m->at(r, c) = static_cast<V>(dist(engine));
+        }
+    }
+    return m;
+}
+
+enum class layout { contiguous, row_block, basis };
+
+/// A random operand and the block that holds it.  `row_block` is rows
+/// [1, rows + 1) of a block three columns wider, from column 1 (a column
+/// view when one column wide); `basis` is the first columns of a
+/// 34-column block, the view GMRES with restart 33 takes of its basis.
+template <typename V>
+struct Operand {
+    std::unique_ptr<Dense<V>> block;
+    std::unique_ptr<Dense<V>> view;
+
+    Operand(std::shared_ptr<const Executor> exec, dim2 size, layout l,
+            std::uint64_t seed)
+    {
+        if (l == layout::contiguous) {
+            block = random_dense<V>(exec, size, seed);
+            view = block->row_block_view(0, size.rows);
+        } else if (l == layout::row_block) {
+            block = random_dense<V>(
+                exec, dim2{size.rows + 2, size.cols + 3}, seed);
+            auto rows = block->row_block_view(1, size.rows + 1);
+            view = size.cols == 1
+                       ? rows->column_view(1)
+                       : Dense<V>::create_view(exec, size,
+                                               rows->get_values() + 1,
+                                               rows->get_stride());
+        } else {
+            block = random_dense<V>(exec, dim2{size.rows, 34}, seed);
+            view = Dense<V>::create_view(exec, size, block->get_values(), 34);
+        }
+    }
+
+    Dense<V>* get() const { return view.get(); }
+};
+
+/// Runs `run` on `x` and checks x's whole block bitwise: each entry (i, j)
+/// of the view must read `expect(i, j, before)` and every entry around the
+/// view must be unchanged.
+template <typename V, typename Run, typename Expect>
+::testing::AssertionResult writes_exactly(const Operand<V>& x, Run run,
+                                          Expect expect)
+{
+    auto expected = x.block->clone();
+    const auto offset = x.get()->get_values() - x.block->get_values();
+    const auto row0 = offset / x.block->get_stride();
+    const auto col0 = offset % x.block->get_stride();
+    for (size_type i = 0; i < x.get()->get_size().rows; ++i) {
+        for (size_type j = 0; j < x.get()->get_size().cols; ++j) {
+            auto& e = expected->at(row0 + i, col0 + j);
+            e = expect(i, j, e);
+        }
+    }
+    run(x.get());
+    return same_bits(expected.get(), x.block.get());
+}
+
+/// Checks plain x = op(b), advanced with beta == 0 into a NaN-filled x
+/// (which must not be read), and advanced with beta != 0 against
+/// `sum(i, j)`, the output's terms added in ascending order.
+template <typename V, typename Plain, typename Advanced, typename Sum>
+void check_applies(const Operand<V>& x, Plain plain, Advanced advanced,
+                   Sum sum)
+{
+    const auto exec = x.get()->get_executor();
+    const V alpha = static_cast<V>(0.75);
+    const V beta = static_cast<V>(-1.5);
+    auto alpha_op = Dense<V>::create_scalar(exec, alpha);
+    auto beta_op = Dense<V>::create_scalar(exec, beta);
+    auto zero_op = Dense<V>::create_scalar(exec, zero<V>());
+    EXPECT_TRUE(writes_exactly(
+        x, plain, [&](size_type i, size_type j, V) { return sum(i, j); }))
+        << "plain";
+    x.get()->fill(std::numeric_limits<V>::quiet_NaN());
+    EXPECT_TRUE(writes_exactly(
+        x,
+        [&](Dense<V>* out) {
+            advanced(alpha_op.get(), zero_op.get(), out);
+        },
+        [&](size_type i, size_type j, V) { return alpha * sum(i, j); }))
+        << "beta == 0";
+    EXPECT_TRUE(writes_exactly(
+        x,
+        [&](Dense<V>* out) {
+            advanced(alpha_op.get(), beta_op.get(), out);
+        },
+        [&](size_type i, size_type j, V old) {
+            return alpha * sum(i, j) + beta * old;
+        }))
+        << "beta != 0";
+}
+
+/// Sum of term(l) for l = 0, 1, ..., len - 1, accumulated in accumulate_t.
+template <typename V, typename Term>
+V ascending_sum(size_type len, Term term)
+{
+    using acc_t = accumulate_t<V>;
+    acc_t acc{};
+    for (size_type l = 0; l < len; ++l) {
+        acc += term(l);
+    }
+    return V{acc};
+}
+
+template <typename V>
+class BlockKernelOrder : public ::testing::Test {};
+
+using BlockValueTypes = ::testing::Types<half, float, double>;
+TYPED_TEST_SUITE(BlockKernelOrder, BlockValueTypes);
+
+TYPED_TEST(BlockKernelOrder, GemmAddsTermsInAscendingOrder)
+{
+    using V = TypeParam;
+    using acc_t = accumulate_t<V>;
+    const size_type m = 37;
+    for (const auto& [name, exec] : block_executors()) {
+        for (const bool strided : {false, true}) {
+            for (const auto k : block_inner_dims) {
+                for (const auto n : block_column_counts) {
+                    SCOPED_TRACE(name + (strided ? " strided" : " contiguous") +
+                                 " k " + std::to_string(k) + " n " +
+                                 std::to_string(n));
+                    const Operand<V> a{exec, dim2{m, k},
+                                       strided ? layout::basis
+                                               : layout::contiguous,
+                                       1};
+                    const Operand<V> b{exec, dim2{k, n},
+                                       strided ? layout::row_block
+                                               : layout::contiguous,
+                                       2};
+                    const Operand<V> x{exec, dim2{m, n},
+                                       strided ? layout::row_block
+                                               : layout::contiguous,
+                                       3};
+                    check_applies(
+                        x, [&](Dense<V>* out) { a.get()->apply(b.get(), out); },
+                        [&](const Dense<V>* alpha, const Dense<V>* beta,
+                            Dense<V>* out) {
+                            a.get()->apply(alpha, b.get(), beta, out);
+                        },
+                        [&](size_type i, size_type j) {
+                            return ascending_sum<V>(k, [&](size_type l) {
+                                return static_cast<acc_t>(a.get()->at(i, l)) *
+                                       static_cast<acc_t>(b.get()->at(l, j));
+                            });
+                        });
+                }
+            }
+        }
+    }
+}
+
+TYPED_TEST(BlockKernelOrder, GemvTAddsTermsInAscendingOrder)
+{
+    using V = TypeParam;
+    using acc_t = accumulate_t<V>;
+    for (const auto& [name, exec] : block_executors()) {
+        for (const bool strided : {false, true}) {
+            for (const auto m : block_inner_dims) {
+                for (const auto k : block_column_counts) {
+                    for (const auto n : block_column_counts) {
+                        SCOPED_TRACE(name +
+                                     (strided ? " strided" : " contiguous") +
+                                     " m " + std::to_string(m) + " k " +
+                                     std::to_string(k) + " n " +
+                                     std::to_string(n));
+                        const Operand<V> a{exec, dim2{m, k},
+                                           strided ? layout::basis
+                                                   : layout::contiguous,
+                                           4};
+                        const Operand<V> b{exec, dim2{m, n},
+                                           strided ? layout::row_block
+                                                   : layout::contiguous,
+                                           5};
+                        const Operand<V> x{exec, dim2{k, n},
+                                           strided ? layout::row_block
+                                                   : layout::contiguous,
+                                           6};
+                        x.get()->fill(std::numeric_limits<V>::quiet_NaN());
+                        EXPECT_TRUE(writes_exactly(
+                            x,
+                            [&](Dense<V>* out) {
+                                a.get()->transpose_apply(b.get(), out);
+                            },
+                            [&](size_type i, size_type j, V) {
+                                return ascending_sum<V>(m, [&](size_type l) {
+                                    return static_cast<acc_t>(
+                                               a.get()->at(l, i)) *
+                                           static_cast<acc_t>(
+                                               b.get()->at(l, j));
+                                });
+                            }));
+                    }
+                }
+            }
+        }
+    }
+}
+
+template <typename V, typename I>
+void check_csr_block_order()
+{
+    using acc_t = accumulate_t<V>;
+    const size_type n = 64;
+    for (const auto& data :
+         {one_long_row<V, I>(n), test::random_sparse<V, I>(n, 6)}) {
+        auto mats = csr_on_every_split(data);
+        mats.emplace_back("reference", Csr<V, I>::create_from_data(
+                                           ReferenceExecutor::create(), data));
+        for (const auto& [name, mat] : mats) {
+            const auto* values = mat->get_const_values();
+            const auto* col_idxs = mat->get_const_col_idxs();
+            const auto* row_ptrs = mat->get_const_row_ptrs();
+            const auto exec = mat->get_executor();
+            for (const bool strided : {false, true}) {
+                const auto l = strided ? layout::row_block : layout::contiguous;
+                for (const auto cols : block_column_counts) {
+                    SCOPED_TRACE(name + (strided ? " strided" : " contiguous") +
+                                 " cols " + std::to_string(cols));
+                    const Operand<V> b{exec, dim2{n, cols}, l, 7};
+                    const Operand<V> x{exec, dim2{n, cols}, l, 8};
+                    check_applies(
+                        x, [&](Dense<V>* out) { mat->apply(b.get(), out); },
+                        [&](const Dense<V>* alpha, const Dense<V>* beta,
+                            Dense<V>* out) {
+                            mat->apply(alpha, b.get(), beta, out);
+                        },
+                        [&](size_type i, size_type j) {
+                            const auto begin = row_ptrs[i];
+                            return ascending_sum<V>(
+                                row_ptrs[i + 1] - begin, [&](size_type e) {
+                                    return static_cast<acc_t>(
+                                               values[begin + e]) *
+                                           static_cast<acc_t>(b.get()->at(
+                                               col_idxs[begin + e], j));
+                                });
+                        });
+                }
+            }
+        }
+    }
+}
+
+TYPED_TEST(BlockKernelOrder, CsrSpmvAddsTermsInAscendingOrder)
+{
+    check_csr_block_order<TypeParam, int32>();
+    check_csr_block_order<TypeParam, int64>();
+}
+
 TEST(Csr, SortByColumnIndex)
 {
     auto exec = ReferenceExecutor::create();
