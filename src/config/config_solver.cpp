@@ -543,18 +543,22 @@ solve_report apply_solver(const Json& config,
             using V = typename decltype(v)::type;
             auto b = Dense<V>::create(exec, dim2{rows, 1});
             auto x = Dense<V>::create(exec, dim2{rows, 1});
+            V* b_values = b->get_values();
+            V* x_values = x->get_values();
+            const auto b_stride = b->get_stride();
+            const auto x_stride = x->get_stride();
             for (size_type r = 0; r < rows; ++r) {
-                b->at(r, 0) = static_cast<V>(rhs[r]);
-                x->at(r, 0) = initial_guess.empty()
-                                  ? zero<V>()
-                                  : static_cast<V>(initial_guess[r]);
+                b_values[r * b_stride] = static_cast<V>(rhs[r]);
+                x_values[r * x_stride] = initial_guess.empty()
+                                             ? zero<V>()
+                                             : static_cast<V>(initial_guess[r]);
             }
             solver->apply(b.get(), x.get());
             solve_report report;
             report.solution.resize(rows);
             for (size_type r = 0; r < rows; ++r) {
                 report.solution[r] =
-                    static_cast<double>(to_float(x->at(r, 0)));
+                    static_cast<double>(to_float(x_values[r * x_stride]));
             }
             // The convergence log lives on the typed iterative solver; a
             // config "reorder" key wraps it in a ReorderedLinOp whose

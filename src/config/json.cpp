@@ -1,10 +1,12 @@
 #include "config/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
+
+#include "core/text_number.hpp"
 
 namespace mgko::config {
 
@@ -183,7 +185,12 @@ private:
                 if (pos_ + 4 > text_.size()) {
                     fail("truncated \\u escape");
                 }
-                const auto code = std::stoul(text_.substr(pos_, 4), nullptr, 16);
+                unsigned code = 0;
+                const char* hex = text_.data() + pos_;
+                const auto parsed = std::from_chars(hex, hex + 4, code, 16);
+                if (parsed.ptr != hex + 4 || parsed.ec != std::errc{}) {
+                    fail("invalid \\u escape");
+                }
                 pos_ += 4;
                 // Basic multilingual plane only; encode as UTF-8.
                 if (code < 0x80) {
@@ -214,7 +221,7 @@ private:
         }
         while (pos_ < text_.size()) {
             const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
+            if (c >= '0' && c <= '9') {
                 ++pos_;
             } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
                        c == '-') {
@@ -224,24 +231,21 @@ private:
                 break;
             }
         }
-        const auto token = text_.substr(start, pos_ - start);
-        if (token.empty() || token == "-") {
+        const char* first = text_.data() + start;
+        const char* last = text_.data() + pos_;
+        if (first == last || (last - first == 1 && *first == '-')) {
             fail("invalid number");
         }
-        errno = 0;
-        char* end = nullptr;
-        if (is_real) {
-            const double v = std::strtod(token.c_str(), &end);
-            if (end != token.c_str() + token.size()) {
-                fail("invalid number: " + token);
-            }
-            return Json{v};
+        // An integer outside int64 is the real it spells.
+        std::int64_t i = 0;
+        if (!is_real && parse_int_token(first, last, i)) {
+            return Json{i};
         }
-        const long long v = std::strtoll(token.c_str(), &end, 10);
-        if (end != token.c_str() + token.size()) {
-            fail("invalid number: " + token);
+        double v = 0.0;
+        if (!parse_real_token(first, last, v)) {
+            fail("invalid number: " + std::string{first, last});
         }
-        return Json{static_cast<std::int64_t>(v)};
+        return Json{v};
     }
 
     const std::string& text_;
@@ -297,23 +301,34 @@ void dump_impl(std::string& out, const Json& value, int indent, int depth)
     case Json::kind::boolean:
         out += value.as_bool() ? "true" : "false";
         break;
-    case Json::kind::integer:
-        out += std::to_string(value.as_int());
+    case Json::kind::integer: {
+        char buffer[24];
+        out.append(buffer,
+                   std::to_chars(buffer, buffer + sizeof(buffer),
+                                 value.as_int())
+                       .ptr);
         break;
+    }
     case Json::kind::real: {
+        const double v = value.as_double();
         // JSON has no NaN or infinity; they are written as null.
-        if (!std::isfinite(value.as_double())) {
+        if (!std::isfinite(v)) {
             out += "null";
             break;
         }
+        // to_chars(general, 17) prints what printf("%.17g") prints, in
+        // place and without a format string to interpret.
         char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%.17g", value.as_double());
-        std::string s{buffer};
+        char* end = std::to_chars(buffer, buffer + sizeof(buffer), v,
+                                  std::chars_format::general, 17)
+                        .ptr;
+        out.append(buffer, end);
         // Keep reals recognizable as reals.
-        if (s.find_first_of(".eE") == std::string::npos) {
-            s += ".0";
+        if (std::find_if(buffer, end, [](char c) {
+                return c == '.' || c == 'e';
+            }) == end) {
+            out += ".0";
         }
-        out += s;
         break;
     }
     case Json::kind::string:
@@ -355,6 +370,21 @@ void dump_impl(std::string& out, const Json& value, int indent, int depth)
 }
 
 }  // namespace
+
+
+std::int64_t Json::real_as_int(double v)
+{
+    // [-2^63, 2^63) holds every double whose truncation fits int64; NaN
+    // fails both comparisons.
+    if (!(v >= -0x1p63 && v < 0x1p63)) {
+        char buffer[32];
+        char* end = std::to_chars(buffer, buffer + sizeof(buffer), v).ptr;
+        throw BadParameter(__FILE__, __LINE__,
+                           "JSON number " + std::string{buffer, end} +
+                               " does not fit a 64-bit integer");
+    }
+    return static_cast<std::int64_t>(v);
+}
 
 
 Json Json::parse(const std::string& text)

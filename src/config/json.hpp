@@ -52,10 +52,12 @@ public:
     bool is_object() const { return get_kind() == kind::object; }
 
     bool as_bool() const { return expect<bool>("boolean"); }
+    /// A real truncates toward zero; one that is not finite or lies
+    /// outside int64 throws BadParameter.
     std::int64_t as_int() const
     {
         if (is_real()) {
-            return static_cast<std::int64_t>(std::get<double>(value_));
+            return real_as_int(std::get<double>(value_));
         }
         return expect<std::int64_t>("integer");
     }
@@ -147,6 +149,8 @@ public:
 private:
     explicit Json(array_t a) : value_{std::move(a)} {}
     explicit Json(object_t o) : value_{std::move(o)} {}
+
+    static std::int64_t real_as_int(double v);
 
     template <typename T>
     const T& expect(const char* what) const

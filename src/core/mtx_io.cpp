@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/exception.hpp"
+#include "core/text_number.hpp"
 
 namespace mgko {
 
@@ -82,6 +85,52 @@ void strip_carriage_return(std::string& line)
     }
 }
 
+bool is_space(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' ||
+           c == '\f';
+}
+
+/// The whitespace-separated fields of one size, entry or value line, read
+/// in place.  A field is read only if all of it is the number: "1.5" is no
+/// index and "2,5" no value.
+class line_fields {
+public:
+    explicit line_fields(const std::string& line)
+        : pos_{line.data()}, end_{line.data() + line.size()}
+    {}
+
+    bool read(int64& value)
+    {
+        const char* first = next_field();
+        return parse_int_token(first, pos_, value);
+    }
+
+    /// A value that overflows to infinity is no value.
+    bool read(double& value)
+    {
+        const char* first = next_field();
+        return parse_real_token(first, pos_, value) && !std::isinf(value);
+    }
+
+private:
+    /// Moves past the next field and returns where it starts.
+    const char* next_field()
+    {
+        while (pos_ != end_ && is_space(*pos_)) {
+            ++pos_;
+        }
+        const char* first = pos_;
+        while (pos_ != end_ && !is_space(*pos_)) {
+            ++pos_;
+        }
+        return first;
+    }
+
+    const char* pos_;
+    const char* end_;
+};
+
 /// Reads the next line that is neither empty nor a comment.
 bool next_content_line(std::istream& stream, std::string& line)
 {
@@ -112,24 +161,34 @@ matrix_data<double, int64> read_mtx(std::istream& stream,
     if (!next_content_line(stream, line)) {
         fail(path, "missing size line");
     }
-    std::istringstream size_line{line};
+    line_fields size_line{line};
     matrix_data<double, int64> data;
     int64 rows = 0, cols = 0, nnz = 0;
     if (h.coordinate) {
-        if (!(size_line >> rows >> cols >> nnz)) {
+        if (!(size_line.read(rows) && size_line.read(cols) &&
+              size_line.read(nnz))) {
             fail(path, "malformed coordinate size line: " + line);
         }
     } else {
-        if (!(size_line >> rows >> cols)) {
+        if (!(size_line.read(rows) && size_line.read(cols))) {
             fail(path, "malformed array size line: " + line);
         }
-        nnz = rows * cols;
     }
     if (rows < 0 || cols < 0 || nnz < 0) {
         fail(path, "negative dimensions");
     }
+    if (!h.coordinate) {
+        if (rows > 0 && cols > std::numeric_limits<int64>::max() / rows) {
+            fail(path, "array size overflows int64: " + line);
+        }
+        nnz = rows * cols;
+    }
     data.size = dim2{rows, cols};
-    data.entries.reserve(static_cast<std::size_t>(nnz));
+    // The size line is outside input: a few bytes must not reserve more
+    // than a large file needs before its entries arrive.
+    constexpr int64 max_reserved_entries = int64{1} << 22;
+    data.entries.reserve(
+        static_cast<std::size_t>(std::min(nnz, max_reserved_entries)));
 
     if (h.coordinate) {
         for (int64 i = 0; i < nnz; ++i) {
@@ -138,14 +197,14 @@ matrix_data<double, int64> read_mtx(std::istream& stream,
                                std::to_string(i) + " of " +
                                std::to_string(nnz));
             }
-            std::istringstream entry_line{line};
+            line_fields entry_line{line};
             int64 r = 0, c = 0;
             double v = 1.0;
-            if (!(entry_line >> r >> c)) {
+            if (!(entry_line.read(r) && entry_line.read(c))) {
                 fail(path, "malformed entry: " + line);
             }
             if (h.field_kind != header::field::pattern &&
-                !(entry_line >> v)) {
+                !entry_line.read(v)) {
                 fail(path, "missing value in entry: " + line);
             }
             // Matrix Market is 1-based.
@@ -189,8 +248,7 @@ matrix_data<double, int64> read_mtx(std::istream& stream,
                     fail(path, "unexpected end of dense data");
                 }
                 double v = 0.0;
-                std::istringstream entry_line{line};
-                if (!(entry_line >> v)) {
+                if (!line_fields{line}.read(v)) {
                     fail(path, "malformed dense value: " + line);
                 }
                 if (v != 0.0) {

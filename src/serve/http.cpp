@@ -468,10 +468,11 @@ std::unique_ptr<HttpServer> HttpServer::start(HttpServerOptions options)
     address.sin_port = htons(static_cast<std::uint16_t>(self.options_.port));
     socklen_t length = sizeof(address);
     auto* raw_address = reinterpret_cast<sockaddr*>(&address);
+    // The kernel backlog is as deep as the system allows, so a burst past
+    // queue_capacity reaches the acceptor and gets its 429 instead of
+    // waiting out a SYN retransmit in the kernel.
     MGKO_ENSURE(::bind(self.listen_fd_, raw_address, length) == 0 &&
-                    ::listen(self.listen_fd_,
-                             static_cast<int>(self.options_.queue_capacity)) ==
-                        0 &&
+                    ::listen(self.listen_fd_, SOMAXCONN) == 0 &&
                     ::getsockname(self.listen_fd_, raw_address, &length) == 0,
                 owner + ": cannot bind port " +
                     std::to_string(self.options_.port));

@@ -164,8 +164,9 @@ struct HttpServerOptions {
     int port{0};  ///< 0 binds an ephemeral port
     std::string owner{"http server"};  ///< names the server in errors
     std::size_t num_workers{1};
-    /// Connections waiting for a worker (also the listen backlog); past it
-    /// the acceptor answers 429 + Retry-After.
+    /// Connections waiting for a worker; past it the acceptor answers
+    /// 429 + Retry-After.  The listen backlog is SOMAXCONN, so saturation
+    /// shows as that status code and not as connect delay.
     std::size_t queue_capacity{16};
     /// Body bound: 413 beyond it, 0 admits no body.  Every server bounds
     /// the header block at 8 KiB (431 beyond it).

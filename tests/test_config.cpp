@@ -1,7 +1,15 @@
 // JSON parser/serializer and generic config-solver tests.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "batch/batch_csr.hpp"
 #include "config/config_solver.hpp"
@@ -106,6 +114,161 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(Json::parse("\"unterminated"), BadParameter);
     EXPECT_THROW(Json::parse("12 34"), BadParameter);
     EXPECT_THROW(Json::parse("tru"), BadParameter);
+}
+
+std::uint64_t bits_of(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+double from_bits(std::uint64_t bits)
+{
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+TEST(Json, NumberTokensKeepTheirKindAndValue)
+{
+    // Odd spellings the parser has always taken, with the kind and value
+    // they have always parsed to.
+    const struct {
+        const char* text;
+        std::int64_t integer;
+    } integers[] = {{"+5", 5}, {"01", 1}, {"-0", 0}, {"00012", 12}};
+    for (const auto& t : integers) {
+        const auto v = Json::parse(t.text);
+        ASSERT_TRUE(v.is_integer()) << t.text;
+        EXPECT_EQ(v.as_int(), t.integer) << t.text;
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    const struct {
+        const char* text;
+        double real;
+    } reals[] = {{"+5.5", 5.5},
+                 {"+.5", 0.5},
+                 {"1.", 1.0},
+                 {".5", 0.5},
+                 {"0.", 0.0},
+                 {"1.e1", 10.0},
+                 {"00.5", 0.5},
+                 {"-0.0", -0.0},
+                 {"1E5", 1e5},
+                 {"1e400", inf},
+                 {"1e99999", inf},
+                 {"-1e400", -inf},
+                 {"1e-400", 0.0},
+                 {"4.9e-324", from_bits(1)},
+                 {"2.5e-320", from_bits(0x13c4)},
+                 // Integers past int64 are the reals they spell.
+                 {"99999999999999999999", 1e20},
+                 {"9223372036854775808", 0x1p63},
+                 {"-9223372036854775809", -0x1p63}};
+    for (const auto& t : reals) {
+        const auto v = Json::parse(t.text);
+        ASSERT_TRUE(v.is_real()) << t.text;
+        EXPECT_EQ(bits_of(v.as_double()), bits_of(t.real)) << t.text;
+    }
+    const auto min = Json::parse("-9223372036854775808");
+    ASSERT_TRUE(min.is_integer());
+    EXPECT_EQ(min.as_int(), std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(Json::parse("[1e400]").dump(), "[null]");
+}
+
+TEST(Json, MalformedNumberTokensThrow)
+{
+    for (const char* text :
+         {"1e5e5", "0x10", "--5", "+-5", "-+5", "5-", "1-2", "-", ".", "-.",
+          ".e1", "1e", "1e+", "1.5.5", "1e5.5", "nan", "inf", "[1,-,2]",
+          "+", "-inf", "1_000"}) {
+        EXPECT_THROW(Json::parse(text), BadParameter) << text;
+    }
+    // \u takes exactly four hexadecimal digits.
+    for (const char* text : {R"("\u12zz")", R"("\u+1ab")", R"("\u-001")",
+                             R"("\u 1ab")", R"("\u12")"}) {
+        EXPECT_THROW(Json::parse(text), BadParameter) << text;
+    }
+    EXPECT_EQ(Json::parse(R"("\u00e9")").as_string(), "\xc3\xa9");
+}
+
+TEST(Json, AsIntTruncatesRealsAndRejectsThoseOutsideInt64)
+{
+    EXPECT_EQ(Json{2.9}.as_int(), 2);
+    EXPECT_EQ(Json{-2.9}.as_int(), -2);
+    EXPECT_EQ(Json{-0x1p63}.as_int(), std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(Json{0x1p62}.as_int(), std::int64_t{1} << 62);
+    for (const double v : {0x1p63, -0x1p64, 1e300, -1e300,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_THROW(Json{v}.as_int(), BadParameter) << v;
+    }
+    try {
+        Json::parse(R"({"max_iters": 1e300})").at("max_iters").as_int();
+        FAIL() << "expected BadParameter";
+    } catch (const BadParameter& e) {
+        EXPECT_NE(std::string{e.what()}.find("1e+300"), std::string::npos)
+            << e.what();
+    }
+}
+
+/// What dump() has always printed for a finite real: printf's "%.17g",
+/// with ".0" appended when that reads as an integer.
+std::string printf_dump(double v)
+{
+    char buffer[40];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+    std::string s{buffer};
+    if (s.find_first_of(".eE") == std::string::npos) {
+        s += ".0";
+    }
+    return s;
+}
+
+TEST(Json, DumpPrintsPrecision17AndParsesBackToTheSameBits)
+{
+    std::vector<double> values = {0.0,
+                                  -0.0,
+                                  from_bits(1),
+                                  -from_bits(1),
+                                  DBL_MIN,
+                                  DBL_MAX,
+                                  -DBL_MAX,
+                                  1.0,
+                                  -3.0,
+                                  1e15,
+                                  1e16,
+                                  1e17,
+                                  123456789012345678.0,
+                                  0.1,
+                                  1.0 / 3.0};
+    for (int e = -320; e <= 308; ++e) {
+        values.push_back(std::pow(10.0, e));
+    }
+    for (std::int64_t i = -1000; i <= 1000; i += 7) {
+        values.push_back(static_cast<double>(i));
+    }
+    std::mt19937_64 rng{20251018};
+    while (values.size() < 100000) {
+        const double v = from_bits(rng());
+        if (std::isfinite(v)) {
+            values.push_back(v);
+        }
+    }
+    int mismatches = 0;
+    for (const double v : values) {
+        const auto text = Json{v}.dump();
+        const auto back = Json::parse(text);
+        const bool same = text == printf_dump(v) && back.is_real() &&
+                          bits_of(back.as_double()) == bits_of(v);
+        if (!same && ++mismatches <= 5) {
+            ADD_FAILURE() << std::hex << bits_of(v) << ": dumped " << text
+                          << ", printf gives " << printf_dump(v);
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Json, ObjectAccessHelpers)

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -1216,6 +1218,115 @@ TEST(MtxIo, RejectsMalformedInput)
         "1 1 1.0\n"};
     EXPECT_THROW(read_mtx(truncated), FileError);
     EXPECT_THROW(read_mtx("/nonexistent/path.mtx"), FileError);
+}
+
+/// One entry line in a 2 x 2 real general file.
+matrix_data<double, int64> read_entry_line(const std::string& entry)
+{
+    std::istringstream input{
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n" + entry +
+        "\n"};
+    return read_mtx(input);
+}
+
+std::uint64_t bits_of(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+TEST(MtxIo, EntryLinesReadTheirRowColumnAndValue)
+{
+    const struct {
+        const char* line;
+        int64 row;
+        int64 col;
+        double value;
+    } cases[] = {{"1 1 +2.5", 0, 0, 2.5},
+                 {"+1 1 2", 0, 0, 2.0},
+                 {"2\t1\t-3", 1, 0, -3.0},
+                 {"   1 2 2", 0, 1, 2.0},
+                 {"1 1 2\r", 0, 0, 2.0},
+                 {"1 1 .5", 0, 0, 0.5},
+                 {"1 1 -.5", 0, 0, -0.5},
+                 {"1 1 1.", 0, 0, 1.0},
+                 {"1 1 00012", 0, 0, 12.0},
+                 {"1 1 2.5e+2", 0, 0, 250.0},
+                 {"1 1 1e-400", 0, 0, 0.0},
+                 {"1 1 4.9e-324", 0, 0, std::numeric_limits<double>::denorm_min()},
+                 // Tokens after the value are ignored.
+                 {"1 1 2.5 extra", 0, 0, 2.5}};
+    for (const auto& c : cases) {
+        const auto data = read_entry_line(c.line);
+        ASSERT_EQ(data.entries.size(), 1u) << c.line;
+        EXPECT_EQ(data.entries[0].row, c.row) << c.line;
+        EXPECT_EQ(data.entries[0].col, c.col) << c.line;
+        EXPECT_EQ(bits_of(data.entries[0].value), bits_of(c.value)) << c.line;
+    }
+}
+
+TEST(MtxIo, MalformedEntryLinesThrowNamingTheFault)
+{
+    const struct {
+        const char* line;
+        const char* what;
+    } cases[] = {{"1 1 1e400", "missing value in entry"},
+                 {"1 1 -1e400", "missing value in entry"},
+                 {"1 1 nan", "missing value in entry"},
+                 {"1 1 inf", "missing value in entry"},
+                 {"1 1 5e", "missing value in entry"},
+                 {"1 1 -", "missing value in entry"},
+                 {"1 1", "missing value in entry"},
+                 // A field must end at whitespace or at the end of the line.
+                 {"1 1 2,5", "missing value in entry"},
+                 {"1 1 0x10", "missing value in entry"},
+                 {"1 1 1e5e5", "missing value in entry"},
+                 {"1 1 +-2", "missing value in entry"},
+                 {"1 1.5 2", "malformed entry"},
+                 {"1.0 1 2", "malformed entry"},
+                 {"+-1 1 2", "malformed entry"},
+                 {"99999999999999999999 1 1", "malformed entry"},
+                 {"9 1 1", "entry index out of bounds"},
+                 {"0 1 1", "entry index out of bounds"}};
+    for (const auto& c : cases) {
+        try {
+            read_entry_line(c.line);
+            ADD_FAILURE() << "accepted " << c.line;
+        } catch (const FileError& e) {
+            EXPECT_NE(std::string{e.what()}.find(c.what), std::string::npos)
+                << c.line << ": " << e.what();
+        }
+    }
+    // Size lines and array values take whole fields too.
+    std::istringstream size_line{
+        "%%MatrixMarket matrix coordinate real general\n2 2 1.5\n1 1 1\n"};
+    EXPECT_THROW(read_mtx(size_line), FileError);
+    std::istringstream dense_value{
+        "%%MatrixMarket matrix array real general\n1 1\n2.5x\n"};
+    EXPECT_THROW(read_mtx(dense_value), FileError);
+}
+
+TEST(MtxIo, HugeSizeLinesThrowFileErrorWithoutAllocating)
+{
+    // rows * cols of an array file would overflow int64.
+    std::istringstream array_size{
+        "%%MatrixMarket matrix array real general\n"
+        "4000000000 4000000000\n1\n"};
+    EXPECT_THROW(read_mtx(array_size), FileError);
+    // A count of 10^12 entries followed by one: the reader runs out of
+    // lines, not of memory.
+    std::istringstream entry_count{
+        "%%MatrixMarket matrix coordinate real general\n"
+        "1 1 1000000000000\n1 1 1\n"};
+    try {
+        read_mtx(entry_count);
+        FAIL() << "expected FileError";
+    } catch (const FileError& e) {
+        EXPECT_NE(std::string{e.what()}.find("unexpected end of file"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(MtxIo, ToleratesWindowsLineEndings)

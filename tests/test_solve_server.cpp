@@ -1156,6 +1156,56 @@ TEST(SolveServer, ProcessWideSwitchKeysAnswer400AndChangeNothing)
 }
 
 
+TEST(SolveServer, NumbersOutsideInt64AndPartialMtxTokensAnswer400)
+{
+    // A real where an integer is read must fit int64 (1e300, or an
+    // integer literal past int64, which parses as the real it spells),
+    // and every Matrix Market field must be a whole number.
+    auto server = serve::SolveServer::start({});
+    const auto post = [&](const std::string& target,
+                          const std::string& body) {
+        serve::HttpRequest request;
+        request.method = "POST";
+        request.target = target;
+        request.body = body;
+        return server->handle(request);
+    };
+    const std::string triplet = laplacian_triplet(4).dump();
+    for (const char* max_iters :
+         {"1e300", "-1e300", "99999999999999999999", "9223372036854775808"}) {
+        const auto response =
+            post("/v1/solve", R"({"triplet": )" + triplet +
+                                  R"(, "config": {"type": "solver::Cg", )"
+                                  R"("reduction_factor": 1e-8, "max_iters": )" +
+                                  max_iters + "}}");
+        EXPECT_EQ(status_of(response), 400) << max_iters << "\n" << response;
+        EXPECT_NE(body_of(response).find("does not fit a 64-bit integer"),
+                  std::string::npos)
+            << response;
+    }
+    for (const char* triplet_body :
+         {R"({"rows": 2, "cols": 2, "entries": [[1e300, 0, 1.0]]})",
+          R"({"rows": 2, "cols": 2, "entries": [[0, -1e19, 1.0]]})",
+          R"({"rows": 9223372036854775808, "cols": 2, "entries": []})"}) {
+        const auto response = post(
+            "/v1/operators", std::string{R"({"triplet": )"} + triplet_body +
+                                 "}");
+        EXPECT_EQ(status_of(response), 400) << triplet_body << "\n"
+                                            << response;
+    }
+    for (const char* entry : {"1 1.5 2", "1 1 2,5", "1 1 0x10"}) {
+        Json upload = Json::make_object();
+        upload["mtx"] = Json{std::string{"%%MatrixMarket matrix coordinate "
+                                         "real general\n2 2 1\n"} +
+                             entry + "\n"};
+        const auto response = post("/v1/operators", upload.dump());
+        EXPECT_EQ(status_of(response), 400) << entry << "\n" << response;
+    }
+    EXPECT_EQ(server->stats().cache_operators, 0u);
+    server->stop();
+}
+
+
 // --- serve::start_from_env ------------------------------------------------
 //
 // start_from_env runs once per process, so each case runs in a fresh

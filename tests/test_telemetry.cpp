@@ -449,9 +449,9 @@ TEST(TelemetryServer, AnswersRetryAfterPastSixteenQueuedScrapes)
     // Half a request pins the only worker until its 1000 ms read deadline
     // (then 408), so of 18 more scrapes at most 16 queue and the rest are
     // answered 429 + Retry-After at once instead of waiting in the kernel
-    // backlog.  On a loaded machine a connect beyond the 16-deep listen
-    // backlog can wait for a SYN retransmit and push the burst past the
-    // deadline; such a round proves nothing and is run again.
+    // backlog.  The listen backlog is SOMAXCONN deep, so no connect waits
+    // for a SYN retransmit; a burst that a loaded machine still pushes past
+    // the deadline proves nothing and is run again.
     const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
     for (int round = 0; round < 3; ++round) {
         auto server = serve::TelemetryServer::start(0);
