@@ -35,6 +35,10 @@ namespace mgko::baselines {
 
 struct Framework {
     std::string name;
+    /// Kernel names of the two SpMV launches, "<name>_csr_spmv" and
+    /// "<name>_coo_spmv"; string literals, as Executor::run requires.
+    const char* csr_spmv_op{"baseline_csr_spmv"};
+    const char* coo_spmv_op{"baseline_coo_spmv"};
     /// Interpreter + dispatch cost per framework-level call [ns].
     double per_call_ns{};
     sim::spmv_strategy csr_strategy{sim::spmv_strategy::serial};
@@ -49,6 +53,8 @@ inline Framework scipy()
 {
     Framework f;
     f.name = "scipy";
+    f.csr_spmv_op = "scipy_csr_spmv";
+    f.coo_spmv_op = "scipy_coo_spmv";
     f.per_call_ns = sim::env_override("MGKO_SIM_SCIPY_CALL_NS", 2500.0);
     f.csr_strategy = sim::spmv_strategy::serial;
     f.coo_strategy = sim::spmv_strategy::serial;
@@ -61,6 +67,8 @@ inline Framework cupy()
 {
     Framework f;
     f.name = "cupy";
+    f.csr_spmv_op = "cupy_csr_spmv";
+    f.coo_spmv_op = "cupy_coo_spmv";
     f.per_call_ns = sim::env_override("MGKO_SIM_CUPY_CALL_NS", 8000.0);
     f.csr_strategy = sim::spmv_strategy::scalar_row;
     f.coo_strategy = sim::spmv_strategy::coo_flat_atomic;
@@ -73,6 +81,8 @@ inline Framework torch()
 {
     Framework f;
     f.name = "torch";
+    f.csr_spmv_op = "torch_csr_spmv";
+    f.coo_spmv_op = "torch_coo_spmv";
     f.per_call_ns = sim::env_override("MGKO_SIM_TORCH_CALL_NS", 6000.0);
     f.csr_strategy = sim::spmv_strategy::coo_flat_atomic;  // sparse COO core
     f.coo_strategy = sim::spmv_strategy::coo_flat_atomic;
@@ -83,6 +93,8 @@ inline Framework tensorflow()
 {
     Framework f;
     f.name = "tensorflow";
+    f.csr_spmv_op = "tensorflow_csr_spmv";
+    f.coo_spmv_op = "tensorflow_coo_spmv";
     f.per_call_ns = sim::env_override("MGKO_SIM_TF_CALL_NS", 12000.0);
     f.csr_strategy = sim::spmv_strategy::coo_gather_scatter;
     f.coo_strategy = sim::spmv_strategy::coo_gather_scatter;
@@ -149,17 +161,11 @@ void spmv(const Framework& fw, const Csr<V, I>* a, const Dense<V>* b,
 {
     auto exec = a->get_executor();
     exec->clock().tick(fw.per_call_ns);
-    auto run_kernel = [&](const Executor* e) {
+    exec->run(fw.csr_spmv_op, [&](const Executor* e) {
         detail::csr_spmv_compute(a, b, x);
         kernels::tick(e, a->spmv_profile(fw.csr_strategy, e->model(),
                                          b->get_size().cols, false));
-    };
-    exec->run(make_operation(
-        (fw.name + "_csr_spmv").c_str(),
-        [&](const ReferenceExecutor* e) { run_kernel(e); },
-        [&](const OmpExecutor* e) { run_kernel(e); },
-        [&](const CudaExecutor* e) { run_kernel(e); },
-        [&](const HipExecutor* e) { run_kernel(e); }));
+    });
 }
 
 
@@ -170,17 +176,11 @@ void spmv(const Framework& fw, const Coo<V, I>* a, const Dense<V>* b,
 {
     auto exec = a->get_executor();
     exec->clock().tick(fw.per_call_ns);
-    auto run_kernel = [&](const Executor* e) {
+    exec->run(fw.coo_spmv_op, [&](const Executor* e) {
         detail::coo_spmv_compute(a, b, x);
         kernels::tick(e, a->spmv_profile(fw.coo_strategy, e->model(),
                                          b->get_size().cols, false));
-    };
-    exec->run(make_operation(
-        (fw.name + "_coo_spmv").c_str(),
-        [&](const ReferenceExecutor* e) { run_kernel(e); },
-        [&](const OmpExecutor* e) { run_kernel(e); },
-        [&](const CudaExecutor* e) { run_kernel(e); },
-        [&](const HipExecutor* e) { run_kernel(e); }));
+    });
 }
 
 

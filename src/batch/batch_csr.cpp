@@ -9,21 +9,6 @@
 
 namespace mgko::batch {
 
-namespace {
-
-template <typename Fn>
-void run_uniform(const Executor* exec, const char* name, Fn fn)
-{
-    exec->run(make_operation(
-        name, [&](const ReferenceExecutor* e) { fn(e); },
-        [&](const OmpExecutor* e) { fn(e); },
-        [&](const CudaExecutor* e) { fn(e); },
-        [&](const HipExecutor* e) { fn(e); }));
-}
-
-}  // namespace
-
-
 template <typename ValueType, typename IndexType>
 Csr<ValueType, IndexType>::Csr(std::shared_ptr<const Executor> exec,
                                batch_dim size, size_type nnz)
@@ -106,8 +91,8 @@ void Csr<ValueType, IndexType>::apply_raw(const std::uint8_t* active,
     const auto nnz = get_num_stored_elements_per_system();
     const auto active_systems =
         kernels::batch::count_active(active, get_num_systems());
-    run_uniform(get_executor().get(), "batch_csr_spmv", [&](const Executor* e) {
-        kernels::batch::csr_spmv(kernels::exec_threads(e), get_num_systems(),
+    get_executor()->run("batch_csr_spmv", [&](const Executor* e) {
+        kernels::batch::csr_spmv(e->real_threads(), get_num_systems(),
                                  active, get_const_row_ptrs(),
                                  get_const_col_idxs(), get_const_values(),
                                  rows, nnz, b, x);
@@ -132,22 +117,21 @@ void Csr<ValueType, IndexType>::residual_raw(const std::uint8_t* active,
     const auto nnz = get_num_stored_elements_per_system();
     const auto active_systems =
         kernels::batch::count_active(active, get_num_systems());
-    run_uniform(
-        get_executor().get(), "batch_csr_residual", [&](const Executor* e) {
-            kernels::batch::csr_residual(
-                kernels::exec_threads(e), get_num_systems(), active,
-                get_const_row_ptrs(), get_const_col_idxs(), get_const_values(),
-                rows, nnz, b, x, r);
-            kernels::tick(
-                e,
-                kernels::batch::batch_stream_profile(
-                    active_systems,
-                    static_cast<double>(nnz) *
-                            (sizeof(ValueType) + sizeof(IndexType)) +
-                        3.0 * static_cast<double>(rows) * sizeof(ValueType),
-                    2.0 * static_cast<double>(nnz) +
-                        static_cast<double>(rows)));
-        });
+    get_executor()->run("batch_csr_residual", [&](const Executor* e) {
+        kernels::batch::csr_residual(
+            e->real_threads(), get_num_systems(), active,
+            get_const_row_ptrs(), get_const_col_idxs(), get_const_values(),
+            rows, nnz, b, x, r);
+        kernels::tick(
+            e,
+            kernels::batch::batch_stream_profile(
+                active_systems,
+                static_cast<double>(nnz) *
+                        (sizeof(ValueType) + sizeof(IndexType)) +
+                    3.0 * static_cast<double>(rows) * sizeof(ValueType),
+                2.0 * static_cast<double>(nnz) +
+                    static_cast<double>(rows)));
+    });
 }
 
 

@@ -8,21 +8,6 @@
 
 namespace mgko::batch {
 
-namespace {
-
-template <typename Fn>
-void run_uniform(const Executor* exec, const char* name, Fn fn)
-{
-    exec->run(make_operation(
-        name, [&](const ReferenceExecutor* e) { fn(e); },
-        [&](const OmpExecutor* e) { fn(e); },
-        [&](const CudaExecutor* e) { fn(e); },
-        [&](const HipExecutor* e) { fn(e); }));
-}
-
-}  // namespace
-
-
 template <typename ValueType>
 Dense<ValueType>::Dense(std::shared_ptr<const Executor> exec, batch_dim size)
     : BatchLinOp{exec, size},
@@ -156,20 +141,19 @@ void Dense<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
     const auto rows = get_common_size().rows;
     const auto cols = get_common_size().cols;
     const auto vec_cols = batch_b->get_common_size().cols;
-    run_uniform(
-        get_executor().get(), "batch_dense_apply", [&](const Executor* e) {
-            kernels::batch::dense_apply(
-                kernels::exec_threads(e), get_num_systems(), nullptr,
-                get_const_values(), rows, cols, batch_b->get_const_values(),
-                vec_cols, batch_x->get_values());
-            kernels::tick(
-                e, kernels::batch::batch_stream_profile(
-                       get_num_systems(),
-                       static_cast<double>(
-                           (rows * cols + cols * vec_cols + rows * vec_cols) *
-                           sizeof(ValueType)),
-                       2.0 * static_cast<double>(rows * cols * vec_cols)));
-        });
+    get_executor()->run("batch_dense_apply", [&](const Executor* e) {
+        kernels::batch::dense_apply(
+            e->real_threads(), get_num_systems(), nullptr,
+            get_const_values(), rows, cols, batch_b->get_const_values(),
+            vec_cols, batch_x->get_values());
+        kernels::tick(
+            e, kernels::batch::batch_stream_profile(
+                   get_num_systems(),
+                   static_cast<double>(
+                       (rows * cols + cols * vec_cols + rows * vec_cols) *
+                       sizeof(ValueType)),
+                   2.0 * static_cast<double>(rows * cols * vec_cols)));
+    });
 }
 
 
@@ -182,19 +166,18 @@ void Dense<ValueType>::apply_raw(const std::uint8_t* active,
     const auto rows = get_common_size().rows;
     const auto active_systems =
         kernels::batch::count_active(active, get_num_systems());
-    run_uniform(
-        get_executor().get(), "batch_dense_apply", [&](const Executor* e) {
-            kernels::batch::dense_apply(kernels::exec_threads(e),
-                                        get_num_systems(), active,
-                                        get_const_values(), rows, rows, b,
-                                        size_type{1}, x);
-            kernels::tick(
-                e, kernels::batch::batch_stream_profile(
-                       active_systems,
-                       static_cast<double>((rows * rows + 2 * rows) *
-                                           sizeof(ValueType)),
-                       2.0 * static_cast<double>(rows * rows)));
-        });
+    get_executor()->run("batch_dense_apply", [&](const Executor* e) {
+        kernels::batch::dense_apply(e->real_threads(),
+                                    get_num_systems(), active,
+                                    get_const_values(), rows, rows, b,
+                                    size_type{1}, x);
+        kernels::tick(
+            e, kernels::batch::batch_stream_profile(
+                   active_systems,
+                   static_cast<double>((rows * rows + 2 * rows) *
+                                       sizeof(ValueType)),
+                   2.0 * static_cast<double>(rows * rows)));
+    });
 }
 
 
@@ -208,19 +191,18 @@ void Dense<ValueType>::residual_raw(const std::uint8_t* active,
     const auto rows = get_common_size().rows;
     const auto active_systems =
         kernels::batch::count_active(active, get_num_systems());
-    run_uniform(
-        get_executor().get(), "batch_dense_residual", [&](const Executor* e) {
-            kernels::batch::dense_residual(kernels::exec_threads(e),
-                                           get_num_systems(), active,
-                                           get_const_values(), rows, b, x, r);
-            kernels::tick(
-                e, kernels::batch::batch_stream_profile(
-                       active_systems,
-                       static_cast<double>((rows * rows + 3 * rows) *
-                                           sizeof(ValueType)),
-                       2.0 * static_cast<double>(rows * rows) +
-                           static_cast<double>(rows)));
-        });
+    get_executor()->run("batch_dense_residual", [&](const Executor* e) {
+        kernels::batch::dense_residual(e->real_threads(),
+                                       get_num_systems(), active,
+                                       get_const_values(), rows, b, x, r);
+        kernels::tick(
+            e, kernels::batch::batch_stream_profile(
+                   active_systems,
+                   static_cast<double>((rows * rows + 3 * rows) *
+                                       sizeof(ValueType)),
+                   2.0 * static_cast<double>(rows * rows) +
+                       static_cast<double>(rows)));
+    });
 }
 
 

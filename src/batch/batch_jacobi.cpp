@@ -12,17 +12,6 @@ namespace mgko::batch {
 
 namespace {
 
-template <typename Fn>
-void run_uniform(const Executor* exec, const char* name, Fn fn)
-{
-    exec->run(make_operation(
-        name, [&](const ReferenceExecutor* e) { fn(e); },
-        [&](const OmpExecutor* e) { fn(e); },
-        [&](const CudaExecutor* e) { fn(e); },
-        [&](const HipExecutor* e) { fn(e); }));
-}
-
-
 /// Extracts the inverted per-system diagonals of a shared-pattern batch CSR.
 template <typename V, typename I>
 bool extract_inv_diag_csr(const BatchLinOp* system, array<V>& inv_diag)
@@ -86,17 +75,16 @@ void Jacobi<ValueType>::apply_raw(const std::uint8_t* active,
     const auto n = get_common_size().rows;
     const auto active_systems =
         kernels::batch::count_active(active, get_num_systems());
-    run_uniform(
-        get_executor().get(), "batch_jacobi_apply", [&](const Executor* e) {
-            kernels::batch::jacobi_apply(kernels::exec_threads(e),
-                                         get_num_systems(), active,
-                                         inv_diag_.get_const_data(), b, x, n);
-            kernels::tick(e, kernels::batch::batch_stream_profile(
-                                 active_systems,
-                                 3.0 * static_cast<double>(n) *
-                                     sizeof(ValueType),
-                                 static_cast<double>(n)));
-        });
+    get_executor()->run("batch_jacobi_apply", [&](const Executor* e) {
+        kernels::batch::jacobi_apply(e->real_threads(),
+                                     get_num_systems(), active,
+                                     inv_diag_.get_const_data(), b, x, n);
+        kernels::tick(e, kernels::batch::batch_stream_profile(
+                             active_systems,
+                             3.0 * static_cast<double>(n) *
+                                 sizeof(ValueType),
+                             static_cast<double>(n)));
+    });
 }
 
 
@@ -107,29 +95,28 @@ void Jacobi<ValueType>::residual_raw(const std::uint8_t* active,
 {
     const auto n = get_common_size().rows;
     const auto num = get_num_systems();
-    run_uniform(
-        get_executor().get(), "batch_jacobi_residual", [&](const Executor* e) {
-            const auto nt = kernels::exec_threads(e);
-            const auto* inv_diag = inv_diag_.get_const_data();
+    get_executor()->run("batch_jacobi_residual", [&](const Executor* e) {
+        const auto nt = e->real_threads();
+        const auto* inv_diag = inv_diag_.get_const_data();
 #pragma omp parallel for num_threads(nt) if (nt > 1)
-            for (size_type s = 0; s < num; ++s) {
-                if (active != nullptr && !active[s]) {
-                    continue;
-                }
-                for (size_type i = 0; i < n; ++i) {
-                    const auto idx = s * n + i;
-                    // The stored data is the inverse diagonal, so the
-                    // operator's diagonal entry is its reciprocal.
-                    r[idx] = b[idx] -
-                             safe_reciprocal(inv_diag[idx]) * x[idx];
-                }
+        for (size_type s = 0; s < num; ++s) {
+            if (active != nullptr && !active[s]) {
+                continue;
             }
-            kernels::tick(
-                e, kernels::batch::batch_stream_profile(
-                       kernels::batch::count_active(active, num),
-                       4.0 * static_cast<double>(n) * sizeof(ValueType),
-                       2.0 * static_cast<double>(n)));
-        });
+            for (size_type i = 0; i < n; ++i) {
+                const auto idx = s * n + i;
+                // The stored data is the inverse diagonal, so the
+                // operator's diagonal entry is its reciprocal.
+                r[idx] = b[idx] -
+                         safe_reciprocal(inv_diag[idx]) * x[idx];
+            }
+        }
+        kernels::tick(
+            e, kernels::batch::batch_stream_profile(
+                   kernels::batch::count_active(active, num),
+                   4.0 * static_cast<double>(n) * sizeof(ValueType),
+                   2.0 * static_cast<double>(n)));
+    });
 }
 
 

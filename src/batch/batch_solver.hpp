@@ -112,17 +112,12 @@ void run_kernel(const std::shared_ptr<const Executor>& exec, const char* name,
                 size_type active_systems, double bytes_per_system,
                 double flops_per_system, Fn&& fn)
 {
-    auto body = [&](const Executor* e) {
-        fn(kernels::exec_threads(e));
+    exec->run(name, [&](const Executor* e) {
+        fn(e->real_threads());
         kernels::tick(e,
                       kernels::batch::batch_stream_profile(
                           active_systems, bytes_per_system, flops_per_system));
-    };
-    exec->run(make_operation(
-        name, [&](const ReferenceExecutor* e) { body(e); },
-        [&](const OmpExecutor* e) { body(e); },
-        [&](const CudaExecutor* e) { body(e); },
-        [&](const HipExecutor* e) { body(e); }));
+    });
 }
 
 }  // namespace detail

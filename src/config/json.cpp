@@ -65,11 +65,18 @@ private:
     Json parse_value()
     {
         skip_whitespace();
-        switch (peek()) {
+        switch (const char c = peek()) {
         case '{':
-            return parse_object();
-        case '[':
-            return parse_array();
+        case '[': {
+            if (depth_ == Json::max_depth) {
+                fail("nesting deeper than " + std::to_string(Json::max_depth) +
+                     " levels");
+            }
+            ++depth_;
+            auto nested = c == '{' ? parse_object() : parse_array();
+            --depth_;
+            return nested;
+        }
         case '"':
             return Json{parse_string()};
         case 't':
@@ -250,6 +257,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_{0};
+    int depth_{0};  // arrays and objects open around pos_
 };
 
 

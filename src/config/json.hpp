@@ -139,7 +139,13 @@ public:
         return a.value_ == b.value_;
     }
 
-    /// Parses a JSON document; throws BadParameter on malformed input.
+    /// Deepest array/object nesting parse() accepts.  The parser recurses
+    /// once per level, so this bounds its stack use; configs and triplet
+    /// uploads nest five levels or fewer.
+    static constexpr int max_depth = 256;
+
+    /// Parses a JSON document; throws BadParameter on malformed input,
+    /// including nesting deeper than max_depth.
     static Json parse(const std::string& text);
     static Json parse(std::istream& stream);
 

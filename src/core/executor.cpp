@@ -74,27 +74,12 @@ std::string to_string(exec_kind kind)
 }
 
 
-void Operation::run(const ReferenceExecutor*) const
-{
-    MGKO_NOT_SUPPORTED(std::string{name()} + " on reference executor");
-}
-void Operation::run(const OmpExecutor*) const
-{
-    MGKO_NOT_SUPPORTED(std::string{name()} + " on omp executor");
-}
-void Operation::run(const CudaExecutor*) const
-{
-    MGKO_NOT_SUPPORTED(std::string{name()} + " on cuda executor");
-}
-void Operation::run(const HipExecutor*) const
-{
-    MGKO_NOT_SUPPORTED(std::string{name()} + " on hip executor");
-}
-
-
 Executor::Executor(sim::MachineModel model,
-                   std::shared_ptr<const Executor> master)
-    : model_{std::move(model)}, name_{model_.name}, master_{std::move(master)}
+                   std::shared_ptr<const Executor> master, int real_threads)
+    : model_{std::move(model)},
+      name_{model_.name},
+      master_{std::move(master)},
+      real_threads_{real_threads}
 {}
 
 
@@ -185,7 +170,8 @@ void Executor::synchronize() const
 }
 
 
-void Executor::run(const Operation& op) const
+void Executor::launch(const char* name, const void* body,
+                      void (*call)(const void*, const Executor*)) const
 {
     // Zero the thread's work accumulator for the duration of the dispatch
     // (keeping whatever an enclosing run accumulated), so the completion
@@ -203,9 +189,9 @@ void Executor::run(const Operation& op) const
         // measured cycles/instructions/LLC misses under the same tag the
         // work model attributes flops/bytes to — which is exactly the
         // join the --drift gate checks.
-        log::SampleFrame sample_frame{op.name()};
-        log::HwCounterScope hw_scope{op.name()};
-        dispatch(op);
+        log::SampleFrame sample_frame{name};
+        log::HwCounterScope hw_scope{name};
+        call(body, this);
     }
     const double wall = now_wall_ns() - t0;
     kernel_wall_ns_.fetch_add(wall, std::memory_order_relaxed);
@@ -218,10 +204,10 @@ void Executor::run(const Operation& op) const
     // thread-local context set by the request's scope guard is the right
     // owner here — no capture/restore is needed inside the parallel
     // region itself.
-    log::note_request_kernel(op.name(), wall, work.flops, work.bytes);
+    log::note_request_kernel(name, wall, work.flops, work.bytes);
     if (has_loggers()) {
         log_event([&](log::EventLogger& l) {
-            l.on_operation_completed(this, op.name(), wall, work.flops,
+            l.on_operation_completed(this, name, wall, work.flops,
                                      work.bytes);
         });
     }
@@ -287,7 +273,7 @@ size_type Executor::trim_pool() const
 // --- ReferenceExecutor ---------------------------------------------------
 
 ReferenceExecutor::ReferenceExecutor()
-    : Executor{sim::MachineModel::reference_cpu(), nullptr}
+    : Executor{sim::MachineModel::reference_cpu(), nullptr, 1}
 {}
 
 std::shared_ptr<ReferenceExecutor> ReferenceExecutor::create()
@@ -300,8 +286,8 @@ std::shared_ptr<ReferenceExecutor> ReferenceExecutor::create()
 // --- OmpExecutor -----------------------------------------------------------
 
 OmpExecutor::OmpExecutor(int num_threads)
-    : Executor{sim::MachineModel::xeon8368(num_threads), nullptr},
-      real_threads_{std::min(std::max(num_threads, 1), omp_get_max_threads())}
+    : Executor{sim::MachineModel::xeon8368(num_threads), nullptr,
+               std::min(std::max(num_threads, 1), omp_get_max_threads())}
 {}
 
 std::shared_ptr<OmpExecutor> OmpExecutor::create(int num_threads)
@@ -318,7 +304,8 @@ std::shared_ptr<OmpExecutor> OmpExecutor::create(int num_threads)
 
 CudaExecutor::CudaExecutor(int device_id,
                            std::shared_ptr<const Executor> master)
-    : Executor{sim::MachineModel::a100(), std::move(master)},
+    : Executor{sim::MachineModel::a100(), std::move(master),
+               omp_get_max_threads()},
       device_id_{device_id}
 {}
 
@@ -341,7 +328,8 @@ void CudaExecutor::synchronize() const
 // --- HipExecutor -----------------------------------------------------------
 
 HipExecutor::HipExecutor(int device_id, std::shared_ptr<const Executor> master)
-    : Executor{sim::MachineModel::mi100(), std::move(master)},
+    : Executor{sim::MachineModel::mi100(), std::move(master),
+               omp_get_max_threads()},
       device_id_{device_id}
 {}
 

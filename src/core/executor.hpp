@@ -13,14 +13,17 @@
 // The simulated devices keep a *separate, tracked memory arena* (backed by
 // host RAM): allocations are registered per executor, host<->device copies
 // are explicit and charged with transfer cost, and every kernel launch is
-// charged launch latency on the executor's SimClock.  Kernels are dispatched
-// through the Operation visitor, exactly like Ginkgo's Operation mechanism.
+// charged launch latency on the executor's SimClock.  Every kernel launches
+// through Executor::run(name, body): all four backends are host code, so one
+// body serves them all, and the few kernels whose algorithm differs by
+// backend pick their variant from the executor's kind() inside that body.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "core/exception.hpp"
 #include "core/memory_pool.hpp"
@@ -32,34 +35,14 @@
 namespace mgko {
 
 
-class ReferenceExecutor;
-class OmpExecutor;
-class CudaExecutor;
-class HipExecutor;
-
 enum class exec_kind { reference, omp, cuda, hip };
 
 std::string to_string(exec_kind kind);
 
 
-/// A kernel made dispatchable across backends.  Concrete kernels override
-/// the overloads for the backends they implement; unimplemented backends
-/// throw NotSupported, as in Ginkgo.
-class Operation {
-public:
-    virtual ~Operation() = default;
-    virtual const char* name() const { return "operation"; }
-
-    virtual void run(const ReferenceExecutor*) const;
-    virtual void run(const OmpExecutor*) const;
-    virtual void run(const CudaExecutor*) const;
-    virtual void run(const HipExecutor*) const;
-};
-
-
 /// Executors expose a logger attachment point (log::EnableLogging):
 /// attached EventLoggers observe every allocation/free/copy, the pool's
-/// hit/miss/trim behaviour, and every kernel launch with its Operation tag
+/// hit/miss/trim behaviour, and every kernel launch with its kernel name
 /// and real wall time.  With no logger attached each event site costs one
 /// empty-vector check.
 class Executor : public std::enable_shared_from_this<Executor>,
@@ -103,9 +86,20 @@ public:
     /// simulated devices this also charges a synchronization latency.
     virtual void synchronize() const;
 
-    /// Dispatches `op` to this backend's kernel, charging launch latency and
-    /// counting the launch.
-    void run(const Operation& op) const;
+    /// Runs one kernel launch: calls `body(this)`, then charges launch
+    /// latency, counts the launch and reports the kernel's wall time and
+    /// modeled work under `name` to the loggers, the sampling profiler, the
+    /// hardware counters and the active request's cost.  `name` must have
+    /// static storage duration (a string literal): RequestCost keeps the
+    /// pointer until snapshot() and the sampling profiler caches by it.
+    template <typename Body>
+    void run(const char* name, Body&& body) const
+    {
+        using Fn = std::remove_reference_t<Body>;
+        launch(name, &body, [](const void* fn, const Executor* exec) {
+            (*static_cast<const Fn*>(fn))(exec);
+        });
+    }
 
     virtual exec_kind kind() const = 0;
     /// True for the simulated device executors (memory not host-resident
@@ -119,6 +113,11 @@ public:
     /// Number of parallel workers the performance model assumes; kernels use
     /// it for partitioning decisions (and, on real hardware, thread counts).
     int worker_count() const { return model_.workers; }
+
+    /// Threads a kernel actually uses on this machine, fixed at
+    /// construction.  The performance model may assume more workers (a
+    /// simulated A100); real execution is capped by the hardware.
+    int real_threads() const { return real_threads_; }
 
     /// The host executor backing this one; returns itself for host
     /// executors.
@@ -160,15 +159,18 @@ public:
     double real_kernel_wall_ns() const { return kernel_wall_ns_.load(); }
 
 protected:
-    Executor(sim::MachineModel model, std::shared_ptr<const Executor> master);
-
-    /// Calls op.run() with the concrete executor type.
-    virtual void dispatch(const Operation& op) const = 0;
+    Executor(sim::MachineModel model, std::shared_ptr<const Executor> master,
+             int real_threads);
 
 private:
+    /// The out-of-line body of run(): `call(body, this)` invokes the kernel.
+    void launch(const char* name, const void* body,
+                void (*call)(const void*, const Executor*)) const;
+
     sim::MachineModel model_;
     std::string name_;
     std::shared_ptr<const Executor> master_;  // null for host executors
+    int real_threads_;
     mutable sim::SimClock clock_;
     mutable detail::MemoryPool pool_;
     mutable std::atomic<size_type> launches_{0};
@@ -184,7 +186,6 @@ public:
 
 protected:
     ReferenceExecutor();
-    void dispatch(const Operation& op) const override { op.run(this); }
 };
 
 
@@ -196,15 +197,9 @@ public:
     exec_kind kind() const override { return exec_kind::omp; }
     /// Threads assumed by the performance model.
     int num_threads() const { return worker_count(); }
-    /// Threads actually used for execution on this machine.
-    int real_threads() const { return real_threads_; }
 
 protected:
     explicit OmpExecutor(int num_threads);
-    void dispatch(const Operation& op) const override { op.run(this); }
-
-private:
-    int real_threads_;
 };
 
 
@@ -220,7 +215,6 @@ public:
 
 protected:
     CudaExecutor(int device_id, std::shared_ptr<const Executor> master);
-    void dispatch(const Operation& op) const override { op.run(this); }
 
 private:
     int device_id_;
@@ -240,52 +234,10 @@ public:
 
 protected:
     HipExecutor(int device_id, std::shared_ptr<const Executor> master);
-    void dispatch(const Operation& op) const override { op.run(this); }
 
 private:
     int device_id_;
 };
-
-
-namespace detail {
-
-template <typename RefFn, typename OmpFn, typename CudaFn, typename HipFn>
-class LambdaOperation final : public Operation {
-public:
-    LambdaOperation(const char* name, RefFn ref, OmpFn omp, CudaFn cuda,
-                    HipFn hip)
-        : name_{name},
-          ref_{std::move(ref)},
-          omp_{std::move(omp)},
-          cuda_{std::move(cuda)},
-          hip_{std::move(hip)}
-    {}
-
-    const char* name() const override { return name_; }
-    void run(const ReferenceExecutor* e) const override { ref_(e); }
-    void run(const OmpExecutor* e) const override { omp_(e); }
-    void run(const CudaExecutor* e) const override { cuda_(e); }
-    void run(const HipExecutor* e) const override { hip_(e); }
-
-private:
-    const char* name_;
-    RefFn ref_;
-    OmpFn omp_;
-    CudaFn cuda_;
-    HipFn hip_;
-};
-
-}  // namespace detail
-
-
-/// Builds a dispatchable Operation from one lambda per backend.
-template <typename RefFn, typename OmpFn, typename CudaFn, typename HipFn>
-auto make_operation(const char* name, RefFn ref, OmpFn omp, CudaFn cuda,
-                    HipFn hip)
-{
-    return detail::LambdaOperation<RefFn, OmpFn, CudaFn, HipFn>{
-        name, std::move(ref), std::move(omp), std::move(cuda), std::move(hip)};
-}
 
 
 /// Convenience: creates the executor named by the paper's device strings

@@ -1,8 +1,6 @@
-// Shared helpers for kernel implementations: real thread counts for OpenMP
-// regions and SimClock ticking.
+// Shared helpers for kernel implementations: column tiling and SimClock
+// ticking.
 #pragma once
-
-#include <omp.h>
 
 #include <type_traits>
 
@@ -11,21 +9,6 @@
 #include "sim/cost_model.hpp"
 
 namespace mgko::kernels {
-
-
-/// Number of real threads a kernel should use on this machine.  The
-/// performance model may assume more workers (e.g. a simulated A100); real
-/// execution is capped by the hardware for correctness-only computation.
-inline int exec_threads(const Executor* exec)
-{
-    if (auto omp = dynamic_cast<const OmpExecutor*>(exec)) {
-        return omp->real_threads();
-    }
-    if (exec->is_device()) {
-        return omp_get_max_threads();
-    }
-    return 1;
-}
 
 
 /// Widest column tile the block kernels (gemm, gemv_t, n x k CSR SpMV) keep

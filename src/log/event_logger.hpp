@@ -18,7 +18,7 @@
 // work:
 //
 //   * Executor  — memory traffic (allocation/free/copy), pool behaviour
-//                 (hit/miss/trim), and every kernel with its Operation tag,
+//                 (hit/miss/trim), and every kernel with its run() name,
 //                 real wall time and modeled work (one call per kernel),
 //   * LinOp     — solver progress (iteration / stop events),
 //   * bind::    — binding dispatch (GIL wait + lookup + boxing + modeled

@@ -254,56 +254,6 @@ void FlightRecorder::emit(event_kind kind, const char* tag, double a, double b)
 }
 
 
-std::uint16_t FlightRecorder::intern(const char* name)
-{
-    if (name == nullptr) {
-        name = "<null>";
-    }
-    // FNV-1a over the tag, then linear probing in the fixed table.
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const char* c = name; *c != '\0'; ++c) {
-        hash ^= static_cast<unsigned char>(*c);
-        hash *= 1099511628211ull;
-    }
-    const size_type mask = tag_capacity - 1;
-    size_type slot = static_cast<size_type>(hash) & mask;
-    for (size_type probe = 0; probe < tag_capacity;
-         ++probe, slot = (slot + 1) & mask) {
-        const char* current = tags_[slot].load(std::memory_order_acquire);
-        if (current == nullptr) {
-            std::lock_guard<std::mutex> guard{intern_mutex_};
-            current = tags_[slot].load(std::memory_order_acquire);
-            if (current == nullptr) {
-                const std::size_t len = std::strlen(name);
-                auto copy = std::make_unique<char[]>(len + 1);
-                std::memcpy(copy.get(), name, len + 1);
-                tags_[slot].store(copy.get(), std::memory_order_release);
-                tag_storage_.push_back(std::move(copy));
-                return static_cast<std::uint16_t>(slot);
-            }
-            // Lost the race for this slot: fall through and compare.
-        }
-        if (std::strcmp(current, name) == 0) {
-            return static_cast<std::uint16_t>(slot);
-        }
-    }
-    return overflow_tag;
-}
-
-
-const char* FlightRecorder::tag_name(std::uint16_t id) const
-{
-    if (id == overflow_tag) {
-        return "<overflow>";
-    }
-    if (static_cast<size_type>(id) >= tag_capacity) {
-        return "<unknown>";
-    }
-    const char* tag = tags_[id].load(std::memory_order_acquire);
-    return tag != nullptr ? tag : "<unknown>";
-}
-
-
 void FlightRecorder::reset()
 {
     std::lock_guard<std::mutex> guard{ring_mutex_};

@@ -9,11 +9,11 @@
 // registry instead.
 //
 //   * Tag interning: event names (operation tags, span names, binding
-//     names) are interned once into a fixed open-addressing table of
-//     `std::atomic<const char*>`; records carry a 16-bit id.  Lookups of
-//     already-interned tags are lock-free; the first occurrence of a tag
-//     takes a mutex and copies the string (emitters pass string literals
-//     or long-lived cache entries, but the recorder does not rely on it).
+//     names) are interned once into the recorder's TagTable
+//     (log/tag_table.hpp, shared with the sampling profiler); records
+//     carry its 16-bit id.  Lookups of already-interned tags are
+//     lock-free; the first occurrence of a tag takes a mutex and copies
+//     the string.
 //   * Snapshots: snapshot() reads the rings concurrently with writers
 //     using an over-read + sequence-window discard, so a scrape never
 //     stops the instrumented threads.  It is also how tests observe
@@ -43,6 +43,7 @@
 
 #include "core/types.hpp"
 #include "log/event_logger.hpp"
+#include "log/tag_table.hpp"
 
 namespace mgko::log {
 
@@ -57,9 +58,9 @@ public:
     /// dropped() instead of recorded.
     static constexpr size_type max_threads = 128;
     /// Distinct tag strings; later tags fall back to "<overflow>".
-    static constexpr size_type tag_capacity = 512;
+    static constexpr size_type tag_capacity = TagTable::capacity;
     /// tag_id of records whose name did not fit the intern table.
-    static constexpr std::uint16_t overflow_tag = 0xFFFF;
+    static constexpr std::uint16_t overflow_tag = TagTable::overflow;
 
     enum class event_kind : std::uint8_t {
         operation = 0,   // a = wall_ns, b = flops
@@ -135,10 +136,10 @@ public:
 
     /// Interns `name` and returns its id (or overflow_tag).  Exposed for
     /// tests; emission paths call it internally.
-    std::uint16_t intern(const char* name);
+    std::uint16_t intern(const char* name) { return tags_.intern(name); }
     /// The interned string for `id`; "<overflow>"/"<unknown>" sentinels
-    /// for overflow_tag and unused slots.
-    const char* tag_name(std::uint16_t id) const;
+    /// for overflow_tag and unused slots.  Lock-free.
+    const char* tag_name(std::uint16_t id) const { return tags_.name(id); }
 
     /// Drops all recorded events (tags stay interned).  Not synchronized
     /// with writers: call only while no instrumented work is running
@@ -200,11 +201,9 @@ private:
     size_type capacity_;
     std::uint64_t origin_ns_;
     std::array<std::atomic<ring*>, max_threads> rings_{};
-    std::array<std::atomic<const char*>, tag_capacity> tags_{};
-    mutable std::mutex ring_mutex_;    // guards owned_rings_
-    mutable std::mutex intern_mutex_;  // guards first-insert of a tag
+    TagTable tags_;
+    mutable std::mutex ring_mutex_;  // guards owned_rings_
     std::vector<std::unique_ptr<ring>> owned_rings_;
-    std::vector<std::unique_ptr<char[]>> tag_storage_;
     std::atomic<std::uint64_t> overflow_drops_{0};
     mutable std::atomic<std::uint64_t> torn_drops_{0};
 };

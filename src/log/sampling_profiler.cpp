@@ -12,6 +12,8 @@
 #include <sstream>
 #include <vector>
 
+#include "log/tag_table.hpp"
+
 namespace mgko::log {
 
 namespace {
@@ -21,9 +23,6 @@ constexpr size_type ring_capacity = 1024;  // samples per thread, power of two
 // One sample slot: word 0 is the recorded depth, words 1..7 pack up to 28
 // frame ids at four 16-bit ids per word.
 constexpr size_type words_per_sample = 8;
-
-constexpr std::uint16_t overflow_tag = 0xFFFF;
-constexpr size_type tag_capacity = 512;  // power of two
 
 
 // Everything the SIGPROF handler touches is either this thread-local
@@ -51,16 +50,12 @@ std::atomic<int> active_hz{0};
 std::atomic<std::uint64_t> total_samples{0};
 std::atomic<std::uint64_t> unregistered_drops{0};
 
-// Interned tag table, FNV-1a + linear probing over a fixed table (the
-// flight recorder's design).  Lookups from the export path are lock-free;
-// first-insert synchronizes on the mutex.
-std::atomic<const char*> tag_table[tag_capacity] = {};
-
 struct profiler_registry {
     std::mutex mutex;
     std::vector<std::unique_ptr<thread_state>> states;
     std::vector<thread_state*> free_states;
-    std::vector<std::unique_ptr<char[]>> tag_storage;
+    // Frame names; export paths look them up lock-free.
+    TagTable tags;
 };
 
 profiler_registry& registry()
@@ -74,50 +69,10 @@ profiler_registry& registry()
 
 std::uint16_t intern_string(const char* name)
 {
-    if (name == nullptr) {
-        name = "<null>";
-    }
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const char* c = name; *c != '\0'; ++c) {
-        hash ^= static_cast<unsigned char>(*c);
-        hash *= 1099511628211ull;
-    }
-    const size_type mask = tag_capacity - 1;
-    size_type slot = static_cast<size_type>(hash) & mask;
-    for (size_type probe = 0; probe < tag_capacity;
-         ++probe, slot = (slot + 1) & mask) {
-        const char* current = tag_table[slot].load(std::memory_order_acquire);
-        if (current == nullptr) {
-            auto& reg = registry();
-            std::lock_guard<std::mutex> guard{reg.mutex};
-            current = tag_table[slot].load(std::memory_order_acquire);
-            if (current == nullptr) {
-                const std::size_t len = std::strlen(name);
-                auto copy = std::make_unique<char[]>(len + 1);
-                std::memcpy(copy.get(), name, len + 1);
-                tag_table[slot].store(copy.get(), std::memory_order_release);
-                reg.tag_storage.push_back(std::move(copy));
-                return static_cast<std::uint16_t>(slot);
-            }
-        }
-        if (std::strcmp(current, name) == 0) {
-            return static_cast<std::uint16_t>(slot);
-        }
-    }
-    return overflow_tag;
+    return registry().tags.intern(name);
 }
 
-const char* tag_name(std::uint16_t id)
-{
-    if (id == overflow_tag) {
-        return "<overflow>";
-    }
-    if (static_cast<size_type>(id) >= tag_capacity) {
-        return "<unknown>";
-    }
-    const char* tag = tag_table[id].load(std::memory_order_acquire);
-    return tag != nullptr ? tag : "<unknown>";
-}
+const char* tag_name(std::uint16_t id) { return registry().tags.name(id); }
 
 // Pointer-keyed id cache in front of intern_string: SampleFrame names are
 // string literals (static storage duration is a documented requirement),

@@ -17,8 +17,8 @@
 // Executor::run around each kernel dispatch, the solve server around each
 // request, solver drivers around apply() — push an interned tag id onto a
 // thread-local frame stack via SampleFrame, and the handler copies the id
-// stack with plain loads.  Interning (string -> id, FNV-1a over a fixed
-// open-addressed table, same design as the flight recorder's) happens at
+// stack with plain loads.  Interning (string -> id in a TagTable,
+// log/tag_table.hpp, the flight recorder's table class) happens at
 // push time in normal context; the handler and the exporters only ever map
 // ids, so symbolization stays off the signal path entirely.
 //

@@ -84,8 +84,8 @@ struct kernel_cost {
 /// own aggregation.
 ///
 /// note_kernel sits on the kernel-dispatch hot path, so the per-kernel
-/// breakdown is keyed by the name *pointer* (Operation::name() returns
-/// string literals) in a fixed slot array — no string construction, no
+/// breakdown is keyed by the name *pointer* (Executor::run() names have
+/// static storage) in a fixed slot array — no string construction, no
 /// tree walk — and only folded into a string-keyed map at snapshot()
 /// time, where distinct literals with equal text merge.
 struct RequestCost {
@@ -98,7 +98,7 @@ struct RequestCost {
         bytes_ += bytes;
         ++kernels_;
         // Pointer-identity scan over the few distinct kernels a request
-        // runs; Operation::name() returns string literals, so the same
+        // runs; Executor::run() names are string literals, so the same
         // kernel hits the same slot every dispatch without touching the
         // characters.
         kernel_cost* slice = &overflow_;

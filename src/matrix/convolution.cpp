@@ -51,7 +51,7 @@ void conv2d(const Executor* exec, const V* kernel, mgko::size_type k,
     using mgko::size_type;
     const auto vec_cols = b->get_size().cols;
     const auto half = static_cast<std::int64_t>(k / 2);
-    const int nt = mgko::kernels::exec_threads(exec);
+    const int nt = exec->real_threads();
 #pragma omp parallel for num_threads(nt) if (nt > 1)
     for (size_type row = 0; row < height; ++row) {
         for (size_type col = 0; col < width; ++col) {
@@ -109,15 +109,10 @@ void Convolution<ValueType>::apply_impl(const LinOp* b, LinOp* x) const
 {
     auto dense_b = as_dense<ValueType>(b);
     auto dense_x = as_dense<ValueType>(x);
-    auto kernel = [&](const Executor* e) {
+    get_executor()->run("conv2d", [&](const Executor* e) {
         conv2d(e, kernel_.get_const_data(), k_, height_, width_, dense_b,
                dense_x, false, one<ValueType>(), zero<ValueType>());
-    };
-    get_executor()->run(make_operation(
-        "conv2d", [&](const ReferenceExecutor* e) { kernel(e); },
-        [&](const OmpExecutor* e) { kernel(e); },
-        [&](const CudaExecutor* e) { kernel(e); },
-        [&](const HipExecutor* e) { kernel(e); }));
+    });
 }
 
 
@@ -129,15 +124,10 @@ void Convolution<ValueType>::apply_impl(const LinOp* alpha, const LinOp* b,
     auto dense_x = as_dense<ValueType>(x);
     const auto a = as_dense<ValueType>(alpha)->at(0, 0);
     const auto bt = as_dense<ValueType>(beta)->at(0, 0);
-    auto kernel = [&](const Executor* e) {
+    get_executor()->run("conv2d", [&](const Executor* e) {
         conv2d(e, kernel_.get_const_data(), k_, height_, width_, dense_b,
                dense_x, true, a, bt);
-    };
-    get_executor()->run(make_operation(
-        "conv2d", [&](const ReferenceExecutor* e) { kernel(e); },
-        [&](const OmpExecutor* e) { kernel(e); },
-        [&](const CudaExecutor* e) { kernel(e); },
-        [&](const HipExecutor* e) { kernel(e); }));
+    });
 }
 
 

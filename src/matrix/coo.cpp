@@ -134,43 +134,26 @@ void Coo<ValueType, IndexType>::apply_accumulate(const LinOp* b,
     const auto* row_idxs = get_const_row_idxs();
     const auto* col_idxs = get_const_col_idxs();
 
-    get_executor()->run(make_operation(
-        "coo_spmv",
-        [&](const ReferenceExecutor* e) {
+    // The reference executor sums in serial order; every other backend
+    // runs the flat atomic kernel over the nonzeros.
+    get_executor()->run("coo_spmv", [&](const Executor* e) {
+        const bool serial = e->kind() == exec_kind::reference;
+        if (serial) {
             kernels::coo::spmv_serial(values, row_idxs, col_idxs, nnz,
                                       dense_b->get_const_values(),
                                       dense_b->get_stride(), x->get_values(),
                                       x->get_stride(), vec_cols);
-            kernels::tick(e, spmv_profile(sim::spmv_strategy::serial,
-                                          e->model(), vec_cols, false));
-        },
-        [&](const OmpExecutor* e) {
-            kernels::coo::spmv_flat(kernels::exec_threads(e), values,
-                                    row_idxs, col_idxs, nnz,
-                                    dense_b->get_const_values(),
+        } else {
+            kernels::coo::spmv_flat(e->real_threads(), values, row_idxs,
+                                    col_idxs, nnz, dense_b->get_const_values(),
                                     dense_b->get_stride(), x->get_values(),
                                     x->get_stride(), vec_cols);
-            kernels::tick(e, spmv_profile(sim::spmv_strategy::coo_flat_atomic,
-                                          e->model(), vec_cols, false));
-        },
-        [&](const CudaExecutor* e) {
-            kernels::coo::spmv_flat(kernels::exec_threads(e), values,
-                                    row_idxs, col_idxs, nnz,
-                                    dense_b->get_const_values(),
-                                    dense_b->get_stride(), x->get_values(),
-                                    x->get_stride(), vec_cols);
-            kernels::tick(e, spmv_profile(sim::spmv_strategy::coo_flat_atomic,
-                                          e->model(), vec_cols, false));
-        },
-        [&](const HipExecutor* e) {
-            kernels::coo::spmv_flat(kernels::exec_threads(e), values,
-                                    row_idxs, col_idxs, nnz,
-                                    dense_b->get_const_values(),
-                                    dense_b->get_stride(), x->get_values(),
-                                    x->get_stride(), vec_cols);
-            kernels::tick(e, spmv_profile(sim::spmv_strategy::coo_flat_atomic,
-                                          e->model(), vec_cols, false));
-        }));
+        }
+        kernels::tick(e, spmv_profile(serial
+                                          ? sim::spmv_strategy::serial
+                                          : sim::spmv_strategy::coo_flat_atomic,
+                                      e->model(), vec_cols, false));
+    });
 }
 
 

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <vector>
 
+#include <omp.h>
+
 #include "core/kernel_utils.hpp"
 #include "core/math.hpp"
 #include "matrix/coo.hpp"
@@ -312,15 +314,16 @@ void csr_apply_dispatch(const Csr<V, I>* mat, const Dense<V>* b, Dense<V>* x,
         kernels::tick(e, mat->spmv_profile(s, e->model(), vec_cols, advanced));
     };
 
-    exec->run(make_operation(
-        "csr_spmv",
-        [&](const ReferenceExecutor* e) {
+    // Each backend runs its own row partition and ticks its own strategy.
+    exec->run("csr_spmv", [&](const Executor* e) {
+        const int nt = e->real_threads();
+        switch (e->kind()) {
+        case exec_kind::reference:
             // Textbook serial order (reference executor ground truth).
             run_rows([&](auto body) { body(size_type{0}, rows); });
             tick_strategy(e, sim::spmv_strategy::serial);
-        },
-        [&](const OmpExecutor* e) {
-            const int nt = kernels::exec_threads(e);
+            break;
+        case exec_kind::omp:
             if (classical) {
                 run_rows([&](auto body) {
                     kernels::csr::rows_classical(nt, rows, body);
@@ -332,22 +335,22 @@ void csr_apply_dispatch(const Csr<V, I>* mat, const Dense<V>* b, Dense<V>* x,
                 });
                 tick_strategy(e, sim::spmv_strategy::balanced_nnz);
             }
-        },
-        [&](const CudaExecutor* e) {
-            const int nt = kernels::exec_threads(e);
+            break;
+        case exec_kind::cuda:
             run_rows([&](auto body) {
                 kernels::csr::rows_balanced(nt, row_ptrs, rows, body);
             });
             tick_strategy(e, classical ? sim::spmv_strategy::classical_rows
                                        : sim::spmv_strategy::balanced_nnz);
-        },
-        [&](const HipExecutor* e) {
-            const int nt = kernels::exec_threads(e);
+            break;
+        case exec_kind::hip:
             run_rows([&](auto body) {
                 kernels::csr::rows_wavefront(nt, rows, body);
             });
             tick_strategy(e, sim::spmv_strategy::wavefront64);
-        }));
+            break;
+        }
+    });
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include <omp.h>
+
 #include "core/kernel_utils.hpp"
 
 namespace mgko {
@@ -22,7 +24,7 @@ template <typename V>
 void fill(const Executor* exec, V* values, size_type rows, size_type cols,
           size_type stride, V value)
 {
-    const int nt = kernels::exec_threads(exec);
+    const int nt = exec->real_threads();
     if (stride == cols) {
         const size_type n = rows * cols;
 #pragma omp parallel for num_threads(nt) if (nt > 1)
@@ -43,7 +45,7 @@ template <typename V>
 void scale(const Executor* exec, V* x, size_type rows, size_type cols,
            size_type stride, const V* alpha, size_type alpha_cols)
 {
-    const int nt = kernels::exec_threads(exec);
+    const int nt = exec->real_threads();
     if (alpha_cols == 1 && stride == cols) {
         const V a = alpha[0];
         const size_type n = rows * cols;
@@ -77,7 +79,7 @@ void add_scaled(const Executor* exec, V* x, const V* b, size_type rows,
             out += term;
         }
     };
-    const int nt = kernels::exec_threads(exec);
+    const int nt = exec->real_threads();
     if (alpha_cols == 1 && x_stride == cols && b_stride == cols) {
         const V a = alpha[0];
         const size_type n = rows * cols;
@@ -145,7 +147,7 @@ void compute_dot(const Executor* exec, const V* a, const V* b, size_type rows,
                  V* result)
 {
     ordered_column_sums(
-        kernels::exec_threads(exec), rows, cols,
+        exec->real_threads(), rows, cols,
         [&](size_type r, size_type c) {
             return to_float(a[r * a_stride + c]) *
                    to_float(b[r * b_stride + c]);
@@ -162,7 +164,7 @@ void compute_norm2(const Executor* exec, const V* a, size_type rows,
                    size_type cols, size_type stride, V* result)
 {
     ordered_column_sums(
-        kernels::exec_threads(exec), rows, cols,
+        exec->real_threads(), rows, cols,
         [&](size_type r, size_type c) {
             const double v = to_float(a[r * stride + c]);
             return v * v;
@@ -213,7 +215,7 @@ void gemm(const Executor* exec, const V* a, const V* b, V* x, size_type m,
     // Threads own whole output rows.  A single column (GMRES's basis
     // update) runs the width-1 tile, the per-row dot, without the width
     // dispatch in its row loop.
-    const int nt = kernels::exec_threads(exec);
+    const int nt = exec->real_threads();
     if (n == 1) {
 #pragma omp parallel for num_threads(nt) if (nt > 1)
         for (size_type i = 0; i < m; ++i) {
@@ -300,7 +302,7 @@ void gemv_t(const Executor* exec, const V* a, const V* b, V* x, size_type m,
     // tile shape follows the operands: a single right-hand side (GMRES
     // projecting onto its basis) takes 8 contiguous outputs per tile, a
     // block 2 x 8.
-    const int nt = kernels::exec_threads(exec);
+    const int nt = exec->real_threads();
     if (n == 1) {
         gemv_t_tiles<tile_cols, 1>(nt, a, b, x, m, k, n, a_stride, b_stride,
                                    x_stride);
@@ -450,44 +452,11 @@ ValueType Dense<ValueType>::at(size_type row, size_type col) const
 template <typename ValueType>
 void Dense<ValueType>::fill(ValueType value)
 {
-    auto exec = get_executor();
-    exec->run(make_operation(
-        "dense_fill",
-        [&](const ReferenceExecutor* e) {
-            kernels::dense::fill(e, get_values(), get_size().rows,
-                                 get_size().cols, stride_, value);
-        },
-        [&](const OmpExecutor* e) {
-            kernels::dense::fill(e, get_values(), get_size().rows,
-                                 get_size().cols, stride_, value);
-        },
-        [&](const CudaExecutor* e) {
-            kernels::dense::fill(e, get_values(), get_size().rows,
-                                 get_size().cols, stride_, value);
-        },
-        [&](const HipExecutor* e) {
-            kernels::dense::fill(e, get_values(), get_size().rows,
-                                 get_size().cols, stride_, value);
-        }));
+    get_executor()->run("dense_fill", [&](const Executor* e) {
+        kernels::dense::fill(e, get_values(), get_size().rows, get_size().cols,
+                             stride_, value);
+    });
 }
-
-
-namespace {
-
-/// Shorthand: runs the same kernel functor on whichever backend the
-/// executor is.  Dense kernels share bodies across backends (their cost
-/// model, not their code, differs), so the dispatch is uniform.
-template <typename Fn>
-void run_uniform(const Executor* exec, const char* name, Fn fn)
-{
-    exec->run(make_operation(
-        name, [&](const ReferenceExecutor* e) { fn(e); },
-        [&](const OmpExecutor* e) { fn(e); },
-        [&](const CudaExecutor* e) { fn(e); },
-        [&](const HipExecutor* e) { fn(e); }));
-}
-
-}  // namespace
 
 
 template <typename ValueType>
@@ -497,7 +466,7 @@ void Dense<ValueType>::scale(const Dense* alpha)
                     (alpha->get_size().cols == 1 ||
                      alpha->get_size().cols == get_size().cols),
                 "alpha must be 1x1 or 1 x cols");
-    run_uniform(get_executor().get(), "dense_scale", [&](const Executor* e) {
+    get_executor()->run("dense_scale", [&](const Executor* e) {
         kernels::dense::scale(e, get_values(), get_size().rows,
                               get_size().cols, stride_,
                               alpha->get_const_values(),
@@ -510,13 +479,12 @@ template <typename ValueType>
 void Dense<ValueType>::add_scaled(const Dense* alpha, const Dense* b)
 {
     MGKO_ASSERT_EQUAL_DIMENSIONS("add_scaled", get_size(), b->get_size());
-    run_uniform(get_executor().get(), "dense_add_scaled",
-                [&](const Executor* e) {
-                    kernels::dense::add_scaled<false>(
-                        e, get_values(), b->get_const_values(),
-                        get_size().rows, get_size().cols, stride_, b->stride_,
-                        alpha->get_const_values(), alpha->get_size().cols);
-                });
+    get_executor()->run("dense_add_scaled", [&](const Executor* e) {
+        kernels::dense::add_scaled<false>(
+            e, get_values(), b->get_const_values(), get_size().rows,
+            get_size().cols, stride_, b->stride_, alpha->get_const_values(),
+            alpha->get_size().cols);
+    });
 }
 
 
@@ -524,13 +492,12 @@ template <typename ValueType>
 void Dense<ValueType>::sub_scaled(const Dense* alpha, const Dense* b)
 {
     MGKO_ASSERT_EQUAL_DIMENSIONS("sub_scaled", get_size(), b->get_size());
-    run_uniform(get_executor().get(), "dense_sub_scaled",
-                [&](const Executor* e) {
-                    kernels::dense::add_scaled<true>(
-                        e, get_values(), b->get_const_values(),
-                        get_size().rows, get_size().cols, stride_, b->stride_,
-                        alpha->get_const_values(), alpha->get_size().cols);
-                });
+    get_executor()->run("dense_sub_scaled", [&](const Executor* e) {
+        kernels::dense::add_scaled<true>(
+            e, get_values(), b->get_const_values(), get_size().rows,
+            get_size().cols, stride_, b->stride_, alpha->get_const_values(),
+            alpha->get_size().cols);
+    });
 }
 
 
@@ -541,7 +508,7 @@ void Dense<ValueType>::compute_dot(const Dense* b, Dense* result) const
     MGKO_ASSERT_EQUAL_DIMENSIONS("compute_dot result",
                                  result->get_size(),
                                  (dim2{1, get_size().cols}));
-    run_uniform(get_executor().get(), "dense_dot", [&](const Executor* e) {
+    get_executor()->run("dense_dot", [&](const Executor* e) {
         kernels::dense::compute_dot(e, get_const_values(),
                                     b->get_const_values(), get_size().rows,
                                     get_size().cols, stride_, b->stride_,
@@ -555,7 +522,7 @@ void Dense<ValueType>::compute_norm2(Dense* result) const
 {
     MGKO_ASSERT_EQUAL_DIMENSIONS("compute_norm2 result", result->get_size(),
                                  (dim2{1, get_size().cols}));
-    run_uniform(get_executor().get(), "dense_norm2", [&](const Executor* e) {
+    get_executor()->run("dense_norm2", [&](const Executor* e) {
         kernels::dense::compute_norm2(e, get_const_values(), get_size().rows,
                                       get_size().cols, stride_,
                                       result->get_values());
@@ -588,7 +555,7 @@ void Dense<ValueType>::transpose_apply(const Dense* b, Dense* x) const
                            b->get_size());
     MGKO_ASSERT_EQUAL_DIMENSIONS("transpose_apply result", x->get_size(),
                                  (dim2{get_size().cols, b->get_size().cols}));
-    run_uniform(get_executor().get(), "dense_gemv_t", [&](const Executor* e) {
+    get_executor()->run("dense_gemv_t", [&](const Executor* e) {
         kernels::dense::gemv_t(e, get_const_values(), b->get_const_values(),
                                x->get_values(), get_size().rows,
                                get_size().cols, b->get_size().cols, stride_,
@@ -711,7 +678,7 @@ void Dense<ValueType>::apply_impl(const LinOp* b, LinOp* x) const
 {
     auto dense_b = as_dense<ValueType>(b);
     auto dense_x = as_dense<ValueType>(x);
-    run_uniform(get_executor().get(), "dense_gemm", [&](const Executor* e) {
+    get_executor()->run("dense_gemm", [&](const Executor* e) {
         kernels::dense::gemm(e, get_const_values(), dense_b->get_const_values(),
                              dense_x->get_values(), get_size().rows,
                              get_size().cols, dense_b->get_size().cols,
@@ -730,7 +697,7 @@ void Dense<ValueType>::apply_impl(const LinOp* alpha, const LinOp* b,
     auto dense_x = as_dense<ValueType>(x);
     const auto a = as_dense<ValueType>(alpha)->at(0, 0);
     const auto bt = as_dense<ValueType>(beta)->at(0, 0);
-    run_uniform(get_executor().get(), "dense_gemm", [&](const Executor* e) {
+    get_executor()->run("dense_gemm", [&](const Executor* e) {
         kernels::dense::gemm(e, get_const_values(), dense_b->get_const_values(),
                              dense_x->get_values(), get_size().rows,
                              get_size().cols, dense_b->get_size().cols,

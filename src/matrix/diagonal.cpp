@@ -57,7 +57,7 @@ void diagonal_apply(const Executor* exec, const V* diag, const Dense<V>* b,
                     Dense<V>* x, size_type n, bool advanced, V alpha, V beta)
 {
     const auto vec_cols = b->get_size().cols;
-    const int nt = kernels::exec_threads(exec);
+    const int nt = exec->real_threads();
 #pragma omp parallel for num_threads(nt) if (nt > 1)
     for (size_type i = 0; i < n; ++i) {
         for (size_type c = 0; c < vec_cols; ++c) {
@@ -84,16 +84,11 @@ void Diagonal<ValueType>::apply_impl(const LinOp* b, LinOp* x) const
 {
     auto dense_b = as_dense<ValueType>(b);
     auto dense_x = as_dense<ValueType>(x);
-    auto kernel = [&](const Executor* e) {
+    get_executor()->run("diagonal_apply", [&](const Executor* e) {
         diagonal_apply(e, values_.get_const_data(), dense_b, dense_x,
                        get_size().rows, false, one<ValueType>(),
                        zero<ValueType>());
-    };
-    get_executor()->run(make_operation(
-        "diagonal_apply", [&](const ReferenceExecutor* e) { kernel(e); },
-        [&](const OmpExecutor* e) { kernel(e); },
-        [&](const CudaExecutor* e) { kernel(e); },
-        [&](const HipExecutor* e) { kernel(e); }));
+    });
 }
 
 
@@ -105,15 +100,10 @@ void Diagonal<ValueType>::apply_impl(const LinOp* alpha, const LinOp* b,
     auto dense_x = as_dense<ValueType>(x);
     const auto a = as_dense<ValueType>(alpha)->at(0, 0);
     const auto bt = as_dense<ValueType>(beta)->at(0, 0);
-    auto kernel = [&](const Executor* e) {
+    get_executor()->run("diagonal_apply", [&](const Executor* e) {
         diagonal_apply(e, values_.get_const_data(), dense_b, dense_x,
                        get_size().rows, true, a, bt);
-    };
-    get_executor()->run(make_operation(
-        "diagonal_apply", [&](const ReferenceExecutor* e) { kernel(e); },
-        [&](const OmpExecutor* e) { kernel(e); },
-        [&](const CudaExecutor* e) { kernel(e); },
-        [&](const HipExecutor* e) { kernel(e); }));
+    });
 }
 
 

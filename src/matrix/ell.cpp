@@ -173,20 +173,15 @@ void ell_apply(const Ell<V, I>* mat, const LinOp* b, LinOp* x, bool advanced,
     auto dense_b = as_dense<V>(b);
     auto dense_x = as_dense<V>(x);
     const auto vec_cols = dense_b->get_size().cols;
-    auto run_kernel = [&](const Executor* e) {
-        kernels::ell::spmv(kernels::exec_threads(e), mat->get_const_values(),
+    mat->get_executor()->run("ell_spmv", [&](const Executor* e) {
+        kernels::ell::spmv(e->real_threads(), mat->get_const_values(),
                            mat->get_const_col_idxs(), mat->get_size().rows,
                            mat->get_num_stored_per_row(),
                            dense_b->get_const_values(), dense_b->get_stride(),
                            dense_x->get_values(), dense_x->get_stride(),
                            vec_cols, advanced, alpha, beta);
         kernels::tick(e, mat->spmv_profile(e->model(), vec_cols, advanced));
-    };
-    mat->get_executor()->run(make_operation(
-        "ell_spmv", [&](const ReferenceExecutor* e) { run_kernel(e); },
-        [&](const OmpExecutor* e) { run_kernel(e); },
-        [&](const CudaExecutor* e) { run_kernel(e); },
-        [&](const HipExecutor* e) { run_kernel(e); }));
+    });
 }
 
 }  // namespace

@@ -247,9 +247,9 @@ void sellcs_apply(const SellCs<V, I>* mat, const LinOp* b, LinOp* x,
     auto dense_b = as_dense<V>(b);
     auto dense_x = as_dense<V>(x);
     const auto vec_cols = dense_b->get_size().cols;
-    auto run_kernel = [&](const Executor* e) {
+    mat->get_executor()->run("sellcs_spmv", [&](const Executor* e) {
         kernels::sellcs::spmv(
-            kernels::exec_threads(e), mat->get_const_values(),
+            e->real_threads(), mat->get_const_values(),
             mat->get_const_col_idxs(), mat->get_const_slice_sets(),
             mat->get_const_permutation(), mat->get_size().rows,
             mat->get_slice_size(), mat->get_num_slices(),
@@ -257,12 +257,7 @@ void sellcs_apply(const SellCs<V, I>* mat, const LinOp* b, LinOp* x,
             dense_x->get_values(), dense_x->get_stride(), vec_cols, advanced,
             alpha, beta);
         kernels::tick(e, mat->spmv_profile(e->model(), vec_cols, advanced));
-    };
-    mat->get_executor()->run(make_operation(
-        "sellcs_spmv", [&](const ReferenceExecutor* e) { run_kernel(e); },
-        [&](const OmpExecutor* e) { run_kernel(e); },
-        [&](const CudaExecutor* e) { run_kernel(e); },
-        [&](const HipExecutor* e) { run_kernel(e); }));
+    });
 }
 
 }  // namespace

@@ -28,10 +28,10 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
 
     std::unique_ptr<Csr<ValueType, IndexType>> product;
     // Gustavson: dense accumulator + touched-column list per row.  Runs as
-    // an Operation so the data-dependent flop/byte volumes reach the
+    // one kernel launch so the data-dependent flop/byte volumes reach the
     // profiler/FlightRecorder through kernels::tick like every other
     // kernel (the analytic counterpart is log::spgemm_work).
-    auto kernel = [&](const Executor* e) {
+    exec->run("spgemm", [&](const Executor* e) {
         std::vector<double> accumulator(static_cast<std::size_t>(n), 0.0);
         std::vector<bool> touched(static_cast<std::size_t>(n), false);
         std::vector<IndexType> row_cols;
@@ -67,12 +67,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
             product->get_num_stored_elements(), products, sizeof(ValueType),
             sizeof(IndexType));
         kernels::tick(e, sim::profile_stream(work.bytes, work.flops, 0.5));
-    };
-    exec->run(make_operation(
-        "spgemm", [&](const ReferenceExecutor* e) { kernel(e); },
-        [&](const OmpExecutor* e) { kernel(e); },
-        [&](const CudaExecutor* e) { kernel(e); },
-        [&](const HipExecutor* e) { kernel(e); }));
+    });
     return product;
 }
 

@@ -253,7 +253,7 @@ Hierarchy<ValueType, IndexType>::Hierarchy(
         // other kernel.
         std::vector<IndexType> agg;
         size_type num_agg = 0;
-        auto agg_kernel = [&](const Executor* e) {
+        exec_->run("amg_aggregate", [&](const Executor* e) {
             num_agg = aggregate_rows(a, params_.theta, agg);
             kernels::tick(
                 e, sim::profile_stream(
@@ -261,13 +261,7 @@ Hierarchy<ValueType, IndexType>::Hierarchy(
                            (sizeof(ValueType) + sizeof(IndexType)) * 2.0,
                        4.0 * static_cast<double>(a->get_num_stored_elements()),
                        0.6));
-        };
-        exec_->run(make_operation(
-            "amg_aggregate",
-            [&](const ReferenceExecutor* e) { agg_kernel(e); },
-            [&](const OmpExecutor* e) { agg_kernel(e); },
-            [&](const CudaExecutor* e) { agg_kernel(e); },
-            [&](const HipExecutor* e) { agg_kernel(e); }));
+        });
         if (num_agg * 10 > n * 9) {
             // Aggregation stalled (less than 10% reduction): deeper levels
             // would near-replicate this one and blow up the operator
@@ -352,8 +346,8 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
             tv = tmp->get_const_values();
         }
         const auto w = params_.jacobi_weight;
-        auto kernel = [&](const Executor* e) {
-            const int nt = kernels::exec_threads(e);
+        exec_->run("amg_jacobi_relax", [&](const Executor* e) {
+            const int nt = e->real_threads();
             if (x_zero) {
 #pragma omp parallel for num_threads(nt) if (nt > 1)
                 for (size_type i = 0; i < n; ++i) {
@@ -377,12 +371,7 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
                 e, sim::profile_stream(
                        streams * static_cast<double>(n) * sizeof(ValueType),
                        streams * static_cast<double>(n), 0.9));
-        };
-        exec_->run(make_operation(
-            "amg_jacobi_relax", [&](const ReferenceExecutor* e) { kernel(e); },
-            [&](const OmpExecutor* e) { kernel(e); },
-            [&](const CudaExecutor* e) { kernel(e); },
-            [&](const HipExecutor* e) { kernel(e); }));
+        });
         return;
     }
 
@@ -394,7 +383,7 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
     const auto* row_ptrs = l.op->get_const_row_ptrs();
     const auto* col_idxs = l.op->get_const_col_idxs();
     const auto* values = l.op->get_const_values();
-    auto kernel = [&](const Executor* e) {
+    exec_->run("amg_gauss_seidel", [&](const Executor* e) {
         for (size_type step = 0; step < n; ++step) {
             const auto row = backward ? n - 1 - step : step;
             double acc = to_float(bv[row * b_stride]);
@@ -414,12 +403,7 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
                        3.0 * static_cast<double>(n) * sizeof(ValueType),
                    2.0 * static_cast<double>(l.op->get_num_stored_elements()),
                    0.7));
-    };
-    exec_->run(make_operation(
-        "amg_gauss_seidel", [&](const ReferenceExecutor* e) { kernel(e); },
-        [&](const OmpExecutor* e) { kernel(e); },
-        [&](const CudaExecutor* e) { kernel(e); },
-        [&](const HipExecutor* e) { kernel(e); }));
+    });
 }
 
 

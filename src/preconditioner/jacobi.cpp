@@ -149,8 +149,8 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
     const auto bs = block_size_;
     const auto* inv = inv_data_.get_const_data();
 
-    auto kernel = [&](const Executor* e) {
-        const int nt = kernels::exec_threads(e);
+    get_executor()->run("jacobi_apply", [&](const Executor* e) {
+        const int nt = e->real_threads();
         if (bs == 1) {
 #pragma omp parallel for num_threads(nt) if (nt > 1)
             for (size_type row = 0; row < n; ++row) {
@@ -192,13 +192,7 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
                    2.0 * static_cast<double>(inv_data_.size()) *
                        static_cast<double>(vec_cols),
                    0.85));
-    };
-
-    get_executor()->run(make_operation(
-        "jacobi_apply", [&](const ReferenceExecutor* e) { kernel(e); },
-        [&](const OmpExecutor* e) { kernel(e); },
-        [&](const CudaExecutor* e) { kernel(e); },
-        [&](const HipExecutor* e) { kernel(e); }));
+    });
 }
 
 

@@ -85,7 +85,7 @@ void Direct<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
     const auto* a = lu_->get_const_values();
     const auto stride = lu_->get_stride();
 
-    auto kernel = [&](const Executor* e) {
+    get_executor()->run("direct_solve", [&](const Executor* e) {
         // apply the pivot permutation
         for (size_type col = 0; col < n; ++col) {
             const auto p = pivots_[static_cast<std::size_t>(col)];
@@ -126,12 +126,7 @@ void Direct<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
                                    2.0 * nd * nd *
                                        static_cast<double>(vec_cols),
                                    0.8));
-    };
-    get_executor()->run(make_operation(
-        "direct_solve", [&](const ReferenceExecutor* e) { kernel(e); },
-        [&](const OmpExecutor* e) { kernel(e); },
-        [&](const CudaExecutor* e) { kernel(e); },
-        [&](const HipExecutor* e) { kernel(e); }));
+    });
 }
 
 

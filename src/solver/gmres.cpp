@@ -18,24 +18,10 @@ namespace {
 /// policy (§6.2.1).
 void tick_small_device_op(const Executor* exec, size_type elems)
 {
-    exec->run(make_operation(
-        "gmres_hessenberg_update",
-        [&](const ReferenceExecutor* e) {
-            mgko::kernels::tick(e, sim::profile_stream(
-                                 static_cast<double>(elems) * 8.0, 0.0));
-        },
-        [&](const OmpExecutor* e) {
-            mgko::kernels::tick(e, sim::profile_stream(
-                                 static_cast<double>(elems) * 8.0, 0.0));
-        },
-        [&](const CudaExecutor* e) {
-            mgko::kernels::tick(e, sim::profile_stream(
-                                 static_cast<double>(elems) * 8.0, 0.0));
-        },
-        [&](const HipExecutor* e) {
-            mgko::kernels::tick(e, sim::profile_stream(
-                                 static_cast<double>(elems) * 8.0, 0.0));
-        }));
+    exec->run("gmres_hessenberg_update", [&](const Executor* e) {
+        mgko::kernels::tick(
+            e, sim::profile_stream(static_cast<double>(elems) * 8.0, 0.0));
+    });
 }
 
 /// Ginkgo solves the triangular Hessenberg system on the device, which

@@ -142,8 +142,20 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
         }
     };
 
-    auto level_sweep = [&](const Executor* e) {
-        const int nt = mgko::kernels::exec_threads(e);
+    // The reference executor sweeps the rows in order; every other backend
+    // runs the level-scheduled sweep.
+    get_executor()->run("trs_solve", [&](const Executor* e) {
+        if (e->kind() == exec_kind::reference) {
+            serial_sweep();
+            mgko::kernels::tick(
+                e, sim::profile_stream(
+                       static_cast<double>(nnz) *
+                               (sizeof(ValueType) + sizeof(IndexType)) +
+                           static_cast<double>(2 * n * sizeof(ValueType)),
+                       2.0 * static_cast<double>(nnz), 0.7));
+            return;
+        }
+        const int nt = e->real_threads();
         const auto levels = num_levels();
         for (size_type l = 0; l < levels; ++l) {
             const auto begin = level_offsets_[static_cast<std::size_t>(l)];
@@ -170,22 +182,7 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
             0.6);
         profile.extra_launches = static_cast<int>(levels > 0 ? levels - 1 : 0);
         mgko::kernels::tick(e, profile);
-    };
-
-    get_executor()->run(make_operation(
-        "trs_solve",
-        [&](const ReferenceExecutor* e) {
-            serial_sweep();
-            mgko::kernels::tick(
-                e, sim::profile_stream(
-                       static_cast<double>(nnz) *
-                               (sizeof(ValueType) + sizeof(IndexType)) +
-                           static_cast<double>(2 * n * sizeof(ValueType)),
-                       2.0 * static_cast<double>(nnz), 0.7));
-        },
-        [&](const OmpExecutor* e) { level_sweep(e); },
-        [&](const CudaExecutor* e) { level_sweep(e); },
-        [&](const HipExecutor* e) { level_sweep(e); }));
+    });
 }
 
 

@@ -116,6 +116,52 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(Json::parse("tru"), BadParameter);
 }
 
+/// Nesting depth along the first element or the key "a".
+int depth_of(const Json& v)
+{
+    if (v.is_array()) {
+        return 1 + (v.elements().empty() ? 0 : depth_of(v.elements()[0]));
+    }
+    if (v.is_object()) {
+        return 1 + (v.contains("a") ? depth_of(v.at("a")) : 0);
+    }
+    return 0;
+}
+
+TEST(Json, NestingDeeperThanMaxDepthThrows)
+{
+    const auto arrays = [](int depth) {
+        const auto n = static_cast<std::size_t>(depth);
+        return std::string(n, '[') + std::string(n, ']');
+    };
+    const auto objects = [](int depth) {
+        std::string text;
+        for (int i = 1; i < depth; ++i) {
+            text += R"({"a": )";
+        }
+        return text + "{}" +
+               std::string(static_cast<std::size_t>(depth - 1), '}');
+    };
+    const std::string message =
+        "nesting deeper than " + std::to_string(Json::max_depth);
+    for (const auto& text : {arrays(Json::max_depth), objects(Json::max_depth)}) {
+        EXPECT_EQ(depth_of(Json::parse(text)), Json::max_depth);
+    }
+    for (const auto& text :
+         {arrays(Json::max_depth + 1), objects(Json::max_depth + 1)}) {
+        try {
+            Json::parse(text);
+            ADD_FAILURE() << "nesting past the limit parsed";
+        } catch (const BadParameter& e) {
+            EXPECT_NE(std::string{e.what()}.find(message), std::string::npos)
+                << e.what();
+        }
+    }
+    // Far past the limit the parser throws before its recursion can
+    // exhaust the stack.
+    EXPECT_THROW(Json::parse(std::string(1000000, '[')), BadParameter);
+}
+
 std::uint64_t bits_of(double v)
 {
     std::uint64_t bits = 0;

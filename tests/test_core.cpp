@@ -5,6 +5,8 @@
 #include <cmath>
 #include <sstream>
 
+#include <omp.h>
+
 #include "core/array.hpp"
 #include "core/exception.hpp"
 #include "core/executor.hpp"
@@ -136,38 +138,40 @@ TEST(Executor, DeviceHasHostMaster)
 TEST(Executor, RunDispatchesToBackendAndCountsLaunch)
 {
     auto omp = OmpExecutor::create(2);
-    bool omp_ran = false;
-    auto op = make_operation(
-        "probe", [](const ReferenceExecutor*) { FAIL(); },
-        [&](const OmpExecutor*) { omp_ran = true; },
-        [](const CudaExecutor*) { FAIL(); },
-        [](const HipExecutor*) { FAIL(); });
+    const Executor* ran_on = nullptr;
     const auto launches_before = omp->num_kernel_launches();
-    omp->run(op);
-    EXPECT_TRUE(omp_ran);
+    omp->run("probe", [&](const Executor* e) { ran_on = e; });
+    EXPECT_EQ(ran_on, omp.get());
     EXPECT_EQ(omp->num_kernel_launches(), launches_before + 1);
-}
-
-TEST(Executor, UnimplementedBackendThrows)
-{
-    class RefOnly : public Operation {
-    public:
-        const char* name() const override { return "ref_only"; }
-        void run(const ReferenceExecutor*) const override {}
-    };
-    EXPECT_NO_THROW(ReferenceExecutor::create()->run(RefOnly{}));
-    EXPECT_THROW(CudaExecutor::create()->run(RefOnly{}), NotSupported);
 }
 
 TEST(Executor, DeviceLaunchAdvancesSimClock)
 {
     auto cuda = CudaExecutor::create();
     const auto before = cuda->clock().now_ns();
-    cuda->run(make_operation(
-        "noop", [](const ReferenceExecutor*) {}, [](const OmpExecutor*) {},
-        [](const CudaExecutor*) {}, [](const HipExecutor*) {}));
+    cuda->run("noop", [](const Executor*) {});
     // One launch costs the modeled launch latency (~6 us by default).
     EXPECT_GE(cuda->clock().now_ns() - before, 1000);
+}
+
+TEST(Executor, RealThreadsAreFixedAtCreation)
+{
+    const int hw = omp_get_max_threads();
+    EXPECT_EQ(ReferenceExecutor::create()->real_threads(), 1);
+    EXPECT_EQ(OmpExecutor::create(1)->real_threads(), 1);
+    EXPECT_EQ(OmpExecutor::create(hw + 3)->real_threads(), hw);
+    EXPECT_EQ(OmpExecutor::create()->real_threads(), hw);
+    // The simulated devices take the OpenMP thread count when they are
+    // created; a later omp_set_num_threads does not change them.
+    auto cuda = CudaExecutor::create();
+    auto hip = HipExecutor::create();
+    EXPECT_EQ(cuda->real_threads(), hw);
+    EXPECT_EQ(hip->real_threads(), hw);
+    omp_set_num_threads(hw + 1);
+    EXPECT_EQ(cuda->real_threads(), hw);
+    EXPECT_EQ(hip->real_threads(), hw);
+    EXPECT_EQ(CudaExecutor::create()->real_threads(), hw + 1);
+    omp_set_num_threads(hw);
 }
 
 TEST(Executor, CrossSpaceCopyChargesTransfer)

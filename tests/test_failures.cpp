@@ -30,14 +30,12 @@ TEST(Failures, DuplicateBindingRegistrationThrows)
 TEST(Failures, ExceptionInsideKernelPropagatesThroughRun)
 {
     auto exec = ReferenceExecutor::create();
-    auto op = make_operation(
-        "explode",
-        [](const ReferenceExecutor*) {
-            throw NumericalError(__FILE__, __LINE__, "injected");
-        },
-        [](const OmpExecutor*) {}, [](const CudaExecutor*) {},
-        [](const HipExecutor*) {});
-    EXPECT_THROW(exec->run(op), NumericalError);
+    EXPECT_THROW(exec->run("explode",
+                           [](const Executor*) {
+                               throw NumericalError(__FILE__, __LINE__,
+                                                    "injected");
+                           }),
+                 NumericalError);
     // The executor remains usable afterwards.
     auto* p = exec->alloc<double>(8);
     exec->free_bytes(p);

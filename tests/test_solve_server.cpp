@@ -1206,6 +1206,22 @@ TEST(SolveServer, NumbersOutsideInt64AndPartialMtxTokensAnswer400)
 }
 
 
+TEST(SolveServer, DeeplyNestedBodyAnswers400AndTheServerStaysUp)
+{
+    // 100,000 '[' parse one recursion level each without a depth bound;
+    // the body is far below max_body_bytes, so it reaches the parser.
+    auto server = serve::SolveServer::start({});
+    const auto response = http_request(server->port(), "POST", "/v1/solve",
+                                       std::string(100000, '['));
+    EXPECT_EQ(status_of(response), 400) << response.substr(0, 200);
+    EXPECT_NE(body_of(response).find("nesting deeper than"),
+              std::string::npos)
+        << body_of(response);
+    EXPECT_EQ(status_of(http_request(server->port(), "GET", "/healthz", "")),
+              200);
+    server->stop();
+}
+
 // --- serve::start_from_env ------------------------------------------------
 //
 // start_from_env runs once per process, so each case runs in a fresh

@@ -9,10 +9,12 @@
 #include "config/config_solver.hpp"
 #include "factorization/ilu.hpp"
 #include "matgen/matgen.hpp"
+#include "matrix/coo.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 #include "preconditioner/ilu.hpp"
 #include "preconditioner/jacobi.hpp"
+#include "sim/cost_model.hpp"
 #include "solver/bicgstab.hpp"
 #include "solver/cg.hpp"
 #include "solver/cgs.hpp"
@@ -481,6 +483,125 @@ TEST(Triangular, RequiresSortedSquareCsr)
     EXPECT_THROW((solver::LowerTrs<double, int32>::build().on(exec)
                       ->generate(d)),
                  NotSupported);
+}
+
+// The three kernels whose algorithm differs by backend pick their variant
+// from the executor's kind().  One apply must advance the SimClock by one
+// launch plus the modeled time of exactly the strategy that backend runs.
+TEST(KernelVariants, EachBackendTicksItsOwnStrategy)
+{
+    using sim::spmv_strategy;
+    // The first 64 rows are much longer than the rest, so the row
+    // partitions model different times.
+    const size_type n = 512;
+    matrix_data<double, int32> full{dim2{n, n}};
+    matrix_data<double, int32> lower{dim2{n, n}};
+    matrix_data<double, int32> upper{dim2{n, n}};
+    for (size_type r = 0; r < n; ++r) {
+        const size_type width = r < 64 ? 96 : 3;
+        for (size_type k = 0; k < width; ++k) {
+            const auto c = static_cast<int32>((r + k * 37) % n);
+            full.add(static_cast<int32>(r), c, 1.0 / (1.0 + k));
+        }
+        lower.add(static_cast<int32>(r), static_cast<int32>(r), 4.0);
+        upper.add(static_cast<int32>(r), static_cast<int32>(r), 4.0);
+        for (size_type k = 1; k <= 2; ++k) {
+            if (r >= 3 * k) {
+                lower.add(static_cast<int32>(r), static_cast<int32>(r - 3 * k),
+                          -1.0);
+                upper.add(static_cast<int32>(r - 3 * k), static_cast<int32>(r),
+                          -1.0);
+            }
+        }
+    }
+    for (const auto& exec : test::all_executors()) {
+        const auto& m = exec->model();
+        const auto kind = exec->kind();
+        const bool ref = kind == exec_kind::reference;
+        auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
+        auto x = Vec::create(exec, dim2{n, 1});
+        // Both ticks truncate to whole nanoseconds: the kernel's profile
+        // first, then the launch latency.
+        auto expected = [&](const sim::kernel_profile& p) {
+            return static_cast<std::int64_t>(p.time_ns(m)) +
+                   static_cast<std::int64_t>(m.launch_latency_ns);
+        };
+        auto ticks = [&](auto&& launch) {
+            const auto before = exec->clock().now_ns();
+            launch();
+            return exec->clock().now_ns() - before;
+        };
+
+        auto csr = Mtx::create_from_data(exec, full);
+        for (const auto s :
+             {Mtx::strategy::classical, Mtx::strategy::load_balanced}) {
+            csr->set_strategy(s);
+            const bool classical = s == Mtx::strategy::classical;
+            const auto split = classical ? spmv_strategy::classical_rows
+                                         : spmv_strategy::balanced_nnz;
+            const auto strategy = ref ? spmv_strategy::serial
+                                  : kind == exec_kind::hip
+                                      ? spmv_strategy::wavefront64
+                                      : split;
+            EXPECT_EQ(ticks([&] { csr->apply(b.get(), x.get()); }),
+                      expected(csr->spmv_profile(strategy, m, 1, false)))
+                << exec->name() << (classical ? " classical" : " balanced");
+        }
+        // The rows are uneven enough that each parallel backend's
+        // alternatives model different times, so ticking the wrong one
+        // fails above.
+        auto csr_time = [&](spmv_strategy s) {
+            return expected(csr->spmv_profile(s, m, 1, false));
+        };
+        if (!ref) {
+            EXPECT_NE(csr_time(spmv_strategy::classical_rows),
+                      csr_time(spmv_strategy::balanced_nnz))
+                << exec->name();
+            EXPECT_NE(csr_time(spmv_strategy::wavefront64),
+                      csr_time(spmv_strategy::balanced_nnz))
+                << exec->name();
+        }
+
+        auto coo = Coo<double, int32>::create_from_data(exec, full);
+        x->fill(0.0);
+        const auto coo_strategy =
+            ref ? spmv_strategy::serial : spmv_strategy::coo_flat_atomic;
+        EXPECT_EQ(ticks([&] { coo->apply_accumulate(b.get(), x.get()); }),
+                  expected(coo->spmv_profile(coo_strategy, m, 1, false)))
+            << exec->name();
+        EXPECT_NE(
+            expected(coo->spmv_profile(spmv_strategy::serial, m, 1, false)),
+            expected(coo->spmv_profile(spmv_strategy::coo_flat_atomic, m, 1,
+                                       false)))
+            << exec->name();
+
+        // The reference executor sweeps rows in order in one launch; the
+        // others sweep level by level and pay a launch per extra level.
+        auto check_trs = [&](const auto* trs, const char* which) {
+            const auto levels = trs->num_levels();
+            EXPECT_GT(levels, 1) << which;
+            const double nnz = static_cast<double>(
+                trs->get_system_matrix()->get_num_stored_elements());
+            auto profile = sim::profile_stream(
+                nnz * (sizeof(double) + sizeof(int32)) +
+                    static_cast<double>(2 * n * sizeof(double)),
+                2.0 * nnz, ref ? 0.7 : 0.6);
+            if (!ref) {
+                profile.extra_launches = static_cast<int>(levels - 1);
+            }
+            EXPECT_EQ(ticks([&] { trs->apply(b.get(), x.get()); }),
+                      expected(profile))
+                << exec->name() << " " << which;
+        };
+        auto l = solver::LowerTrs<double, int32>::build().on(exec)->generate(
+            std::shared_ptr<Mtx>{Mtx::create_from_data(exec, lower)});
+        check_trs(dynamic_cast<const solver::LowerTrs<double, int32>*>(l.get()),
+                  "lower");
+        auto u = solver::UpperTrs<double, int32>::build().on(exec)->generate(
+            std::shared_ptr<Mtx>{Mtx::create_from_data(exec, upper)});
+        check_trs(dynamic_cast<const solver::UpperTrs<double, int32>*>(u.get()),
+                  "upper");
+    }
 }
 
 
