@@ -215,6 +215,16 @@ Tensor as_tensor(const Device& dev, dim2 dims, const std::string& dtype_name,
 }
 
 
+Tensor empty(const Device& dev, dim2 dims, const std::string& dtype_name)
+{
+    const auto vt = dtype_from_string(dtype_name);
+    auto result = probed_call(dev.executor(), mangle("tensor_empty", vt),
+                              {boxed_device(dev), Value{dims.rows},
+                               Value{dims.cols}});
+    return Tensor::wrap(vt, result.as<LinOp>("tensor"));
+}
+
+
 Tensor as_tensor(const Device& dev, const std::vector<double>& host_data,
                  dim2 dims, const std::string& dtype_name)
 {
@@ -284,8 +294,10 @@ size_type Matrix::nnz() const { return nnz_; }
 
 Tensor Matrix::spmv(const Tensor& b) const
 {
-    auto x = as_tensor(device(), dim2{shape().rows, b.shape().cols},
-                       to_string(vt_), 0.0);
+    // A plain apply writes every element of its output and reads none, in
+    // every format, so the output needs no fill.
+    auto x = empty(device(), dim2{shape().rows, b.shape().cols},
+                   to_string(vt_));
     apply(b, x);
     return x;
 }

@@ -133,6 +133,11 @@ private:
 /// pg.as_tensor(device=dev, dim=(n,1), dtype="double", fill=1.0)
 Tensor as_tensor(const Device& dev, dim2 dims,
                  const std::string& dtype_name = "double", double fill = 0.0);
+/// np.empty's counterpart: an uninitialized tensor, for outputs the next
+/// call overwrites in full (Matrix::apply, the spmv result).  Reading an
+/// element before it is written gives an unspecified value.
+Tensor empty(const Device& dev, dim2 dims,
+             const std::string& dtype_name = "double");
 /// pg.as_tensor(numpy_array, device=dev) — copies host data in.
 Tensor as_tensor(const Device& dev, const std::vector<double>& host_data,
                  dim2 dims, const std::string& dtype_name = "double");
@@ -155,9 +160,10 @@ public:
     Device device() const;
     bool valid() const { return op_ != nullptr; }
 
-    /// x = A b (allocates the result).
+    /// x = A b into a new tensor from bind::empty: one launch, no fill.
     Tensor spmv(const Tensor& b) const;
-    /// In-place apply into an existing tensor.
+    /// In-place apply into an existing tensor; x's prior contents are
+    /// never read.
     void apply(const Tensor& b, Tensor& x) const;
     /// Converts between formats ("Csr", "Coo", "Ell", "Hybrid").
     Matrix to_format(const std::string& format) const;

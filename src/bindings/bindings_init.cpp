@@ -120,6 +120,15 @@ void register_tensor_bindings(Module& m)
         return box_linop("tensor", std::shared_ptr<LinOp>{std::move(tensor)});
     });
 
+    // No fill kernel: the caller overwrites every element (np.empty).
+    m.def("tensor_empty" + s, [](const List& args) -> Value {
+        auto exec = unbox_device(args.at(0));
+        const auto rows = args.at(1).as_int();
+        const auto cols = args.at(2).as_int();
+        auto tensor = Dense<V>::create(exec, dim2{rows, cols});
+        return box_linop("tensor", std::shared_ptr<LinOp>{std::move(tensor)});
+    });
+
     m.def("tensor_from_host" + s, [](const List& args) -> Value {
         auto exec = unbox_device(args.at(0));
         auto host = args.at(1).as<const std::vector<double>>("host_f64");

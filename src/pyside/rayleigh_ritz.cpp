@@ -6,6 +6,7 @@
 #include <random>
 
 #include "core/exception.hpp"
+#include "log/event_logger.hpp"
 
 namespace mgko::pyside {
 
@@ -158,70 +159,96 @@ eig_result rayleigh_ritz(const bind::Device& dev, const bind::Matrix& a,
     MGKO_ENSURE(a.shape().rows == a.shape().cols,
                 "Rayleigh-Ritz requires a square operator");
     MGKO_ENSURE(k >= 1 && k <= n, "invalid subspace dimension");
+    // Phase spans on the device's executor: the start block once, then
+    // four per iteration, which together cover the call.
+    const auto* exec = dev.executor().get();
 
-    // Random start block.
-    std::mt19937_64 engine{seed};
-    std::uniform_real_distribution<double> dist{-1.0, 1.0};
-    std::vector<double> host(static_cast<std::size_t>(n * k));
-    for (auto& v : host) {
-        v = dist(engine);
+    bind::Tensor x;
+    {
+        log::ScopedSpan span{nullptr, exec, "pyside.start"};
+        std::mt19937_64 engine{seed};
+        std::uniform_real_distribution<double> dist{-1.0, 1.0};
+        std::vector<double> host(static_cast<std::size_t>(n * k));
+        for (auto& v : host) {
+            v = dist(engine);
+        }
+        x = bind::as_tensor(dev, host, dim2{n, k}, "double");
     }
-    auto x = bind::as_tensor(dev, host, dim2{n, k}, "double");
 
     eig_result result;
     result.eigenvalues.assign(static_cast<std::size_t>(k), 0.0);
     for (size_type iter = 1; iter <= max_iterations; ++iter) {
-        auto q = orthonormalize(dev, x);
-        // Projected operator T = Qᵀ (A Q).
-        auto aq = a.spmv(q);
-        auto t = q.t_matmul(aq);
-        auto t_host = t.to_host();
-        // Symmetrize against round-off before the host eigensolve.
-        for (size_type i = 0; i < k; ++i) {
-            for (size_type j = i + 1; j < k; ++j) {
-                const auto avg =
-                    0.5 * (t_host[static_cast<std::size_t>(i * k + j)] +
-                           t_host[static_cast<std::size_t>(j * k + i)]);
-                t_host[static_cast<std::size_t>(i * k + j)] = avg;
-                t_host[static_cast<std::size_t>(j * k + i)] = avg;
-            }
-        }
-        std::vector<double> values, vectors;
-        symmetric_eig_host(t_host, k, values, vectors);
-        // Descending by magnitude: subspace iteration converges to the
-        // dominant spectrum.
-        std::reverse(values.begin(), values.end());
-        std::vector<double> vectors_desc(vectors.size());
-        for (size_type i = 0; i < k; ++i) {
-            for (size_type j = 0; j < k; ++j) {
-                vectors_desc[static_cast<std::size_t>(i * k + j)] =
-                    vectors[static_cast<std::size_t>(i * k + (k - 1 - j))];
-            }
-        }
-        auto c = bind::as_tensor(dev, vectors_desc, dim2{k, k}, "double");
-        auto ritz = q.matmul(c);  // n x k Ritz vectors
-
-        // Residual check: max_i ||A v_i - lambda_i v_i||.
-        auto a_ritz = a.spmv(ritz);
-        // One row-major pass with a sum per column; each sum still adds its
-        // rows in ascending i.
-        double max_res = 0.0;
+        bind::Tensor q;
         {
-            const auto av = a_ritz.to_host();
-            const auto v = ritz.to_host();
-            std::vector<double> res(static_cast<std::size_t>(k), 0.0);
-            for (size_type i = 0; i < n; ++i) {
-                const double* av_row = av.data() + i * k;
-                const double* v_row = v.data() + i * k;
-                for (size_type j = 0; j < k; ++j) {
-                    const double d =
-                        av_row[j] -
-                        values[static_cast<std::size_t>(j)] * v_row[j];
-                    res[static_cast<std::size_t>(j)] += d * d;
+            log::ScopedSpan span{nullptr, exec, "pyside.orthonormalize"};
+            q = orthonormalize(dev, x);
+        }
+        std::vector<double> values, vectors_desc;
+        {
+            log::ScopedSpan span{nullptr, exec, "pyside.project"};
+            // Projected operator T = Qᵀ (A Q).
+            auto aq = a.spmv(q);
+            auto t = q.t_matmul(aq);
+            auto t_host = t.to_host();
+            // Symmetrize against round-off before the host eigensolve.
+            for (size_type i = 0; i < k; ++i) {
+                for (size_type j = i + 1; j < k; ++j) {
+                    const auto avg =
+                        0.5 * (t_host[static_cast<std::size_t>(i * k + j)] +
+                               t_host[static_cast<std::size_t>(j * k + i)]);
+                    t_host[static_cast<std::size_t>(i * k + j)] = avg;
+                    t_host[static_cast<std::size_t>(j * k + i)] = avg;
                 }
             }
-            for (const double r : res) {
-                max_res = std::max(max_res, std::sqrt(r));
+            std::vector<double> vectors;
+            symmetric_eig_host(t_host, k, values, vectors);
+            // Descending by magnitude: subspace iteration converges to the
+            // dominant spectrum.
+            std::reverse(values.begin(), values.end());
+            vectors_desc.resize(vectors.size());
+            for (size_type i = 0; i < k; ++i) {
+                for (size_type j = 0; j < k; ++j) {
+                    vectors_desc[static_cast<std::size_t>(i * k + j)] =
+                        vectors[static_cast<std::size_t>(i * k + (k - 1 - j))];
+                }
+            }
+        }
+        bind::Tensor ritz;
+        {
+            log::ScopedSpan span{nullptr, exec, "pyside.ritz"};
+            auto c = bind::as_tensor(dev, vectors_desc, dim2{k, k}, "double");
+            ritz = q.matmul(c);  // n x k Ritz vectors
+        }
+
+        // Residual check, max_j ||A v_j - lambda_j v_j||, in tensor ops:
+        // R = V diag(lambda) - A V, then the diagonal of RᵀR.  For finite
+        // blocks each residual is bitwise the host loop's over (Av, v): the
+        // gemm adds only exact zeros to v_ij * lambda_j, the subtraction
+        // gives -(Av - lambda v) exactly, and gemv_t adds the squares r_lj²
+        // in ascending l.
+        bind::Tensor a_ritz;
+        double max_res = 0.0;
+        {
+            log::ScopedSpan span{nullptr, exec, "pyside.residual"};
+            a_ritz = a.spmv(ritz);
+            std::vector<double> lambda(static_cast<std::size_t>(k * k), 0.0);
+            for (size_type j = 0; j < k; ++j) {
+                lambda[static_cast<std::size_t>(j * k + j)] =
+                    values[static_cast<std::size_t>(j)];
+            }
+            auto r = ritz.matmul(
+                bind::as_tensor(dev, lambda, dim2{k, k}, "double"));
+            r.add_scaled(-1.0, a_ritz);
+            const auto gram = r.t_matmul(r).to_host();  // k x k
+            // A NaN residual is kept, never skipped as std::max would: the
+            // zero terms of the gemm carry one non-finite column into every
+            // column, and a skipped NaN would read as converged.
+            for (size_type j = 0; j < k; ++j) {
+                const double res =
+                    std::sqrt(gram[static_cast<std::size_t>(j * k + j)]);
+                if (std::isnan(res) || res > max_res) {
+                    max_res = res;
+                }
             }
         }
         result.eigenvalues = values;

@@ -23,7 +23,9 @@ struct eig_result {
     /// n x k Ritz vectors (columns match eigenvalues).
     bind::Tensor eigenvectors;
     size_type iterations{};
-    /// max_i ||A v_i - lambda_i v_i|| at exit.
+    /// max_i ||A v_i - lambda_i v_i|| at exit; NaN when any residual is
+    /// NaN (a non-finite operator or block), which never meets the
+    /// tolerance.
     double max_residual{};
 };
 

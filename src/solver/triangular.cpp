@@ -142,17 +142,22 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
         }
     };
 
+    // Cost: stream the factor once and b and x once per right-hand side.
+    auto profile = [&](double efficiency) {
+        return sim::profile_stream(
+            static_cast<double>(nnz) *
+                    (sizeof(ValueType) + sizeof(IndexType)) +
+                static_cast<double>(2 * n * sizeof(ValueType)) *
+                    static_cast<double>(vec_cols),
+            2.0 * static_cast<double>(nnz) * static_cast<double>(vec_cols),
+            efficiency);
+    };
     // The reference executor sweeps the rows in order; every other backend
     // runs the level-scheduled sweep.
     get_executor()->run("trs_solve", [&](const Executor* e) {
         if (e->kind() == exec_kind::reference) {
             serial_sweep();
-            mgko::kernels::tick(
-                e, sim::profile_stream(
-                       static_cast<double>(nnz) *
-                               (sizeof(ValueType) + sizeof(IndexType)) +
-                           static_cast<double>(2 * n * sizeof(ValueType)),
-                       2.0 * static_cast<double>(nnz), 0.7));
+            mgko::kernels::tick(e, profile(0.7));
             return;
         }
         const int nt = e->real_threads();
@@ -171,17 +176,12 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
                     vec_cols, unit);
             }
         }
-        // Cost: stream the factor once, plus one launch per level beyond
-        // the first (the latency wall of sparse triangular solves).
-        auto profile = sim::profile_stream(
-            static_cast<double>(nnz) *
-                    (sizeof(ValueType) + sizeof(IndexType)) +
-                static_cast<double>(2 * n * sizeof(ValueType)) *
-                    static_cast<double>(vec_cols),
-            2.0 * static_cast<double>(nnz) * static_cast<double>(vec_cols),
-            0.6);
-        profile.extra_launches = static_cast<int>(levels > 0 ? levels - 1 : 0);
-        mgko::kernels::tick(e, profile);
+        // One launch per level beyond the first: the latency wall of
+        // sparse triangular solves.
+        auto level_profile = profile(0.6);
+        level_profile.extra_launches =
+            static_cast<int>(levels > 0 ? levels - 1 : 0);
+        mgko::kernels::tick(e, level_profile);
     });
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -76,6 +77,7 @@ TEST(Registry, RegistersFullPreInstantiatedSurface)
             EXPECT_TRUE(m.has(std::string{"config_solver_"} + v + "_" + i));
         }
         EXPECT_TRUE(m.has(std::string{"tensor_create_"} + v));
+        EXPECT_TRUE(m.has(std::string{"tensor_empty_"} + v));
     }
     EXPECT_FALSE(m.has("tensor_create_quad"));
     EXPECT_GT(m.size(), 100);
@@ -344,6 +346,85 @@ TEST(BindApi, MatrixFromDataAndSpmvMatchesEngine)
     engine_mat->apply(eb.get(), ex.get());
     for (size_type i = 0; i < n; ++i) {
         EXPECT_NEAR(x.item(i), ex->at(i, 0), 1e-13);
+    }
+}
+
+/// The first element of a tensor of value type V.
+template <typename V>
+const V* tensor_data(const bind::Tensor& t)
+{
+    return as_dense<V>(t.op().get())->get_const_values();
+}
+
+/// Matrix::spmv allocates its output with bind::empty.  Each case first
+/// frees a NaN-filled block of the output's size, so the pool hands that
+/// block to spmv, and spmv must still equal an apply into zeros bitwise.
+template <typename V>
+void expect_spmv_overwrites_a_reused_block(const bind::Device& dev,
+                                           const char* dtype,
+                                           const char* itype)
+{
+    const size_type n = 97;  // not a multiple of the SELL-C-σ slice
+    const auto data = test::random_sparse<double, int64>(n, 5, 11);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const char* format : {"Csr", "Coo", "Ell", "Hybrid", "Sellcs"}) {
+        auto m = bind::matrix_from_data(dev, data, dtype, format, itype);
+        for (const size_type k : {size_type{1}, size_type{3}}) {
+            std::vector<double> host(static_cast<std::size_t>(n * k));
+            for (std::size_t i = 0; i < host.size(); ++i) {
+                host[i] = std::sin(1.0 + static_cast<double>(i));
+            }
+            auto b = bind::as_tensor(dev, host, dim2{n, k}, dtype);
+            auto zeros = bind::as_tensor(dev, dim2{n, k}, dtype, 0.0);
+            m.apply(b, zeros);
+            const V* freed = nullptr;
+            {
+                auto poisoned = bind::as_tensor(dev, dim2{n, k}, dtype, nan);
+                freed = tensor_data<V>(poisoned);
+            }
+            const auto launches = dev.executor()->num_kernel_launches();
+            auto x = m.spmv(b);
+            const auto spmv_launches =
+                dev.executor()->num_kernel_launches() - launches;
+            const auto where = std::string{dev.name()} + " " + format + " " +
+                               dtype + " " + itype + ", " +
+                               std::to_string(k) + " columns";
+            ASSERT_EQ(tensor_data<V>(x), freed)
+                << where << ": the pool did not hand back the NaN block";
+            EXPECT_TRUE(same_host_bits(zeros.to_host(), x.to_host()))
+                << where;
+            if (std::string{format} == "Csr") {
+                // The apply alone: no fill kernel before it.
+                EXPECT_EQ(spmv_launches, 1u) << where;
+            }
+        }
+    }
+}
+
+TEST(BindApi, SpmvOverwritesAnUninitializedOutputInEveryFormat)
+{
+    for (auto exec : std::vector<std::shared_ptr<Executor>>{
+             ReferenceExecutor::create(), OmpExecutor::create(4)}) {
+        const bind::Device dev{exec};
+        for (const char* itype : {"int32", "int64"}) {
+            expect_spmv_overwrites_a_reused_block<double>(dev, "double",
+                                                          itype);
+            expect_spmv_overwrites_a_reused_block<float>(dev, "float", itype);
+        }
+    }
+}
+
+TEST(BindApi, EmptyTensorHasTheRequestedShapeAndLaunchesNothing)
+{
+    for (const char* dt : {"half", "float", "double"}) {
+        auto dev = bind::device("omp");
+        const auto launches = dev.executor()->num_kernel_launches();
+        auto t = bind::empty(dev, dim2{5, 3}, dt);
+        EXPECT_EQ(dev.executor()->num_kernel_launches(), launches) << dt;
+        EXPECT_EQ(t.shape(), (dim2{5, 3})) << dt;
+        EXPECT_EQ(t.dtype_name(), to_string(dtype_from_string(dt)));
+        t.fill(2.0);
+        EXPECT_DOUBLE_EQ(t.item(4, 2), 2.0) << dt;
     }
 }
 

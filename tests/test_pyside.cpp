@@ -3,7 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "log/flight_recorder.hpp"
+#include "matgen/matgen.hpp"
 #include "pyside/rayleigh_ritz.hpp"
 #include "tests/test_utils.hpp"
 
@@ -152,6 +160,102 @@ TEST(RayleighRitz, EigenResidualIsSmall)
     auto result = pyside::rayleigh_ritz(dev, mtx, 2, 8000, 1e-8);
     EXPECT_LT(result.max_residual, 1e-7);
     EXPECT_GT(result.iterations, 1);
+}
+
+/// max_j ||A v_j - lambda_j v_j|| from host copies of A V and V, one sum
+/// per column over the rows in ascending order.
+double host_max_residual(const bind::Matrix& a,
+                         const pyside::eig_result& result)
+{
+    const auto k = static_cast<size_type>(result.eigenvalues.size());
+    const auto n = result.eigenvectors.shape().rows;
+    const auto av = a.spmv(result.eigenvectors).to_host();
+    const auto v = result.eigenvectors.to_host();
+    std::vector<double> res(static_cast<std::size_t>(k), 0.0);
+    for (size_type i = 0; i < n; ++i) {
+        for (size_type j = 0; j < k; ++j) {
+            const auto e = static_cast<std::size_t>(i * k + j);
+            const double d =
+                av[e] - result.eigenvalues[static_cast<std::size_t>(j)] * v[e];
+            res[static_cast<std::size_t>(j)] += d * d;
+        }
+    }
+    double max_res = 0.0;
+    for (const double r : res) {
+        max_res = std::max(max_res, std::sqrt(r));
+    }
+    return max_res;
+}
+
+TEST(RayleighRitz, MaxResidualEqualsHostLoopBitwise)
+{
+    for (auto exec : std::vector<std::shared_ptr<Executor>>{
+             OmpExecutor::create(4), ReferenceExecutor::create()}) {
+        const bind::Device dev{exec};
+        for (const auto& [name, data] :
+             {std::pair{"lap2d_32x40", matgen::stencil_2d_5pt(32, 40)},
+              std::pair{"planar_1500", matgen::planar_graph(1500, 3)}}) {
+            auto a = bind::matrix_from_data(dev, data, "double", "Csr");
+            for (const size_type iterations : {1, 7}) {
+                const auto result =
+                    pyside::rayleigh_ritz(dev, a, 8, iterations, 0.0, 5);
+                ASSERT_EQ(result.iterations, iterations);
+                const double expected = host_max_residual(a, result);
+                EXPECT_EQ(std::memcmp(&expected, &result.max_residual,
+                                      sizeof(double)),
+                          0)
+                    << exec->name() << " " << name << " after " << iterations
+                    << " iterations: " << result.max_residual << " against "
+                    << expected;
+            }
+        }
+    }
+}
+
+TEST(RayleighRitz, NanOperatorReportsNanResidualAndNeverConverges)
+{
+    auto dev = bind::device("reference");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    auto mtx = bind::matrix_from_data(
+        dev, matrix_data<double, int64>::diag({4.0, nan, 2.0, 1.0, 3.0}),
+        "double", "Csr");
+    const auto result = pyside::rayleigh_ritz(dev, mtx, 2, 6, 1e-3);
+    EXPECT_TRUE(std::isnan(result.max_residual));
+    EXPECT_EQ(result.iterations, 6);
+}
+
+TEST(RayleighRitz, PhaseSpansAreWellNestedAndCoverEveryIteration)
+{
+    auto dev = bind::device("omp");
+    auto mtx = bind::matrix_from_data(dev, matgen::stencil_2d_5pt(16, 16),
+                                      "double", "Csr");
+    auto rec = log::FlightRecorder::create(std::size_t{1} << 14);
+    dev.executor()->add_logger(rec);
+    const auto result = pyside::rayleigh_ritz(dev, mtx, 4, 5, 0.0);
+    dev.executor()->remove_logger(rec.get());
+    ASSERT_EQ(rec->dropped(), 0u);
+    ASSERT_EQ(result.iterations, 5);
+
+    using kind = log::FlightRecorder::event_kind;
+    std::vector<std::string> stack;
+    std::map<std::string, int> pairs;
+    for (const auto& r : rec->snapshot()) {
+        if (r.kind == kind::span_begin) {
+            stack.emplace_back(r.tag);
+        } else if (r.kind == kind::span_end) {
+            ASSERT_FALSE(stack.empty()) << "end of '" << r.tag << "' first";
+            ASSERT_EQ(stack.back(), r.tag) << "closed out of order";
+            stack.pop_back();
+            pairs[r.tag] += 1;
+        }
+    }
+    EXPECT_TRUE(stack.empty());
+    // One start span, then four phases per iteration, none nested.
+    EXPECT_EQ(pairs, (std::map<std::string, int>{{"pyside.start", 1},
+                                                 {"pyside.orthonormalize", 5},
+                                                 {"pyside.project", 5},
+                                                 {"pyside.ritz", 5},
+                                                 {"pyside.residual", 5}}));
 }
 
 TEST(RayleighRitz, RejectsInvalidArguments)

@@ -577,21 +577,28 @@ TEST(KernelVariants, EachBackendTicksItsOwnStrategy)
 
         // The reference executor sweeps rows in order in one launch; the
         // others sweep level by level and pay a launch per extra level.
+        // Either way b and x stream once per right-hand side.
         auto check_trs = [&](const auto* trs, const char* which) {
             const auto levels = trs->num_levels();
             EXPECT_GT(levels, 1) << which;
             const double nnz = static_cast<double>(
                 trs->get_system_matrix()->get_num_stored_elements());
-            auto profile = sim::profile_stream(
-                nnz * (sizeof(double) + sizeof(int32)) +
-                    static_cast<double>(2 * n * sizeof(double)),
-                2.0 * nnz, ref ? 0.7 : 0.6);
-            if (!ref) {
-                profile.extra_launches = static_cast<int>(levels - 1);
+            for (const size_type cols : {size_type{1}, size_type{8}}) {
+                auto bk = Vec::create_filled(exec, dim2{n, cols}, 1.0);
+                auto xk = Vec::create(exec, dim2{n, cols});
+                auto profile = sim::profile_stream(
+                    nnz * (sizeof(double) + sizeof(int32)) +
+                        static_cast<double>(2 * n * sizeof(double)) *
+                            static_cast<double>(cols),
+                    2.0 * nnz * static_cast<double>(cols), ref ? 0.7 : 0.6);
+                if (!ref) {
+                    profile.extra_launches = static_cast<int>(levels - 1);
+                }
+                EXPECT_EQ(ticks([&] { trs->apply(bk.get(), xk.get()); }),
+                          expected(profile))
+                    << exec->name() << " " << which << ", " << cols
+                    << " columns";
             }
-            EXPECT_EQ(ticks([&] { trs->apply(b.get(), x.get()); }),
-                      expected(profile))
-                << exec->name() << " " << which;
         };
         auto l = solver::LowerTrs<double, int32>::build().on(exec)->generate(
             std::shared_ptr<Mtx>{Mtx::create_from_data(exec, lower)});
