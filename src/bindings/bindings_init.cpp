@@ -92,14 +92,21 @@ Value box_linop(const char* tag, std::shared_ptr<LinOp> op)
     return box(tag, std::move(op));
 }
 
+// Appended to a std::string rather than `"_" + to_string(v)`: GCC 12 at -O3
+// reports a false -Wrestrict overlap for `const char* + std::string&&`.
 std::string suffix(dtype v)
 {
-    return "_" + to_string(v);
+    std::string result{"_"};
+    result += to_string(v);
+    return result;
 }
 
 std::string suffix(dtype v, itype i)
 {
-    return "_" + to_string(v) + "_" + to_string(i);
+    auto result = suffix(v);
+    result += "_";
+    result += to_string(i);
+    return result;
 }
 
 

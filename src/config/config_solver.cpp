@@ -531,11 +531,12 @@ solve_report apply_solver(const Json& config,
 {
     MGKO_ENSURE(solver != nullptr, "apply_solver requires a solver");
     const auto rows = solver->get_size().rows;
-    MGKO_ENSURE(rhs.size() == rows,
+    MGKO_ENSURE(static_cast<size_type>(rhs.size()) == rows,
                 "rhs length " + std::to_string(rhs.size()) +
                     " does not match the system's " + std::to_string(rows) +
                     " rows");
-    MGKO_ENSURE(initial_guess.empty() || initial_guess.size() == rows,
+    MGKO_ENSURE(initial_guess.empty() ||
+                    static_cast<size_type>(initial_guess.size()) == rows,
                 "initial guess length does not match the system");
     return dispatch_value_index(
         config_value_type(config), config_index_type(config),

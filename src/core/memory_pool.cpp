@@ -116,9 +116,9 @@ bool MemoryPool::release(void* ptr)
 
 void MemoryPool::note_cached(std::size_t class_bytes)
 {
+    const auto bytes = static_cast<size_type>(class_bytes);
     const auto cached =
-        bytes_cached_.fetch_add(class_bytes, std::memory_order_relaxed) +
-        class_bytes;
+        bytes_cached_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
     auto peak = watermark_.load(std::memory_order_relaxed);
     while (cached > peak &&
            !watermark_.compare_exchange_weak(peak, cached,

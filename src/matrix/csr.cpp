@@ -1,7 +1,9 @@
 #include "matrix/csr.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <omp.h>
@@ -195,16 +197,56 @@ Csr<ValueType, IndexType>::create_from_data(
 
 
 template <typename ValueType, typename IndexType>
+std::unique_ptr<Csr<ValueType, IndexType>>
+Csr<ValueType, IndexType>::create_with_row_counts(
+    std::shared_ptr<const Executor> exec, dim2 size,
+    const std::vector<size_type>& counts)
+{
+    MGKO_ENSURE(static_cast<size_type>(counts.size()) == size.rows,
+                "one entry count per row");
+    const auto nnz = std::accumulate(counts.begin(), counts.end(), size_type{});
+    if (nnz > static_cast<size_type>(std::numeric_limits<IndexType>::max())) {
+        throw BadParameter(__FILE__, __LINE__,
+                           std::to_string(nnz) +
+                               " stored entries exceed the index type's "
+                               "range");
+    }
+    auto result = create(std::move(exec), size, nnz);
+    auto* row_ptrs = result->get_row_ptrs();
+    size_type offset = 0;
+    for (size_type row = 0; row < size.rows; ++row) {
+        row_ptrs[row] = static_cast<IndexType>(offset);
+        offset += counts[static_cast<std::size_t>(row)];
+    }
+    row_ptrs[size.rows] = static_cast<IndexType>(offset);
+    return result;
+}
+
+
+template <typename ValueType, typename IndexType>
 void Csr<ValueType, IndexType>::read(
     const matrix_data<ValueType, IndexType>& data)
 {
+    using entry = typename matrix_data<ValueType, IndexType>::entry;
     data.validate();
-    auto sorted = data;
-    sorted.sort_row_major();
-    sorted.sum_duplicates();
+    // Entries already strictly row-major are exactly what sorting and
+    // summing duplicates would produce, so they are read in place.
+    const bool row_major =
+        std::adjacent_find(data.entries.begin(), data.entries.end(),
+                           [](const entry& a, const entry& b) {
+                               return a.row != b.row ? a.row > b.row
+                                                     : a.col >= b.col;
+                           }) == data.entries.end();
+    matrix_data<ValueType, IndexType> sorted;
+    if (!row_major) {
+        sorted = data;
+        sorted.sort_row_major();
+        sorted.sum_duplicates();
+    }
+    const auto& entries = row_major ? data.entries : sorted.entries;
 
     set_size(data.size);
-    const auto nnz = sorted.num_stored();
+    const auto nnz = static_cast<size_type>(entries.size());
     values_.resize_and_reset(nnz);
     col_idxs_.resize_and_reset(nnz);
     row_ptrs_.resize_and_reset(data.size.rows + 1);
@@ -214,7 +256,7 @@ void Csr<ValueType, IndexType>::read(
     auto* row_ptrs = row_ptrs_.get_data();
     std::fill_n(row_ptrs, data.size.rows + 1, IndexType{});
     for (size_type i = 0; i < nnz; ++i) {
-        const auto& e = sorted.entries[static_cast<std::size_t>(i)];
+        const auto& e = entries[static_cast<std::size_t>(i)];
         values[i] = e.value;
         col_idxs[i] = e.col;
         ++row_ptrs[e.row + 1];

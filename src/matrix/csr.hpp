@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/array.hpp"
 #include "core/lin_op.hpp"
@@ -50,7 +51,17 @@ public:
         std::shared_ptr<const Executor> exec,
         const matrix_data<ValueType, IndexType>& data);
 
-    /// Fills from staging data (copies, sorts, merges duplicates).
+    /// A matrix whose row r will hold counts[r] entries: row pointers set,
+    /// column indices and values left for the caller to write.  The entry
+    /// count is summed in size_type; when it exceeds IndexType's range this
+    /// throws BadParameter naming it, before anything is allocated.
+    static std::unique_ptr<Csr> create_with_row_counts(
+        std::shared_ptr<const Executor> exec, dim2 size,
+        const std::vector<size_type>& counts);
+
+    /// Fills from staging data.  Strictly row-major entries are copied
+    /// straight into the arrays; any other order is copied, sorted and its
+    /// duplicates summed first, which gives the same arrays.
     void read(const matrix_data<ValueType, IndexType>& data);
     matrix_data<ValueType, IndexType> to_data() const;
 

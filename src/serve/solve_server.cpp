@@ -92,7 +92,7 @@ std::vector<double> parse_vector(const Json& body, const std::string& key,
     for (const auto& cell : body.at(key).elements()) {
         result.push_back(cell.as_double());
     }
-    MGKO_ENSURE(result.size() == rows,
+    MGKO_ENSURE(static_cast<size_type>(result.size()) == rows,
                 "'" + key + "' length " + std::to_string(result.size()) +
                     " does not match the operator's " +
                     std::to_string(rows) + " rows");

@@ -3,6 +3,7 @@
 // swept across all executors and value/index type combinations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -348,6 +349,97 @@ TEST(Csr, ReadSortsAndMergesDuplicates)
     EXPECT_EQ(rp[1], 2);
     EXPECT_EQ(rp[2], 3);
     EXPECT_DOUBLE_EQ(mat->get_const_values()[2], 7.0);
+}
+
+/// The arrays Csr::read produced before its row-major fast path: a copy of
+/// the entries, sort_row_major, sum_duplicates, then a fill.
+template <typename V, typename I>
+void expect_read_equals_copy_sort_and_sum(const matrix_data<V, I>& data)
+{
+    auto sorted = data;
+    sorted.sort_row_major();
+    sorted.sum_duplicates();
+    std::vector<I> row_ptrs(static_cast<std::size_t>(data.size.rows) + 1, 0);
+    std::vector<I> col_idxs;
+    std::vector<V> values;
+    for (const auto& e : sorted.entries) {
+        ++row_ptrs[static_cast<std::size_t>(e.row) + 1];
+        col_idxs.push_back(e.col);
+        values.push_back(e.value);
+    }
+    for (std::size_t r = 1; r < row_ptrs.size(); ++r) {
+        row_ptrs[r] += row_ptrs[r - 1];
+    }
+
+    auto mat = Csr<V, I>::create_from_data(ReferenceExecutor::create(), data);
+    ASSERT_EQ(mat->get_size(), data.size);
+    ASSERT_EQ(mat->get_num_stored_elements(),
+              static_cast<size_type>(values.size()));
+    EXPECT_EQ(std::memcmp(mat->get_const_row_ptrs(), row_ptrs.data(),
+                          row_ptrs.size() * sizeof(I)),
+              0);
+    if (!values.empty()) {
+        EXPECT_EQ(std::memcmp(mat->get_const_col_idxs(), col_idxs.data(),
+                              col_idxs.size() * sizeof(I)),
+                  0);
+        EXPECT_EQ(std::memcmp(mat->get_const_values(), values.data(),
+                              values.size() * sizeof(V)),
+                  0);
+    }
+}
+
+TYPED_TEST(SparseFormats, CsrReadEqualsCopySortAndSumForEveryOrder)
+{
+    using V = typename TestFixture::value_type;
+    using I = typename TestFixture::index_type;
+    // Strictly row-major, with empty rows, a stored zero and a -0.
+    matrix_data<V, I> row_major{dim2{6, 5}};
+    std::mt19937_64 engine{17};
+    std::uniform_real_distribution<double> dist{-1.0, 1.0};
+    for (int r : {0, 2, 3, 5}) {
+        for (int c : {0, 1, 3, 4}) {
+            row_major.add(static_cast<I>(r), static_cast<I>(c),
+                          static_cast<V>(dist(engine)));
+        }
+    }
+    row_major.entries[1].value = static_cast<V>(0.0);
+    row_major.entries[2].value = static_cast<V>(-0.0);
+    {
+        SCOPED_TRACE("row-major");
+        expect_read_equals_copy_sort_and_sum(row_major);
+    }
+    {
+        SCOPED_TRACE("empty");
+        expect_read_equals_copy_sort_and_sum(matrix_data<V, I>{dim2{3, 2}});
+    }
+    {
+        SCOPED_TRACE("reversed");
+        auto reversed = row_major;
+        std::reverse(reversed.entries.begin(), reversed.entries.end());
+        expect_read_equals_copy_sort_and_sum(reversed);
+    }
+    {
+        SCOPED_TRACE("shuffled");
+        auto shuffled = row_major;
+        std::shuffle(shuffled.entries.begin(), shuffled.entries.end(),
+                     engine);
+        expect_read_equals_copy_sort_and_sum(shuffled);
+    }
+    {
+        // Row-major except for repeated (row, col) pairs, next to each
+        // other and across the end of a row: still summed, not stored twice.
+        SCOPED_TRACE("adjacent duplicates");
+        auto duplicated = row_major;
+        duplicated.entries.insert(duplicated.entries.begin() + 3,
+                                  duplicated.entries[3]);
+        duplicated.entries.insert(duplicated.entries.begin() + 9,
+                                  duplicated.entries[8]);
+        expect_read_equals_copy_sort_and_sum(duplicated);
+        auto mat = Csr<V, I>::create_from_data(ReferenceExecutor::create(),
+                                               duplicated);
+        EXPECT_EQ(mat->get_num_stored_elements(), row_major.num_stored());
+        EXPECT_TRUE(mat->is_sorted_by_column_index());
+    }
 }
 
 TEST(Csr, RejectsOutOfBoundsEntries)

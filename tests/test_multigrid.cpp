@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -404,6 +405,249 @@ TEST(AmgHierarchy, StrengthFilterSemicoarsensAnisotropicProblem)
             << "aggregate " << aggregate << " crossed a weak y-link at row "
             << row;
     }
+}
+
+
+/// The prolongation smoother built serially as triplets: M assembled as
+/// matrix_data (the diagonal first in each row) and read through
+/// Csr::create_from_data's copy-and-sort path, with the row scans in stored
+/// order.  The oracle the row-parallel CSR build must equal bitwise.
+template <typename V, typename I>
+std::unique_ptr<Csr<V, I>> serial_triplet_smoother(const Csr<V, I>* a,
+                                                   double theta)
+{
+    const auto n = a->get_size().rows;
+    const auto* row_ptrs = a->get_const_row_ptrs();
+    const auto* col_idxs = a->get_const_col_idxs();
+    const auto* values = a->get_const_values();
+    std::vector<double> diag(static_cast<std::size_t>(n), 0.0);
+    for (size_type row = 0; row < n; ++row) {
+        for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+            if (static_cast<size_type>(col_idxs[k]) == row) {
+                diag[row] = to_float(values[k]);
+            }
+        }
+    }
+    auto strong = [&](size_type row, size_type col, double v) {
+        return std::abs(v) >=
+               theta * std::sqrt(std::abs(diag[row] * diag[col]));
+    };
+    std::vector<double> filtered_diag(diag);
+    double rho = 0.0;
+    for (size_type row = 0; row < n; ++row) {
+        double strong_abs = 0.0;
+        for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+            const auto col = static_cast<size_type>(col_idxs[k]);
+            const double v = to_float(values[k]);
+            if (col == row) {
+                continue;
+            }
+            if (strong(row, col, v)) {
+                strong_abs += std::abs(v);
+            } else {
+                filtered_diag[row] += v;
+            }
+        }
+        const double d = std::abs(filtered_diag[row]);
+        if (d > 0.0) {
+            rho = std::max(rho, (d + strong_abs) / d);
+        }
+    }
+    const double omega = rho > 0.0 ? 4.0 / (3.0 * rho) : 2.0 / 3.0;
+    matrix_data<V, I> m{dim2{n, n}};
+    for (size_type row = 0; row < n; ++row) {
+        double df = filtered_diag[row];
+        if (df == 0.0) {
+            df = diag[row] != 0.0 ? diag[row] : 1.0;
+        }
+        m.add(static_cast<I>(row), static_cast<I>(row),
+              static_cast<V>(1.0 - omega));
+        for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+            const auto col = static_cast<size_type>(col_idxs[k]);
+            const double v = to_float(values[k]);
+            if (col != row && strong(row, col, v)) {
+                m.add(static_cast<I>(row), static_cast<I>(col),
+                      static_cast<V>(-omega * v / df));
+            }
+        }
+    }
+    return Csr<V, I>::create_from_data(a->get_executor(), m);
+}
+
+/// `data` on `exec`, each row stored in descending column order when
+/// `reversed` (a hand-built layout no reader produces).
+template <typename V, typename I>
+std::shared_ptr<Csr<V, I>> level_operator(std::shared_ptr<const Executor> exec,
+                                          const matgen::data64& data,
+                                          bool reversed)
+{
+    std::shared_ptr<Csr<V, I>> a{
+        Csr<V, I>::create_from_data(exec, data.cast<V, I>())};
+    if (reversed) {
+        const auto* ptrs = a->get_const_row_ptrs();
+        for (size_type row = 0; row < a->get_size().rows; ++row) {
+            std::reverse(a->get_col_idxs() + ptrs[row],
+                         a->get_col_idxs() + ptrs[row + 1]);
+            std::reverse(a->get_values() + ptrs[row],
+                         a->get_values() + ptrs[row + 1]);
+        }
+    }
+    return a;
+}
+
+template <typename V, typename I>
+void expect_same_hierarchy(const multigrid::Hierarchy<V, I>& got,
+                           const multigrid::Hierarchy<V, I>& expected)
+{
+    ASSERT_EQ(got.num_levels(), expected.num_levels());
+    for (size_type k = 0; k < expected.num_levels(); ++k) {
+        SCOPED_TRACE("level " + std::to_string(k));
+        const auto& g = got.get_level(k);
+        const auto& e = expected.get_level(k);
+        test::expect_same_csr(g.op.get(), e.op.get());
+        ASSERT_EQ(g.prolong == nullptr, e.prolong == nullptr);
+        if (e.prolong) {
+            test::expect_same_csr(g.prolong.get(), e.prolong.get());
+            test::expect_same_csr(g.restrict_op.get(), e.restrict_op.get());
+        }
+        const auto rows = e.op->get_size().rows;
+        EXPECT_EQ(std::memcmp(g.inv_diag->get_const_values(),
+                              e.inv_diag->get_const_values(),
+                              static_cast<std::size_t>(rows) * sizeof(V)),
+                  0);
+    }
+}
+
+TEST(AmgHierarchy, EveryBackendBuildsTheReferenceLevelsBitwise)
+{
+    struct problem {
+        const char* name;
+        matgen::data64 data;
+        double theta;
+    };
+    const problem problems[] = {
+        {"7-point 12^3", matgen::stencil_3d_7pt(12, 12, 12), 0.02},
+        {"27-point 12^3", matgen::stencil_3d_27pt(12, 12, 12), 0.02},
+        {"anisotropic 40^2", matgen::stencil_2d_aniso(40, 40, 0.01), 0.08}};
+    for (const auto& p : problems) {
+        for (const bool smoothed : {true, false}) {
+            SCOPED_TRACE(std::string{p.name} +
+                         (smoothed ? ", smoothed P" : ", tentative P"));
+            multigrid::amg_parameters params;
+            params.theta = p.theta;
+            params.min_coarse_rows = 8;
+            params.smoothed_prolongation = smoothed;
+            auto ref = ReferenceExecutor::create();
+            const multigrid::Hierarchy<double, int32> expected{
+                ref, params, make_matrix(ref, p.data)};
+            ASSERT_GE(expected.num_levels(), 3u);
+            for (std::shared_ptr<const Executor> exec :
+                 {std::shared_ptr<const Executor>{OmpExecutor::create(4)},
+                  std::shared_ptr<const Executor>{CudaExecutor::create()},
+                  std::shared_ptr<const Executor>{HipExecutor::create()}}) {
+                const multigrid::Hierarchy<double, int32> got{
+                    exec, params, make_matrix(exec, p.data)};
+                expect_same_hierarchy(got, expected);
+            }
+        }
+    }
+}
+
+TEST(AmgHierarchy, LevelsEqualTheSerialTripletBuild)
+{
+    // Every level k of a smoothed hierarchy is P_k = M_k T_k with M_k the
+    // serial triplet smoother and T_k the tentative P a one-step tentative
+    // hierarchy on A_k aggregates, and A_{k+1} = P_k^T (A_k P_k), each
+    // product the serial Gustavson loop.  Covers a fine operator whose rows
+    // are stored in reverse column order.
+    struct problem {
+        const char* name;
+        matgen::data64 data;
+        double theta;
+        bool reversed;
+    };
+    const problem problems[] = {
+        {"7-point 10^3 reversed", matgen::stencil_3d_7pt(10, 10, 10), 0.02,
+         true},
+        {"anisotropic 32^2", matgen::stencil_2d_aniso(32, 32, 0.01), 0.08,
+         false},
+        {"27-point 12^3 reversed", matgen::stencil_3d_27pt(12, 12, 12), 0.02,
+         true}};
+    for (std::shared_ptr<const Executor> exec :
+         {std::shared_ptr<const Executor>{ReferenceExecutor::create()},
+          std::shared_ptr<const Executor>{OmpExecutor::create(4)}}) {
+        for (const auto& p : problems) {
+            SCOPED_TRACE(p.name);
+            multigrid::amg_parameters params;
+            params.theta = p.theta;
+            params.min_coarse_rows = 8;
+            const multigrid::Hierarchy<double, int32> h{
+                exec, params,
+                level_operator<double, int32>(exec, p.data, p.reversed)};
+            ASSERT_GE(h.num_levels(), 3u);
+            auto tentative_params = params;
+            tentative_params.smoothed_prolongation = false;
+            tentative_params.max_levels = 2;
+            for (size_type k = 0; k + 1 < h.num_levels(); ++k) {
+                SCOPED_TRACE("level " + std::to_string(k));
+                const auto& level = h.get_level(k);
+                const multigrid::Hierarchy<double, int32> t{
+                    exec, tentative_params, level.op};
+                ASSERT_EQ(t.num_levels(), 2u);
+                const auto m =
+                    serial_triplet_smoother(level.op.get(), p.theta);
+                const auto prolong = test::serial_gustavson(
+                    m.get(), t.get_level(0).prolong.get());
+                test::expect_same_csr(level.prolong.get(), prolong.get());
+                const auto restrict_op = prolong->transpose();
+                test::expect_same_csr(level.restrict_op.get(),
+                                      restrict_op.get());
+                const auto ap =
+                    test::serial_gustavson(level.op.get(), prolong.get());
+                test::expect_same_csr(
+                    h.get_level(k + 1).op.get(),
+                    test::serial_gustavson(restrict_op.get(), ap.get())
+                        .get());
+            }
+        }
+    }
+}
+
+TEST(AmgHierarchy, RefusesAFineRowThatRepeatsAColumn)
+{
+    auto exec = ReferenceExecutor::create();
+    auto data = matgen::stencil_2d_5pt(12, 12).cast<double, int32>();
+    data.sort_row_major();
+    // Row 7 stores its coupling to column 8 as two strong halves.
+    const int32 row = 7;
+    auto a = Mtx::create(exec, data.size, data.num_stored() + 1);
+    auto* ptrs = a->get_row_ptrs();
+    auto* cols = a->get_col_idxs();
+    auto* vals = a->get_values();
+    size_type out = 0;
+    for (const auto& e : data.entries) {
+        const bool split = e.row == row && e.col == row + 1;
+        cols[out] = e.col;
+        vals[out++] = split ? e.value / 2 : e.value;
+        if (split) {
+            cols[out] = e.col;
+            vals[out++] = e.value / 2;
+        }
+        ptrs[e.row + 1] = static_cast<int32>(out);
+    }
+    std::shared_ptr<const Mtx> fine{std::move(a)};
+    multigrid::amg_parameters params;
+    try {
+        multigrid::Hierarchy<double, int32> h{exec, params, fine};
+        FAIL() << "a row storing a column twice was accepted";
+    } catch (const BadParameter& e) {
+        EXPECT_NE(std::string{e.what()}.find("row 7 "), std::string::npos)
+            << e.what();
+    }
+    // The tentative P never reads the row's columns as one set, so that
+    // hierarchy still builds.
+    params.smoothed_prolongation = false;
+    EXPECT_NO_THROW((multigrid::Hierarchy<double, int32>{exec, params, fine}));
 }
 
 
@@ -829,6 +1073,76 @@ TEST(AmgObservability, SetupEmitsSpanAndAttributedKernels)
     EXPECT_GT(op_count["spgemm"], 0);
     EXPECT_GT(op_flops["amg_aggregate"], 0.0);
     EXPECT_GT(op_flops["spgemm"], 0.0);
+}
+
+TEST(AmgObservability, SetupPhaseSpansAreWellNestedInsideSetup)
+{
+    using kind = log::FlightRecorder::event_kind;
+    struct problem {
+        const char* name;
+        matgen::data64 data;
+        double theta;
+    };
+    // A 2-D Poisson problem that coarsens to min_coarse_rows, and a 27-point
+    // one whose first aggregation stalls at the default theta.
+    const problem problems[] = {
+        {"5-point 32^2", matgen::stencil_2d_5pt(32, 32), 0.08},
+        {"27-point 8^3", matgen::stencil_3d_27pt(8, 8, 8), 0.08}};
+    const std::string phases[] = {
+        "amg.setup.aggregate", "amg.setup.prolongation",
+        "amg.setup.galerkin", "amg.setup.coarse_solver"};
+    for (const auto& p : problems) {
+        SCOPED_TRACE(p.name);
+        auto exec = ReferenceExecutor::create();
+        auto a = make_matrix(exec, p.data);
+        auto rec = whole_run_recorder();
+        exec->add_logger(rec);
+        multigrid::amg_parameters params;
+        params.theta = p.theta;
+        multigrid::Hierarchy<double, int32> h{exec, params, a};
+        exec->remove_logger(rec.get());
+        ASSERT_EQ(rec->dropped(), 0u);
+
+        // Replay spans and kernels in emission order: every phase opens
+        // directly inside amg.setup and closes before the next one opens,
+        // aggregation runs in its phase and every product in prolongation
+        // or galerkin.
+        std::vector<std::string> stack;
+        std::map<std::string, int> pairs;
+        for (const auto& r : rec->snapshot()) {
+            const std::string tag = r.tag;
+            if (r.kind == kind::span_begin) {
+                if (tag.rfind("amg.setup.", 0) == 0) {
+                    ASSERT_FALSE(stack.empty());
+                    EXPECT_EQ(stack.back(), "amg.setup") << tag;
+                }
+                stack.push_back(tag);
+            } else if (r.kind == kind::span_end) {
+                ASSERT_FALSE(stack.empty()) << "unmatched end of " << tag;
+                ASSERT_EQ(stack.back(), tag) << "closed out of order";
+                stack.pop_back();
+                pairs[tag] += 1;
+            } else if (r.kind == kind::operation) {
+                ASSERT_FALSE(stack.empty()) << tag << " outside amg.setup";
+                if (tag == "amg_aggregate") {
+                    EXPECT_EQ(stack.back(), "amg.setup.aggregate");
+                } else if (tag == "spgemm") {
+                    EXPECT_TRUE(stack.back() == "amg.setup.prolongation" ||
+                                stack.back() == "amg.setup.galerkin")
+                        << stack.back();
+                }
+            }
+        }
+        EXPECT_TRUE(stack.empty());
+        EXPECT_EQ(pairs["amg.setup"], 1);
+        const auto coarsened = static_cast<int>(h.num_levels()) - 1;
+        const bool stalled = h.num_levels() == 1;
+        EXPECT_EQ(stalled, std::string{p.name} == "27-point 8^3");
+        EXPECT_EQ(pairs[phases[0]], coarsened + (stalled ? 1 : 0));
+        EXPECT_EQ(pairs[phases[1]], coarsened);
+        EXPECT_EQ(pairs[phases[2]], coarsened);
+        EXPECT_EQ(pairs[phases[3]], 1);
+    }
 }
 
 TEST(AmgObservability, CycleSpansAreWellNestedPerLevel)

@@ -1,7 +1,17 @@
 // SpGEMM (sparse matrix-matrix product) and the reorder:: transforms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "bindings/api.hpp"
+#include "log/work_model.hpp"
 #include "matgen/matgen.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/spgemm.hpp"
@@ -316,6 +326,186 @@ TEST(Reorder, StrategyParsingAcceptsKnownNamesAndRejectsOthers)
     EXPECT_EQ(reorder::strategy_from_string("none"),
               reorder::strategy::none);
     EXPECT_THROW(reorder::strategy_from_string("amd"), BadParameter);
+}
+
+// --- spgemm against the serial Gustavson loop ---------------------------------
+
+/// Random rows x cols operand: ~`per_row` entries per row in [-1, 1], every
+/// fifth row empty, some stored zeros.  With `reversed`, every row is
+/// stored in descending column order.
+template <typename V, typename I>
+std::unique_ptr<Csr<V, I>> random_operand(std::shared_ptr<const Executor> exec,
+                                          size_type rows, size_type cols,
+                                          size_type per_row,
+                                          std::uint64_t seed, bool reversed)
+{
+    std::mt19937_64 engine{seed};
+    std::uniform_real_distribution<double> value{-1.0, 1.0};
+    matrix_data<V, I> data{dim2{rows, cols}};
+    for (size_type r = 0; cols > 0 && r < rows; ++r) {
+        if (r % 5 == 3) {
+            continue;
+        }
+        std::uniform_int_distribution<size_type> col{0, cols - 1};
+        for (size_type k = 0; k < per_row; ++k) {
+            const double v = k % 7 == 6 ? 0.0 : value(engine);
+            data.add(static_cast<I>(r), static_cast<I>(col(engine)),
+                     static_cast<V>(v));
+        }
+    }
+    auto m = Csr<V, I>::create_from_data(exec, data);
+    if (reversed) {
+        auto* ptrs = m->get_row_ptrs();
+        for (size_type r = 0; r < rows; ++r) {
+            std::reverse(m->get_col_idxs() + ptrs[r],
+                         m->get_col_idxs() + ptrs[r + 1]);
+            std::reverse(m->get_values() + ptrs[r],
+                         m->get_values() + ptrs[r + 1]);
+        }
+    }
+    return m;
+}
+
+std::vector<std::shared_ptr<Executor>> spgemm_executors()
+{
+    return {ReferenceExecutor::create(), OmpExecutor::create(1),
+            OmpExecutor::create(4), CudaExecutor::create(),
+            HipExecutor::create()};
+}
+
+template <typename Tuple>
+class SpgemmTyped : public ::testing::Test {
+public:
+    using value_type = typename std::tuple_element<0, Tuple>::type;
+    using index_type = typename std::tuple_element<1, Tuple>::type;
+};
+
+using SpgemmTypes =
+    ::testing::Types<std::tuple<half, int32>, std::tuple<half, int64>,
+                     std::tuple<float, int32>, std::tuple<float, int64>,
+                     std::tuple<double, int32>, std::tuple<double, int64>>;
+TYPED_TEST_SUITE(SpgemmTyped, SpgemmTypes);
+
+TYPED_TEST(SpgemmTyped, EqualsSerialGustavsonBitwiseOnEveryExecutor)
+{
+    using V = typename TestFixture::value_type;
+    using I = typename TestFixture::index_type;
+    struct shape {
+        size_type m, k, n, per_row;
+    };
+    // Square, rectangular both ways, and 0-row / 0-inner / 0-column shapes.
+    const shape shapes[] = {{60, 60, 60, 9}, {37, 23, 71, 6},
+                            {90, 140, 12, 12}, {0, 5, 7, 3},
+                            {6, 0, 4, 3},     {5, 7, 0, 3}};
+    for (const auto& exec : spgemm_executors()) {
+        std::uint64_t seed = 1;
+        for (const auto& s : shapes) {
+            for (const bool reversed : {false, true}) {
+                auto a = random_operand<V, I>(exec, s.m, s.k, s.per_row,
+                                              seed++, reversed);
+                auto b = random_operand<V, I>(exec, s.k, s.n, s.per_row,
+                                              seed++, false);
+                SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.k) +
+                             "x" + std::to_string(s.n) +
+                             (reversed ? " reversed" : ""));
+                auto c = spgemm(a.get(), b.get());
+                ASSERT_EQ(c->get_size(), (dim2{s.m, s.n}));
+                test::expect_same_csr(
+                    c.get(), test::serial_gustavson(a.get(), b.get()).get());
+            }
+        }
+    }
+}
+
+TYPED_TEST(SpgemmTyped, ProductsThatCancelStayStoredAsZeros)
+{
+    using V = typename TestFixture::value_type;
+    using I = typename TestFixture::index_type;
+    // Row 0 of a * b is 0.5 * (b row 0 - b row 1) = 0 at columns 1 and 3,
+    // and 0.5 at column 2; row 1 of a is empty.
+    matrix_data<V, I> a_data{dim2{2, 2}};
+    a_data.add(0, 0, static_cast<V>(0.5));
+    a_data.add(0, 1, static_cast<V>(-0.5));
+    matrix_data<V, I> b_data{dim2{2, 4}};
+    b_data.add(0, 1, static_cast<V>(0.25));
+    b_data.add(0, 3, static_cast<V>(-1.0));
+    b_data.add(1, 1, static_cast<V>(0.25));
+    b_data.add(1, 2, static_cast<V>(-1.0));
+    b_data.add(1, 3, static_cast<V>(-1.0));
+    for (const auto& exec : spgemm_executors()) {
+        auto a = Csr<V, I>::create_from_data(exec, a_data);
+        auto b = Csr<V, I>::create_from_data(exec, b_data);
+        auto c = spgemm(a.get(), b.get());
+        ASSERT_EQ(c->get_num_stored_elements(), 3);
+        test::expect_same_csr(c.get(),
+                              test::serial_gustavson(a.get(), b.get()).get());
+        EXPECT_EQ(to_float(c->get_const_values()[0]), 0.0);
+        EXPECT_EQ(to_float(c->get_const_values()[1]), 0.5);
+        EXPECT_EQ(to_float(c->get_const_values()[2]), 0.0);
+    }
+}
+
+TEST(Spgemm, OneLaunchAndTheModeledTickPerCall)
+{
+    for (const auto& exec : spgemm_executors()) {
+        auto a = random_operand<double, int32>(exec, 80, 50, 7, 5, true);
+        auto b = random_operand<double, int32>(exec, 50, 90, 7, 6, false);
+        double products = 0.0;
+        const auto* a_ptrs = a->get_const_row_ptrs();
+        const auto* a_cols = a->get_const_col_idxs();
+        const auto* b_ptrs = b->get_const_row_ptrs();
+        for (size_type k = 0; k < a->get_num_stored_elements(); ++k) {
+            products += b_ptrs[a_cols[k] + 1] - b_ptrs[a_cols[k]];
+        }
+        ASSERT_GT(a_ptrs[80], 0);
+
+        const auto launches = exec->num_kernel_launches();
+        const auto ns = exec->clock().now_ns();
+        auto c = spgemm(a.get(), b.get());
+        EXPECT_EQ(exec->num_kernel_launches() - launches, 1);
+
+        // The clock advances by the launch latency plus the kernel's
+        // stream profile over the operands' and the product's entries.
+        const auto work = log::spgemm_work(
+            a->get_num_stored_elements(), b->get_num_stored_elements(),
+            c->get_num_stored_elements(), products, sizeof(double),
+            sizeof(int32));
+        const auto& model = exec->model();
+        const auto kernel_ns =
+            sim::profile_stream(work.bytes, work.flops, 0.5).time_ns(model);
+        const auto expected =
+            static_cast<std::int64_t>(kernel_ns) +
+            static_cast<std::int64_t>(model.launch_latency_ns);
+        EXPECT_EQ(exec->clock().now_ns() - ns, expected);
+    }
+}
+
+TEST(Csr, CreateWithRowCountsRefusesCountsBeyondTheIndexRange)
+{
+    auto exec = ReferenceExecutor::create();
+    auto m = Csr<double, int32>::create_with_row_counts(exec, dim2{3, 4},
+                                                        {2, 0, 3});
+    EXPECT_EQ(m->get_num_stored_elements(), 5);
+    const auto* ptrs = m->get_const_row_ptrs();
+    EXPECT_EQ(std::vector<int32>(ptrs, ptrs + 4),
+              (std::vector<int32>{0, 2, 2, 5}));
+
+    // One entry past int32's range is refused before the arrays exist.
+    const auto max32 = static_cast<size_type>(
+        std::numeric_limits<int32>::max());
+    const auto before = exec->num_allocations();
+    try {
+        Csr<double, int32>::create_with_row_counts(exec, dim2{2, 4},
+                                                   {max32, 1});
+        FAIL() << "an entry count beyond int32 was accepted";
+    } catch (const BadParameter& e) {
+        EXPECT_NE(std::string{e.what()}.find("2147483648"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(exec->num_allocations(), before);
+    EXPECT_THROW((Csr<float, int32>::create_with_row_counts(
+                     exec, dim2{3, 4}, {max32 / 2, max32 / 2, 2})),
+                 BadParameter);
 }
 
 }  // namespace

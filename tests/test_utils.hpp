@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -14,6 +16,7 @@
 #include "core/math.hpp"
 #include "core/types.hpp"
 #include "log/flight_recorder.hpp"
+#include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 
 namespace mgko::test {
@@ -105,6 +108,87 @@ std::vector<double> reference_spmv(const matrix_data<V, I>& data,
             to_float(e.value) * x[static_cast<std::size_t>(e.col)];
     }
     return y;
+}
+
+
+/// a * b by one serial Gustavson loop: rows in order, ascending ka then kb,
+/// a double accumulator cast at the end, each row's columns sorted.  The
+/// oracle the row-parallel spgemm must equal bitwise.
+template <typename V, typename I>
+std::unique_ptr<Csr<V, I>> serial_gustavson(const Csr<V, I>* a,
+                                            const Csr<V, I>* b)
+{
+    const auto* a_ptrs = a->get_const_row_ptrs();
+    const auto* a_cols = a->get_const_col_idxs();
+    const auto* a_vals = a->get_const_values();
+    const auto* b_ptrs = b->get_const_row_ptrs();
+    const auto* b_cols = b->get_const_col_idxs();
+    const auto* b_vals = b->get_const_values();
+    const auto rows = a->get_size().rows;
+    const auto n = static_cast<std::size_t>(b->get_size().cols);
+    std::vector<double> acc(n, 0.0);
+    std::vector<bool> touched(n, false);
+    std::vector<I> row_cols;
+    std::vector<I> row_ptrs{0};
+    std::vector<I> col_idxs;
+    std::vector<V> values;
+    for (size_type row = 0; row < rows; ++row) {
+        row_cols.clear();
+        for (auto ka = a_ptrs[row]; ka < a_ptrs[row + 1]; ++ka) {
+            const auto inner = static_cast<size_type>(a_cols[ka]);
+            const double a_val = to_float(a_vals[ka]);
+            for (auto kb = b_ptrs[inner]; kb < b_ptrs[inner + 1]; ++kb) {
+                const auto col = static_cast<std::size_t>(b_cols[kb]);
+                if (!touched[col]) {
+                    touched[col] = true;
+                    row_cols.push_back(b_cols[kb]);
+                }
+                acc[col] += a_val * to_float(b_vals[kb]);
+            }
+        }
+        std::sort(row_cols.begin(), row_cols.end());
+        for (const auto col : row_cols) {
+            const auto k = static_cast<std::size_t>(col);
+            col_idxs.push_back(col);
+            values.push_back(static_cast<V>(acc[k]));
+            acc[k] = 0.0;
+            touched[k] = false;
+        }
+        row_ptrs.push_back(static_cast<I>(col_idxs.size()));
+    }
+    auto c = Csr<V, I>::create(a->get_executor(),
+                               dim2{rows, b->get_size().cols},
+                               static_cast<size_type>(values.size()));
+    std::copy(row_ptrs.begin(), row_ptrs.end(), c->get_row_ptrs());
+    std::copy(col_idxs.begin(), col_idxs.end(), c->get_col_idxs());
+    std::copy(values.begin(), values.end(), c->get_values());
+    return c;
+}
+
+
+/// Asserts two CSR matrices have the same size and bitwise the same row
+/// pointers, column indices and values.
+template <typename V, typename I>
+void expect_same_csr(const Csr<V, I>* got, const Csr<V, I>* expected)
+{
+    ASSERT_EQ(got->get_size(), expected->get_size());
+    const auto nnz = expected->get_num_stored_elements();
+    ASSERT_EQ(got->get_num_stored_elements(), nnz);
+    const auto bytes_equal = [](const auto* x, const auto* y, size_type n) {
+        return n == 0 ||
+               std::memcmp(x, y, static_cast<std::size_t>(n) * sizeof(*x)) ==
+                   0;
+    };
+    EXPECT_TRUE(bytes_equal(got->get_const_row_ptrs(),
+                            expected->get_const_row_ptrs(),
+                            expected->get_size().rows + 1))
+        << "row pointers differ";
+    EXPECT_TRUE(bytes_equal(got->get_const_col_idxs(),
+                            expected->get_const_col_idxs(), nnz))
+        << "column indices differ";
+    EXPECT_TRUE(bytes_equal(got->get_const_values(),
+                            expected->get_const_values(), nnz))
+        << "values differ";
 }
 
 
