@@ -347,22 +347,33 @@ void register_matrix_bindings(Module& m)
 
     auto register_format = [&](const std::string& fmt, auto format_token) {
         using Mat = typename decltype(format_token)::type;
-        m.def("matrix_read_" + fmt + s, [box_matrix](const List& args) -> Value {
-            auto exec = unbox_device(args.at(0));
-            auto data = read_mtx(args.at(1).as_string());
-            auto mat = Mat::create_from_data(
-                std::move(exec), data.template cast<V, I>());
-            const auto nnz = mat->get_num_stored_elements();
-            return box_matrix(std::shared_ptr<LinOp>{std::move(mat)}, nnz);
-        });
+        // Csr reads the interchange triplets itself; every other format
+        // reads a copy narrowed to its types.
+        auto from_data = [](std::shared_ptr<const Executor> exec,
+                            const matrix_data<double, int64>& data) {
+            if constexpr (std::is_same_v<Mat, Csr<V, I>>) {
+                return Mat::create_from_data(std::move(exec), data);
+            } else {
+                return Mat::create_from_data(std::move(exec),
+                                             data.template cast<V, I>());
+            }
+        };
+        m.def("matrix_read_" + fmt + s,
+              [box_matrix, from_data](const List& args) -> Value {
+                  auto exec = unbox_device(args.at(0));
+                  auto mat = from_data(std::move(exec),
+                                       read_mtx(args.at(1).as_string()));
+                  const auto nnz = mat->get_num_stored_elements();
+                  return box_matrix(std::shared_ptr<LinOp>{std::move(mat)},
+                                    nnz);
+              });
 
         m.def("matrix_from_data_" + fmt + s,
-              [box_matrix](const List& args) -> Value {
+              [box_matrix, from_data](const List& args) -> Value {
                   auto exec = unbox_device(args.at(0));
                   auto data = args.at(1).as<const matrix_data<double, int64>>(
                       "matrix_data");
-                  auto mat = Mat::create_from_data(
-                      std::move(exec), data->template cast<V, I>());
+                  auto mat = from_data(std::move(exec), *data);
                   const auto nnz = mat->get_num_stored_elements();
                   return box_matrix(std::shared_ptr<LinOp>{std::move(mat)},
                                     nnz);

@@ -511,14 +511,18 @@ std::unique_ptr<LinOp> generate_solver(const Json& config,
                                        std::shared_ptr<const Executor> exec,
                                        const matrix_data<double, int64>& data)
 {
+    log::ScopedSpan span{nullptr, exec.get(), "config.generate"};
     return dispatch_value_index(
         config_value_type(config), config_index_type(config),
         [&](auto v, auto i) -> std::unique_ptr<LinOp> {
             using V = typename decltype(v)::type;
             using I = typename decltype(i)::type;
-            std::shared_ptr<const LinOp> system{
-                Csr<V, I>::create_from_data(exec,
-                                            data.template cast<V, I>())};
+            std::shared_ptr<const LinOp> system;
+            {
+                log::ScopedSpan read_span{nullptr, exec.get(),
+                                          "config.generate.read"};
+                system = Csr<V, I>::create_from_data(exec, data);
+            }
             return config_solver(config, exec, std::move(system));
         });
 }

@@ -4,6 +4,8 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <omp.h>
@@ -164,6 +166,104 @@ void rows_wavefront(int nt, size_type rows, Body body)
 }  // namespace kernels::csr
 
 
+namespace {
+
+/// Refuses a size or entry count that IndexType cannot hold, naming it, so
+/// that nothing is narrowed and nothing is allocated for it.
+template <typename IndexType>
+void check_index_range(dim2 size, size_type nnz)
+{
+    constexpr auto max =
+        static_cast<size_type>(std::numeric_limits<IndexType>::max());
+    const std::pair<size_type, const char*> counts[] = {
+        {size.rows, " rows"}, {size.cols, " columns"}, {nnz, " stored entries"}};
+    for (const auto& [count, what] : counts) {
+        if (count > max) {
+            throw BadParameter(__FILE__, __LINE__,
+                               std::to_string(count) + what +
+                                   " exceed the index type's range");
+        }
+    }
+}
+
+
+/// One pass over the triplets on `nt` threads: the position of the first
+/// entry whose row or column lies outside the size, compared in int64
+/// (num_stored() when there is none), and whether every entry's (row,
+/// column) is greater than the one before it.
+template <typename V, typename I>
+std::pair<size_type, bool> scan_triplets(const matrix_data<V, I>& data,
+                                         int nt)
+{
+    const auto nnz = data.num_stored();
+    const auto* entries = data.entries.data();
+    const auto rows = data.size.rows;
+    const auto cols = data.size.cols;
+    size_type first_bad = nnz;
+    bool row_major = true;
+#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static) \
+    reduction(min : first_bad) reduction(&& : row_major)
+    for (size_type i = 0; i < nnz; ++i) {
+        const auto row = static_cast<int64>(entries[i].row);
+        const auto col = static_cast<int64>(entries[i].col);
+        if (row < 0 || row >= rows || col < 0 || col >= cols) {
+            first_bad = std::min(first_bad, i);
+        }
+        if (i > 0) {
+            const auto& prev = entries[i - 1];
+            row_major = row_major && (prev.row != entries[i].row
+                                          ? prev.row < entries[i].row
+                                          : prev.col < entries[i].col);
+        }
+    }
+    return {first_bad, row_major};
+}
+
+
+/// `value` as V, through to_float as matrix_data::cast converts it; the
+/// same type is copied as it is.
+template <typename V, typename SourceValue>
+V narrow(SourceValue value)
+{
+    if constexpr (std::is_same_v<V, SourceValue>) {
+        return value;
+    } else {
+        return static_cast<V>(to_float(value));
+    }
+}
+
+
+/// Writes strictly row-major triplets into CSR arrays on `nt` threads.
+/// Position i < nnz stores entry i and sets the row pointers of the rows
+/// after entry i - 1's up to its own; position nnz sets those after the
+/// last entry's.  So every row pointer is written by exactly one position.
+template <typename V, typename I, typename SourceValue, typename SourceIndex>
+void fill_row_major(const matrix_data<SourceValue, SourceIndex>& data,
+                    V* values, I* col_idxs, I* row_ptrs, int nt)
+{
+    const auto nnz = data.num_stored();
+    const auto* entries = data.entries.data();
+#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
+    for (size_type i = 0; i <= nnz; ++i) {
+        const auto first_row =
+            i == 0 ? size_type{0}
+                   : static_cast<size_type>(entries[i - 1].row) + 1;
+        const auto last_row = i == nnz
+                                  ? data.size.rows
+                                  : static_cast<size_type>(entries[i].row);
+        for (auto row = first_row; row <= last_row; ++row) {
+            row_ptrs[row] = static_cast<I>(i);
+        }
+        if (i < nnz) {
+            col_idxs[i] = static_cast<I>(entries[i].col);
+            values[i] = narrow<V>(entries[i].value);
+        }
+    }
+}
+
+}  // namespace
+
+
 template <typename ValueType, typename IndexType>
 Csr<ValueType, IndexType>::Csr(std::shared_ptr<const Executor> exec, dim2 size,
                                size_type nnz)
@@ -190,8 +290,31 @@ Csr<ValueType, IndexType>::create_from_data(
     std::shared_ptr<const Executor> exec,
     const matrix_data<ValueType, IndexType>& data)
 {
+    return from_triplets(std::move(exec), data);
+}
+
+
+template <typename ValueType, typename IndexType>
+std::unique_ptr<Csr<ValueType, IndexType>>
+Csr<ValueType, IndexType>::create_from_data(
+    std::shared_ptr<const Executor> exec,
+    const matrix_data<double, int64>& data)
+    requires(!reads_interchange_natively)
+{
+    return from_triplets(std::move(exec), data);
+}
+
+
+template <typename ValueType, typename IndexType>
+template <typename SourceValue, typename SourceIndex>
+std::unique_ptr<Csr<ValueType, IndexType>>
+Csr<ValueType, IndexType>::from_triplets(
+    std::shared_ptr<const Executor> exec,
+    const matrix_data<SourceValue, SourceIndex>& data)
+{
+    check_index_range<IndexType>(data.size, data.num_stored());
     auto result = create(std::move(exec), data.size);
-    result->read(data);
+    result->read_triplets(data);
     return result;
 }
 
@@ -205,12 +328,7 @@ Csr<ValueType, IndexType>::create_with_row_counts(
     MGKO_ENSURE(static_cast<size_type>(counts.size()) == size.rows,
                 "one entry count per row");
     const auto nnz = std::accumulate(counts.begin(), counts.end(), size_type{});
-    if (nnz > static_cast<size_type>(std::numeric_limits<IndexType>::max())) {
-        throw BadParameter(__FILE__, __LINE__,
-                           std::to_string(nnz) +
-                               " stored entries exceed the index type's "
-                               "range");
-    }
+    check_index_range<IndexType>(size, nnz);
     auto result = create(std::move(exec), size, nnz);
     auto* row_ptrs = result->get_row_ptrs();
     size_type offset = 0;
@@ -227,42 +345,59 @@ template <typename ValueType, typename IndexType>
 void Csr<ValueType, IndexType>::read(
     const matrix_data<ValueType, IndexType>& data)
 {
-    using entry = typename matrix_data<ValueType, IndexType>::entry;
-    data.validate();
-    // Entries already strictly row-major are exactly what sorting and
-    // summing duplicates would produce, so they are read in place.
-    const bool row_major =
-        std::adjacent_find(data.entries.begin(), data.entries.end(),
-                           [](const entry& a, const entry& b) {
-                               return a.row != b.row ? a.row > b.row
-                                                     : a.col >= b.col;
-                           }) == data.entries.end();
+    read_triplets(data);
+}
+
+
+template <typename ValueType, typename IndexType>
+void Csr<ValueType, IndexType>::read(const matrix_data<double, int64>& data)
+    requires(!reads_interchange_natively)
+{
+    read_triplets(data);
+}
+
+
+template <typename ValueType, typename IndexType>
+template <typename SourceValue, typename SourceIndex>
+void Csr<ValueType, IndexType>::read_triplets(
+    const matrix_data<SourceValue, SourceIndex>& data)
+{
+    check_index_range<IndexType>(data.size, data.num_stored());
+    const int nt = get_executor()->real_threads();
+    const auto [first_bad, row_major] = scan_triplets(data, nt);
+    if (first_bad < data.num_stored()) {
+        const auto& e = data.entries[static_cast<std::size_t>(first_bad)];
+        if (e.row < 0 || static_cast<size_type>(e.row) >= data.size.rows) {
+            throw OutOfBounds(__FILE__, __LINE__, e.row, data.size.rows);
+        }
+        throw OutOfBounds(__FILE__, __LINE__, e.col, data.size.cols);
+    }
+    auto fill = [&](const auto& src) {
+        set_size(src.size);
+        const auto nnz = src.num_stored();
+        values_.resize_and_reset(nnz);
+        col_idxs_.resize_and_reset(nnz);
+        row_ptrs_.resize_and_reset(src.size.rows + 1);
+        fill_row_major(src, values_.get_data(), col_idxs_.get_data(),
+                       row_ptrs_.get_data(), nt);
+        invalidate_profile_cache();
+    };
+    if (row_major) {
+        fill(data);
+        return;
+    }
+    // Any other order is narrowed, sorted and its duplicates summed in the
+    // value type first, which leaves it strictly row-major.
     matrix_data<ValueType, IndexType> sorted;
-    if (!row_major) {
+    if constexpr (std::is_same_v<matrix_data<ValueType, IndexType>,
+                                 matrix_data<SourceValue, SourceIndex>>) {
         sorted = data;
-        sorted.sort_row_major();
-        sorted.sum_duplicates();
+    } else {
+        sorted = data.template cast<ValueType, IndexType>();
     }
-    const auto& entries = row_major ? data.entries : sorted.entries;
-
-    set_size(data.size);
-    const auto nnz = static_cast<size_type>(entries.size());
-    values_.resize_and_reset(nnz);
-    col_idxs_.resize_and_reset(nnz);
-    row_ptrs_.resize_and_reset(data.size.rows + 1);
-
-    auto* values = values_.get_data();
-    auto* col_idxs = col_idxs_.get_data();
-    auto* row_ptrs = row_ptrs_.get_data();
-    std::fill_n(row_ptrs, data.size.rows + 1, IndexType{});
-    for (size_type i = 0; i < nnz; ++i) {
-        const auto& e = entries[static_cast<std::size_t>(i)];
-        values[i] = e.value;
-        col_idxs[i] = e.col;
-        ++row_ptrs[e.row + 1];
-    }
-    std::partial_sum(row_ptrs, row_ptrs + data.size.rows + 1, row_ptrs);
-    invalidate_profile_cache();
+    sorted.sort_row_major();
+    sorted.sum_duplicates();
+    fill(sorted);
 }
 
 
@@ -432,20 +567,55 @@ Csr<ValueType, IndexType>::transpose() const
     const auto* col_idxs = get_const_col_idxs();
     const auto* values = get_const_values();
 
-    std::fill_n(t_row_ptrs, cols + 1, IndexType{});
-    for (size_type k = 0; k < nnz; ++k) {
-        ++t_row_ptrs[col_idxs[k] + 1];
-    }
-    std::partial_sum(t_row_ptrs, t_row_ptrs + cols + 1, t_row_ptrs);
-    std::vector<IndexType> offset(static_cast<std::size_t>(cols), IndexType{});
-    for (size_type row = 0; row < rows; ++row) {
-        for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
-            const auto col = static_cast<std::size_t>(col_idxs[k]);
-            const auto dst = t_row_ptrs[col] + offset[col]++;
-            t_col_idxs[dst] = static_cast<IndexType>(row);
-            t_values[dst] = values[k];
+    // A counting sort by column over contiguous row blocks, one per thread,
+    // each holding about nnz / blocks entries.  Every block counts its
+    // columns, the offsets are taken in (column, block) order, and every
+    // block places its entries from its own offsets: each entry lands where
+    // the serial counting sort puts it.  The blocks are capped at
+    // nnz / cols so that the counters never outgrow the output.
+    const auto blocks = std::max<size_type>(
+        1, std::min<size_type>(get_executor()->real_threads(),
+                               cols > 0 ? nnz / cols : 0));
+    auto block_begin = [&](size_type b) {
+        return b == 0 ? size_type{0}
+                      : static_cast<size_type>(
+                            std::lower_bound(
+                                row_ptrs, row_ptrs + rows,
+                                static_cast<IndexType>(nnz * b / blocks)) -
+                            row_ptrs);
+    };
+    std::vector<IndexType> next(static_cast<std::size_t>(blocks * cols));
+    auto for_each_block = [&](auto body) {
+#pragma omp parallel for num_threads(static_cast<int>(blocks)) \
+    if (blocks > 1) schedule(static, 1)
+        for (size_type b = 0; b < blocks; ++b) {
+            const auto end = b + 1 == blocks ? rows : block_begin(b + 1);
+            body(block_begin(b), end, next.data() + b * cols);
+        }
+    };
+    for_each_block([&](size_type begin, size_type end, IndexType* count) {
+        for (auto k = row_ptrs[begin]; k < row_ptrs[end]; ++k) {
+            ++count[col_idxs[k]];
+        }
+    });
+    IndexType offset{};
+    for (size_type col = 0; col < cols; ++col) {
+        t_row_ptrs[col] = offset;
+        for (size_type b = 0; b < blocks; ++b) {
+            auto& slot = next[static_cast<std::size_t>(b * cols + col)];
+            offset += std::exchange(slot, offset);
         }
     }
+    t_row_ptrs[cols] = offset;
+    for_each_block([&](size_type begin, size_type end, IndexType* dst) {
+        for (auto row = begin; row < end; ++row) {
+            for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+                const auto pos = dst[col_idxs[k]]++;
+                t_col_idxs[pos] = static_cast<IndexType>(row);
+                t_values[pos] = values[k];
+            }
+        }
+    });
     get_executor()->clock().tick(
         sim::profile_stream(static_cast<double>(nnz) *
                                 (sizeof(ValueType) + sizeof(IndexType)) * 3.0,

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,11 @@ public:
     using value_type = ValueType;
     using index_type = IndexType;
 
+    /// Whether matrix_data<ValueType, IndexType> is the interchange type
+    /// itself, so that the typed read covers it.
+    static constexpr bool reads_interchange_natively =
+        std::is_same_v<ValueType, double> && std::is_same_v<IndexType, int64>;
+
     /// SpMV strategy selector (paper: Ginkgo picks load-balanced kernels;
     /// the ablation bench compares against the classical row split).
     enum class strategy { automatic, classical, load_balanced };
@@ -47,9 +53,15 @@ public:
     static std::unique_ptr<Csr> create(std::shared_ptr<const Executor> exec,
                                        dim2 size = {}, size_type nnz = 0);
 
+    /// Reads `data` (see read()); a size or entry count IndexType cannot
+    /// hold is refused before anything is allocated.
     static std::unique_ptr<Csr> create_from_data(
         std::shared_ptr<const Executor> exec,
         const matrix_data<ValueType, IndexType>& data);
+    static std::unique_ptr<Csr> create_from_data(
+        std::shared_ptr<const Executor> exec,
+        const matrix_data<double, int64>& data)
+        requires(!reads_interchange_natively);
 
     /// A matrix whose row r will hold counts[r] entries: row pointers set,
     /// column indices and values left for the caller to write.  The entry
@@ -59,10 +71,20 @@ public:
         std::shared_ptr<const Executor> exec, dim2 size,
         const std::vector<size_type>& counts);
 
-    /// Fills from staging data.  Strictly row-major entries are copied
-    /// straight into the arrays; any other order is copied, sorted and its
-    /// duplicates summed first, which gives the same arrays.
+    /// Fills from staging triplets.  Rows, columns or an entry count that
+    /// IndexType cannot hold are refused with BadParameter, never narrowed.
+    /// One pass on the executor's threads checks every index against the
+    /// size (OutOfBounds for the first bad entry) and whether the entries
+    /// are strictly row-major.  Row-major entries are written straight into
+    /// the arrays; any other order is copied, sorted and its duplicates
+    /// summed first, which gives the same arrays.
     void read(const matrix_data<ValueType, IndexType>& data);
+    /// The same reader from the interchange triplets that read_mtx and the
+    /// bindings produce: values and columns are narrowed as
+    /// matrix_data::cast narrows them, without staging a narrowed copy of
+    /// row-major input.
+    void read(const matrix_data<double, int64>& data)
+        requires(!reads_interchange_natively);
     matrix_data<ValueType, IndexType> to_data() const;
 
     ValueType* get_values() { return values_.get_data(); }
@@ -126,6 +148,13 @@ protected:
 private:
     template <typename V2, typename I2>
     friend class Csr;
+
+    template <typename SourceValue, typename SourceIndex>
+    static std::unique_ptr<Csr> from_triplets(
+        std::shared_ptr<const Executor> exec,
+        const matrix_data<SourceValue, SourceIndex>& data);
+    template <typename SourceValue, typename SourceIndex>
+    void read_triplets(const matrix_data<SourceValue, SourceIndex>& data);
 
     array<ValueType> values_;
     array<IndexType> col_idxs_;

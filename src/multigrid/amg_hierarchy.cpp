@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,7 +12,6 @@
 
 #include "core/kernel_utils.hpp"
 #include "core/math.hpp"
-#include "core/matrix_data.hpp"
 #include "matrix/spgemm.hpp"
 #include "solver/direct.hpp"
 
@@ -73,8 +73,41 @@ std::vector<double> stored_diagonal(const Csr<ValueType, IndexType>* a)
 }
 
 
+/// The strength graph of a level operator: one byte per stored entry, set
+/// for an off-diagonal, in-range entry with |a_ij| >= theta *
+/// sqrt(|a_ii| * |a_jj|).  Computed once per level, row-parallel, for
+/// aggregation and the prolongation smoother.  A NaN on either side of the
+/// test leaves the entry weak.
+template <typename ValueType, typename IndexType>
+std::vector<unsigned char> strength_mask(const Csr<ValueType, IndexType>* a,
+                                         const std::vector<double>& diag,
+                                         double theta)
+{
+    const int nt = a->get_executor()->real_threads();
+    const auto n = a->get_size().rows;
+    const auto* row_ptrs = a->get_const_row_ptrs();
+    const auto* col_idxs = a->get_const_col_idxs();
+    const auto* values = a->get_const_values();
+    std::vector<unsigned char> strong(
+        static_cast<std::size_t>(a->get_num_stored_elements()));
+#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
+    for (size_type row = 0; row < n; ++row) {
+        for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+            const auto col = static_cast<size_type>(col_idxs[k]);
+            strong[static_cast<std::size_t>(k)] =
+                col != row && col < n &&
+                std::abs(to_float(values[k])) >=
+                    theta * std::sqrt(std::abs(diag[row]) *
+                                      std::abs(diag[col]));
+        }
+    }
+    return strong;
+}
+
+
 /// Greedy unsmoothed aggregation over the strength graph.  Fills `agg`
-/// (fine row -> aggregate id) and returns the number of aggregates.
+/// (fine row -> aggregate id) and returns the number of aggregates.  The
+/// passes run serially: their order decides the aggregates.
 ///
 /// Pass 1 seeds an aggregate from every node whose strong neighbourhood is
 /// still untouched (the node plus all strong neighbours join).  Pass 2
@@ -82,24 +115,13 @@ std::vector<double> stored_diagonal(const Csr<ValueType, IndexType>* a)
 /// neighbour.  Pass 3 turns isolated stragglers into singletons.
 template <typename ValueType, typename IndexType>
 size_type aggregate_rows(const Csr<ValueType, IndexType>* a,
-                         const std::vector<double>& diag, double theta,
+                         const std::vector<unsigned char>& strong,
                          std::vector<IndexType>& agg)
 {
     const auto n = a->get_size().rows;
     const auto* row_ptrs = a->get_const_row_ptrs();
     const auto* col_idxs = a->get_const_col_idxs();
     const auto* values = a->get_const_values();
-
-    auto strong = [&](size_type row, size_type k) {
-        const auto col = static_cast<size_type>(col_idxs[k]);
-        if (col == row || col >= n) {
-            return false;
-        }
-        const double bound =
-            theta * std::sqrt(std::abs(diag[row]) * std::abs(diag[col]));
-        return std::abs(to_float(values[static_cast<std::size_t>(k)])) >=
-               bound;
-    };
 
     constexpr IndexType unassigned = -1;
     agg.assign(static_cast<std::size_t>(n), unassigned);
@@ -111,7 +133,7 @@ size_type aggregate_rows(const Csr<ValueType, IndexType>* a,
         bool neighborhood_free = true;
         for (auto k = row_ptrs[row];
              neighborhood_free && k < row_ptrs[row + 1]; ++k) {
-            if (strong(row, static_cast<size_type>(k)) &&
+            if (strong[static_cast<std::size_t>(k)] &&
                 agg[static_cast<std::size_t>(col_idxs[k])] != unassigned) {
                 neighborhood_free = false;
             }
@@ -121,7 +143,7 @@ size_type aggregate_rows(const Csr<ValueType, IndexType>* a,
         }
         agg[row] = num_agg;
         for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
-            if (strong(row, static_cast<size_type>(k))) {
+            if (strong[static_cast<std::size_t>(k)]) {
                 agg[static_cast<std::size_t>(col_idxs[k])] = num_agg;
             }
         }
@@ -135,8 +157,7 @@ size_type aggregate_rows(const Csr<ValueType, IndexType>* a,
         IndexType target = unassigned;
         for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
             const auto col = static_cast<std::size_t>(col_idxs[k]);
-            if (strong(row, static_cast<size_type>(k)) &&
-                agg[col] != unassigned) {
+            if (strong[static_cast<std::size_t>(k)] && agg[col] != unassigned) {
                 const double w =
                     std::abs(to_float(values[static_cast<std::size_t>(k)]));
                 if (w > best) {
@@ -170,7 +191,7 @@ size_type aggregate_rows(const Csr<ValueType, IndexType>* a,
 template <typename ValueType, typename IndexType>
 std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
     const Csr<ValueType, IndexType>* a, const std::vector<double>& diag,
-    double theta)
+    const std::vector<unsigned char>& strong)
 {
     const auto exec = a->get_executor();
     const int nt = exec->real_threads();
@@ -178,10 +199,6 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
     const auto* row_ptrs = a->get_const_row_ptrs();
     const auto* col_idxs = a->get_const_col_idxs();
     const auto* values = a->get_const_values();
-    auto strong = [&](size_type row, size_type col, double v) {
-        return std::abs(v) >=
-               theta * std::sqrt(std::abs(diag[row] * diag[col]));
-    };
 
     // Filtered diagonal (weak couplings lumped in) and Gershgorin bound.
     // The bound is a max, taken per thread and then over the threads;
@@ -203,7 +220,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
                     continue;
                 }
                 const double v = to_float(values[k]);
-                if (strong(row, col, v)) {
+                if (strong[static_cast<std::size_t>(k)]) {
                     strong_abs += std::abs(v);
                     ++kept;
                 } else {
@@ -247,18 +264,15 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
         };
         bool diagonal_written = false;
         for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
-            const auto col = static_cast<size_type>(col_idxs[k]);
-            if (col == row) {
+            if (!strong[static_cast<std::size_t>(k)]) {
                 continue;
             }
-            const double v = to_float(values[k]);
-            if (strong(row, col, v)) {
-                if (!diagonal_written && col > row) {
-                    put(row, 1.0 - omega);
-                    diagonal_written = true;
-                }
-                put(col, -omega * v / df);
+            const auto col = static_cast<size_type>(col_idxs[k]);
+            if (!diagonal_written && col > row) {
+                put(row, 1.0 - omega);
+                diagonal_written = true;
             }
+            put(col, -omega * to_float(values[k]) / df);
         }
         if (!diagonal_written) {
             put(row, 1.0 - omega);
@@ -352,13 +366,14 @@ Hierarchy<ValueType, IndexType>::Hierarchy(
         // operation so setup work is attributed in the profiler like any
         // other kernel.
         std::vector<IndexType> agg;
+        std::vector<unsigned char> strong;
         size_type num_agg = 0;
         {
             log::ScopedSpan span{nullptr, exec_.get(), "amg.setup.aggregate"};
             diagonals.push_back(stored_diagonal(a));
+            strong = strength_mask(a, diagonals.back(), params_.theta);
             exec_->run("amg_aggregate", [&](const Executor* e) {
-                num_agg =
-                    aggregate_rows(a, diagonals.back(), params_.theta, agg);
+                num_agg = aggregate_rows(a, strong, agg);
                 kernels::tick(
                     e,
                     sim::profile_stream(
@@ -379,18 +394,18 @@ Hierarchy<ValueType, IndexType>::Hierarchy(
         {
             log::ScopedSpan span{nullptr, exec_.get(),
                                  "amg.setup.prolongation"};
-            // Tentative piecewise-constant prolongation: T[i, agg[i]] = 1.
-            matrix_data<ValueType, IndexType> t_data{dim2{n, num_agg}};
-            for (size_type row = 0; row < n; ++row) {
-                t_data.add(static_cast<IndexType>(row), agg[row],
-                           one<ValueType>());
-            }
-            auto tentative =
-                Csr<ValueType, IndexType>::create_from_data(exec_, t_data);
+            // Tentative piecewise-constant prolongation T[i, agg[i]] = 1,
+            // one entry per row.
+            auto tentative = Csr<ValueType, IndexType>::create(
+                exec_, dim2{n, num_agg}, n);
+            auto* t_ptrs = tentative->get_row_ptrs();
+            std::iota(t_ptrs, t_ptrs + n + 1, IndexType{});
+            std::copy(agg.begin(), agg.end(), tentative->get_col_idxs());
+            std::fill_n(tentative->get_values(), n, one<ValueType>());
 
             if (params_.smoothed_prolongation) {
                 auto smoother =
-                    prolongation_smoother(a, diagonals.back(), params_.theta);
+                    prolongation_smoother(a, diagonals.back(), strong);
                 fine_level.prolong = spgemm(smoother.get(), tentative.get());
             } else {
                 fine_level.prolong = std::move(tentative);

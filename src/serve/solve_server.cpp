@@ -40,6 +40,33 @@ public:
     {}
 };
 
+/// An operator the cache could never hold: a client-visible 413.
+class TooLargeError : public Error {
+public:
+    TooLargeError(const std::string& file, int line, const std::string& what)
+        : Error(file, line, what)
+    {}
+};
+
+/// Bytes per row in the cache's estimate of a generated solver.
+constexpr size_type solver_row_bytes = 16;
+
+/// Refuses an operator whose rows alone, at solver_row_bytes each, exceed
+/// the cache budget.  Checked right after the payload is parsed, so that a
+/// size line of a few bytes cannot make generate allocate row pointers for
+/// it.
+void check_rows_fit(size_type rows, size_type capacity_bytes)
+{
+    if (rows > capacity_bytes / solver_row_bytes) {
+        throw TooLargeError(
+            __FILE__, __LINE__,
+            "operator of " + std::to_string(rows) + " rows needs " +
+                std::to_string(solver_row_bytes) +
+                " bytes per row, beyond the cache capacity of " +
+                std::to_string(capacity_bytes) + " bytes");
+    }
+}
+
 /// Size of one value/index pair for the configured types; used by the
 /// cache's byte estimate.
 size_type config_element_bytes(const Json& config)
@@ -345,6 +372,8 @@ std::string SolveServer::handle(const HttpRequest& request)
         }
     } catch (const NotFoundError& e) {
         response = json_response(404, error_json(e.what()));
+    } catch (const TooLargeError& e) {
+        response = json_response(413, error_json(e.what()));
     } catch (const Error& e) {
         // The repo's own exceptions are client errors: malformed configs,
         // malformed matrices, mismatched shapes.
@@ -444,6 +473,7 @@ std::string SolveServer::handle_upload(const HttpRequest& request)
 {
     auto body = Json::parse(request.body);
     auto data = parse_matrix_payload(body);
+    check_rows_fit(data.size.rows, options_.cache_capacity_bytes);
     const auto staging_bytes =
         static_cast<size_type>(data.entries.size()) *
             sizeof(matrix_data<double, int64>::entry) +
@@ -512,6 +542,7 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
         }
     } else {
         inline_data = parse_matrix_payload(body);
+        check_rows_fit(inline_data.size.rows, options_.cache_capacity_bytes);
     }
 
     size_type rows = entry ? entry->data.size.rows : inline_data.size.rows;
@@ -538,7 +569,7 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
         generated->bytes =
             static_cast<size_type>(entry->data.num_stored()) *
                 config_element_bytes(config) * 3 +
-            rows * 16 + 4096;
+            rows * solver_row_bytes + 4096;
         {
             std::lock_guard<std::mutex> guard{impl_->cache_mutex};
             auto [it, inserted] =

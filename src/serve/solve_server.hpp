@@ -70,7 +70,10 @@
 // honestly instead of through a growing queue).  A request whose header
 // block exceeds 8 KiB answers 431, a body beyond `max_body_bytes` 413, a
 // read that misses the deadline 408; each of these carries a traceparent
-// like every routed response.  Cached solvers hold persistent workspaces,
+// like every routed response.  An upload or inline solve whose operator
+// declares more rows than `cache_capacity_bytes` holds at 16 B per row
+// (the row term of the cache's solver estimate) also answers 413, before
+// anything is allocated for it.  Cached solvers hold persistent workspaces,
 // so each one is applied under its own mutex; different operators (and
 // different configs on one operator) solve concurrently.  stop() is the
 // core's graceful stop: it stops accepting, answers the connections still

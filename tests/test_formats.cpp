@@ -442,6 +442,90 @@ TYPED_TEST(SparseFormats, CsrReadEqualsCopySortAndSumForEveryOrder)
     }
 }
 
+/// Every executor configuration that splits the reader's and the
+/// transpose's work differently: reference, OpenMP on 1 to 4 threads and
+/// the simulated devices.
+std::vector<std::pair<std::string, std::shared_ptr<const Executor>>>
+split_executors()
+{
+    std::vector<std::pair<std::string, std::shared_ptr<const Executor>>>
+        result{{"reference", ReferenceExecutor::create()}};
+    for (int threads = 1; threads <= 4; ++threads) {
+        result.emplace_back("omp " + std::to_string(threads),
+                            OmpExecutor::create(threads));
+    }
+    result.emplace_back("cuda", CudaExecutor::create());
+    result.emplace_back("hip", HipExecutor::create());
+    return result;
+}
+
+/// Interchange triplets in strict row-major order: empty leading, inner
+/// and trailing rows, a stored zero, -0, NaN and values that round in
+/// half precision.
+matrix_data<double, int64> interchange_row_major()
+{
+    matrix_data<double, int64> data{dim2{9, 6}};
+    std::mt19937_64 engine{29};
+    std::uniform_real_distribution<double> dist{-1.0, 1.0};
+    for (int64 r : {2, 3, 5, 6}) {
+        for (int64 c : {0, 1, 3, 5}) {
+            data.add(r, c, dist(engine));
+        }
+    }
+    data.entries[1].value = 0.0;
+    data.entries[2].value = -0.0;
+    data.entries[5].value = std::numeric_limits<double>::quiet_NaN();
+    data.entries[6].value = 1.0 + 0x1p-11;  // a tie in half
+    data.entries[7].value = 65519.0;        // half's largest finite
+    data.entries[8].value = 1e-6;           // half subnormal
+    data.entries[9].value = 0.1;
+    return data;
+}
+
+TYPED_TEST(SparseFormats, CsrReadsInterchangeTripletsAsTheirNarrowedCopy)
+{
+    using V = typename TestFixture::value_type;
+    using I = typename TestFixture::index_type;
+    using data64 = matrix_data<double, int64>;
+    const auto row_major = interchange_row_major();
+    std::mt19937_64 engine{31};
+    auto reversed = row_major;
+    std::reverse(reversed.entries.begin(), reversed.entries.end());
+    auto shuffled = row_major;
+    std::shuffle(shuffled.entries.begin(), shuffled.entries.end(), engine);
+    auto duplicated = row_major;
+    duplicated.entries.insert(duplicated.entries.begin() + 3,
+                              duplicated.entries[3]);
+    duplicated.entries.insert(duplicated.entries.begin() + 9,
+                              duplicated.entries[8]);
+    const std::pair<const char*, data64> inputs[] = {
+        {"row-major", row_major},
+        {"0 x 0", data64{dim2{0, 0}}},
+        {"4 x 0", data64{dim2{4, 0}}},
+        {"no entries", data64{dim2{5, 3}}},
+        {"reversed", reversed},
+        {"shuffled", shuffled},
+        {"adjacent duplicates", duplicated}};
+    for (const auto& [name, data] : inputs) {
+        SCOPED_TRACE(name);
+        const auto narrowed = data.template cast<V, I>();
+        expect_read_equals_copy_sort_and_sum(narrowed);
+        for (const auto& [exec_name, exec] : split_executors()) {
+            SCOPED_TRACE(exec_name);
+            const auto expected = Csr<V, I>::create_from_data(exec, narrowed);
+            test::expect_same_csr(
+                Csr<V, I>::create_from_data(exec, data).get(),
+                expected.get());
+            // Read into arrays that hold another matrix: every row pointer
+            // is written, none is left over.
+            auto reused = Csr<V, I>::create_from_data(
+                exec, test::random_sparse<V, I>(12, 4, 3));
+            reused->read(data);
+            test::expect_same_csr(reused.get(), expected.get());
+        }
+    }
+}
+
 TEST(Csr, RejectsOutOfBoundsEntries)
 {
     auto exec = ReferenceExecutor::create();
@@ -449,6 +533,68 @@ TEST(Csr, RejectsOutOfBoundsEntries)
     data.add(2, 0, 1.0);
     EXPECT_THROW((Csr<double, int32>::create_from_data(exec, data)),
                  OutOfBounds);
+}
+
+TEST(Csr, ReaderReportsTheFirstOutOfBoundsEntry)
+{
+    // 1000 row-major entries with a bad column and a bad row far apart, so
+    // that on four threads they fall in different threads' blocks; either
+    // one is reported when it comes first.
+    for (const bool column_first : {true, false}) {
+        SCOPED_TRACE(column_first ? "column first" : "row first");
+        matrix_data<double, int64> data{dim2{100, 10}};
+        for (int64 r = 0; r < 100; ++r) {
+            for (int64 c = 0; c < 10; ++c) {
+                data.add(r, c, 1.0);
+            }
+        }
+        data.entries[column_first ? 100 : 900].col = 17;
+        data.entries[column_first ? 900 : 100].row = 123;
+        const std::string expected =
+            column_first ? "index 17 out of bounds [0, 10)"
+                         : "index 123 out of bounds [0, 100)";
+        for (const auto& [exec_name, exec] : split_executors()) {
+            SCOPED_TRACE(exec_name);
+            try {
+                Csr<float, int32>::create_from_data(exec, data);
+                FAIL() << "out-of-bounds entries were read";
+            } catch (const OutOfBounds& e) {
+                EXPECT_NE(std::string{e.what()}.find(expected),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+TEST(Csr, ReaderRefusesSizesTheIndexTypeCannotHoldBeforeAllocating)
+{
+    constexpr int64 huge = int64{1} << 40;
+    const std::pair<dim2, std::string> shapes[] = {
+        {dim2{huge, huge}, "1099511627776 rows"},
+        {dim2{3, huge}, "1099511627776 columns"}};
+    for (const auto& [exec_name, exec] : split_executors()) {
+        SCOPED_TRACE(exec_name);
+        for (const auto& [size, named] : shapes) {
+            matrix_data<double, int64> data{size};
+            data.add(0, 0, 1.0);
+            const auto allocations = exec->num_allocations();
+            try {
+                Csr<double, int32>::create_from_data(exec, data);
+                FAIL() << named << " were read into int32 indices";
+            } catch (const BadParameter& e) {
+                EXPECT_NE(std::string{e.what()}.find(named),
+                          std::string::npos)
+                    << e.what();
+            }
+            EXPECT_EQ(exec->num_allocations(), allocations);
+            // Typed triplets take the same check.
+            EXPECT_THROW((Csr<double, int32>::create_from_data(
+                             exec, data.cast<double, int32>())),
+                         BadParameter);
+            EXPECT_EQ(exec->num_allocations(), allocations);
+        }
+    }
 }
 
 TEST(Csr, TransposeIsInvolution)
@@ -475,6 +621,113 @@ TEST(Csr, TransposeMatchesManual)
     EXPECT_DOUBLE_EQ(td.entries[0].value, 2.0);
     EXPECT_EQ(td.entries[1].row, 2);
     EXPECT_DOUBLE_EQ(td.entries[1].value, 5.0);
+}
+
+/// The transpose as a serial counting sort by column, rows visited in
+/// order: the arrays every executor's transpose must produce.
+template <typename V, typename I>
+std::unique_ptr<Csr<V, I>> serial_counting_sort_transpose(const Csr<V, I>* a)
+{
+    const auto rows = a->get_size().rows;
+    const auto cols = a->get_size().cols;
+    const auto nnz = a->get_num_stored_elements();
+    const auto* row_ptrs = a->get_const_row_ptrs();
+    const auto* col_idxs = a->get_const_col_idxs();
+    const auto* values = a->get_const_values();
+    auto t = Csr<V, I>::create(ReferenceExecutor::create(), dim2{cols, rows},
+                               nnz);
+    auto* t_ptrs = t->get_row_ptrs();
+    for (size_type k = 0; k < nnz; ++k) {
+        ++t_ptrs[col_idxs[k] + 1];
+    }
+    for (size_type col = 0; col < cols; ++col) {
+        t_ptrs[col + 1] += t_ptrs[col];
+    }
+    std::vector<I> next(t_ptrs, t_ptrs + cols);
+    for (size_type row = 0; row < rows; ++row) {
+        for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+            const auto pos = next[static_cast<std::size_t>(col_idxs[k])]++;
+            t->get_col_idxs()[pos] = static_cast<I>(row);
+            t->get_values()[pos] = values[k];
+        }
+    }
+    return t;
+}
+
+template <typename V, typename I>
+void expect_transpose_equals_serial_counting_sort()
+{
+    auto shaped = [](dim2 size, size_type per_row, std::uint64_t seed) {
+        matrix_data<V, I> data{size};
+        std::mt19937_64 engine{seed};
+        std::uniform_int_distribution<size_type> col{
+            0, std::max<size_type>(size.cols, 1) - 1};
+        std::uniform_real_distribution<double> value{-1.0, 1.0};
+        for (size_type r = 0; r < size.rows && size.cols > 0; ++r) {
+            for (size_type k = 0; k < per_row; ++k) {
+                data.add(static_cast<I>(r), static_cast<I>(col(engine)),
+                         static_cast<V>(value(engine)));
+            }
+        }
+        return data;
+    };
+    auto holes = shaped(dim2{60, 50}, 4, 5);
+    holes.entries.erase(
+        std::remove_if(holes.entries.begin(), holes.entries.end(),
+                       [](const auto& e) {
+                           return e.row % 7 == 0 || e.col % 5 == 0;
+                       }),
+        holes.entries.end());
+    const std::pair<const char*, matrix_data<V, I>> inputs[] = {
+        {"0 x 0", matrix_data<V, I>{dim2{0, 0}}},
+        {"0 x 5", matrix_data<V, I>{dim2{0, 5}}},
+        {"5 x 0", matrix_data<V, I>{dim2{5, 0}}},
+        {"empty rows and columns", holes},
+        {"wider than its nnz", shaped(dim2{3, 1000}, 4, 6)},
+        {"400 x 30", shaped(dim2{400, 30}, 6, 7)}};
+    for (const auto& [name, data] : inputs) {
+        for (const bool reversed : {false, true}) {
+            SCOPED_TRACE(std::string{name} +
+                         (reversed ? ", rows stored in reverse" : ""));
+            for (const auto& [exec_name, exec] : split_executors()) {
+                SCOPED_TRACE(exec_name);
+                auto a = Csr<V, I>::create_from_data(exec, data);
+                if (reversed) {
+                    const auto* ptrs = a->get_const_row_ptrs();
+                    for (size_type r = 0; r < a->get_size().rows; ++r) {
+                        std::reverse(a->get_col_idxs() + ptrs[r],
+                                     a->get_col_idxs() + ptrs[r + 1]);
+                        std::reverse(a->get_values() + ptrs[r],
+                                     a->get_values() + ptrs[r + 1]);
+                    }
+                }
+                const auto before = exec->clock().now_ns();
+                const auto t = a->transpose();
+                const double ns =
+                    sim::profile_stream(
+                        static_cast<double>(a->get_num_stored_elements()) *
+                            (sizeof(V) + sizeof(I)) * 3.0,
+                        0.0, 0.4)
+                        .time_ns(exec->model());
+                EXPECT_EQ(exec->clock().now_ns() - before,
+                          ns > 0.0 ? static_cast<std::int64_t>(ns) : 0);
+                test::expect_same_csr(
+                    t.get(), serial_counting_sort_transpose(a.get()).get());
+            }
+        }
+    }
+}
+
+TEST(Csr, TransposeEqualsASerialCountingSortOnEveryExecutor)
+{
+    {
+        SCOPED_TRACE("double, int32");
+        expect_transpose_equals_serial_counting_sort<double, int32>();
+    }
+    {
+        SCOPED_TRACE("half, int64");
+        expect_transpose_equals_serial_counting_sort<half, int64>();
+    }
 }
 
 TEST(Csr, ExtractDiagonalHandlesMissingEntries)

@@ -495,6 +495,25 @@ std::shared_ptr<Csr<V, I>> level_operator(std::shared_ptr<const Executor> exec,
     return a;
 }
 
+/// A 5-point 16 x 16 stencil with every 7th diagonal negated, every 11th
+/// zeroed and the coupling (40, 41) set to NaN.
+matgen::data64 signed_zero_and_nan_stencil()
+{
+    auto data = matgen::stencil_2d_5pt(16, 16);
+    for (auto& e : data.entries) {
+        if (e.row == e.col && e.row % 7 == 3) {
+            e.value = -e.value;
+        }
+        if (e.row == e.col && e.row % 11 == 5) {
+            e.value = 0.0;
+        }
+        if (e.row == 40 && e.col == 41) {
+            e.value = std::numeric_limits<double>::quiet_NaN();
+        }
+    }
+    return data;
+}
+
 template <typename V, typename I>
 void expect_same_hierarchy(const multigrid::Hierarchy<V, I>& got,
                            const multigrid::Hierarchy<V, I>& expected)
@@ -572,7 +591,12 @@ TEST(AmgHierarchy, LevelsEqualTheSerialTripletBuild)
         {"anisotropic 32^2", matgen::stencil_2d_aniso(32, 32, 0.01), 0.08,
          false},
         {"27-point 12^3 reversed", matgen::stencil_3d_27pt(12, 12, 12), 0.02,
-         true}};
+         true},
+        // theta 0.25 puts the stencil's couplings exactly on the strength
+        // bound; some diagonals are negative or zero and one coupling is
+        // NaN, which stays weak.
+        {"5-point 16^2 signed and zero diagonals, a NaN",
+         signed_zero_and_nan_stencil(), 0.25, false}};
     for (std::shared_ptr<const Executor> exec :
          {std::shared_ptr<const Executor>{ReferenceExecutor::create()},
           std::shared_ptr<const Executor>{OmpExecutor::create(4)}}) {
@@ -1073,6 +1097,54 @@ TEST(AmgObservability, SetupEmitsSpanAndAttributedKernels)
     EXPECT_GT(op_count["spgemm"], 0);
     EXPECT_GT(op_flops["amg_aggregate"], 0.0);
     EXPECT_GT(op_flops["spgemm"], 0.0);
+}
+
+TEST(AmgObservability, GenerateSolverNestsTheReadAndTheSetup)
+{
+    // config.generate wraps the whole of generate_solver; the system read
+    // and then the AMG setup open directly inside it, one after the other.
+    using kind = log::FlightRecorder::event_kind;
+    auto exec = OmpExecutor::create(4);
+    auto rec = whole_run_recorder();
+    exec->add_logger(rec);
+    auto config = Json::parse(R"({
+        "type": "solver::Cg", "max_iters": 50,
+        "preconditioner": {"type": "preconditioner::Amg"}})");
+    auto solver = config::generate_solver(config, exec,
+                                          matgen::stencil_2d_5pt(24, 24));
+    exec->remove_logger(rec.get());
+    ASSERT_EQ(rec->dropped(), 0u);
+
+    std::vector<std::string> stack;
+    std::vector<std::string> inside_generate;
+    std::map<std::string, int> pairs;
+    for (const auto& r : rec->snapshot()) {
+        const std::string tag = r.tag;
+        if (r.kind == kind::span_begin) {
+            if (tag == "config.generate") {
+                EXPECT_TRUE(stack.empty());
+            } else {
+                ASSERT_FALSE(stack.empty()) << tag << " outside generate";
+            }
+            if (stack.size() == 1) {
+                inside_generate.push_back(tag);
+            }
+            stack.push_back(tag);
+        } else if (r.kind == kind::span_end) {
+            ASSERT_FALSE(stack.empty()) << "unmatched end of " << tag;
+            ASSERT_EQ(stack.back(), tag) << "closed out of order";
+            stack.pop_back();
+            pairs[tag] += 1;
+        } else if (r.kind == kind::operation) {
+            EXPECT_FALSE(stack.empty()) << tag << " outside generate";
+        }
+    }
+    EXPECT_TRUE(stack.empty());
+    EXPECT_EQ(pairs["config.generate"], 1);
+    EXPECT_EQ(pairs["config.generate.read"], 1);
+    EXPECT_EQ(pairs["amg.setup"], 1);
+    EXPECT_EQ(inside_generate,
+              (std::vector<std::string>{"config.generate.read", "amg.setup"}));
 }
 
 TEST(AmgObservability, SetupPhaseSpansAreWellNestedInsideSetup)

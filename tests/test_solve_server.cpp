@@ -1222,6 +1222,37 @@ TEST(SolveServer, DeeplyNestedBodyAnswers400AndTheServerStaysUp)
     server->stop();
 }
 
+TEST(SolveServer, OperatorsBeyondTheCacheBudgetAnswer413)
+{
+    // A one-entry Matrix Market document that declares 2^40 x 2^40: its
+    // rows alone, at 16 B each in a generated solver, exceed the default
+    // 64 MiB budget, so the upload and the inline solve answer 413 before
+    // anything is allocated for them.
+    auto server = serve::SolveServer::start({});
+    Json upload = Json::make_object();
+    upload["mtx"] = Json{std::string{
+        "%%MatrixMarket matrix coordinate real general\n"
+        "1099511627776 1099511627776 1\n1 1 1.0\n"}};
+    const auto uploaded = http_request(server->port(), "POST",
+                                       "/v1/operators", upload.dump());
+    EXPECT_EQ(status_of(uploaded), 413) << uploaded;
+    for (const char* named : {"1099511627776 rows", "67108864 bytes"}) {
+        EXPECT_NE(body_of(uploaded).find(named), std::string::npos)
+            << uploaded;
+    }
+    EXPECT_EQ(server->stats().cache_operators, 0u);
+
+    Json solve = upload;
+    solve["config"] = cg_config();
+    const auto solved =
+        http_request(server->port(), "POST", "/v1/solve", solve.dump());
+    EXPECT_EQ(status_of(solved), 413) << solved;
+    EXPECT_EQ(server->stats().solver_generations, 0u);
+    EXPECT_EQ(status_of(http_request(server->port(), "GET", "/healthz", "")),
+              200);
+    server->stop();
+}
+
 // --- serve::start_from_env ------------------------------------------------
 //
 // start_from_env runs once per process, so each case runs in a fresh
