@@ -476,7 +476,7 @@ matrix_data<double, int64> interchange_row_major()
     data.entries[2].value = -0.0;
     data.entries[5].value = std::numeric_limits<double>::quiet_NaN();
     data.entries[6].value = 1.0 + 0x1p-11;  // a tie in half
-    data.entries[7].value = 65519.0;        // half's largest finite
+    data.entries[7].value = 65519.0;        // rounds to half's largest
     data.entries[8].value = 1e-6;           // half subnormal
     data.entries[9].value = 0.1;
     return data;
