@@ -96,12 +96,10 @@ void Jacobi<ValueType>::residual_raw(const std::uint8_t* active,
     const auto n = get_common_size().rows;
     const auto num = get_num_systems();
     get_executor()->run("batch_jacobi_residual", [&](const Executor* e) {
-        const auto nt = e->real_threads();
         const auto* inv_diag = inv_diag_.get_const_data();
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type s = 0; s < num; ++s) {
+        kernels::parallel_for(e->real_threads(), num, [&](size_type s) {
             if (active != nullptr && !active[s]) {
-                continue;
+                return;
             }
             for (size_type i = 0; i < n; ++i) {
                 const auto idx = s * n + i;
@@ -110,7 +108,7 @@ void Jacobi<ValueType>::residual_raw(const std::uint8_t* active,
                 r[idx] = b[idx] -
                          safe_reciprocal(inv_diag[idx]) * x[idx];
             }
-        }
+        });
         kernels::tick(
             e, kernels::batch::batch_stream_profile(
                    kernels::batch::count_active(active, num),

@@ -42,6 +42,17 @@ inline size_type count_active(const std::uint8_t* active,
 }
 
 
+/// Runs `body(s, row)` over every (system, row) pair on `nt` threads,
+/// split as one flat range of num_systems * rows, as collapse(2) splits it.
+template <typename Body>
+void for_system_rows(int nt, size_type num_systems, size_type rows,
+                     Body body)
+{
+    parallel_for(nt, num_systems * rows,
+                 [&](size_type i) { body(i / rows, i % rows); });
+}
+
+
 /// Batched shared-pattern CSR SpMV: x[s] = A[s] b[s] for every active s.
 /// The sparsity pattern (row_ptrs / col_idxs) is shared; values are strided
 /// by nnz per system.
@@ -50,23 +61,20 @@ void csr_spmv(int nt, size_type num_systems, const std::uint8_t* active,
               const I* row_ptrs, const I* col_idxs, const V* values,
               size_type rows, size_type nnz, const V* b, V* x)
 {
-#pragma omp parallel for collapse(2) num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
-        for (size_type row = 0; row < rows; ++row) {
-            if (active != nullptr && !active[s]) {
-                continue;
-            }
-            const V* vals = values + s * nnz;
-            const V* bs = b + s * rows;
-            using acc_t = accumulate_t<V>;
-            acc_t acc{};
-            for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
-                acc += static_cast<acc_t>(vals[k]) *
-                       static_cast<acc_t>(bs[col_idxs[k]]);
-            }
-            x[s * rows + row] = V{acc};
+    for_system_rows(nt, num_systems, rows, [&](size_type s, size_type row) {
+        if (active != nullptr && !active[s]) {
+            return;
         }
-    }
+        const V* vals = values + s * nnz;
+        const V* bs = b + s * rows;
+        using acc_t = accumulate_t<V>;
+        acc_t acc{};
+        for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+            acc += static_cast<acc_t>(vals[k]) *
+                   static_cast<acc_t>(bs[col_idxs[k]]);
+        }
+        x[s * rows + row] = V{acc};
+    });
 }
 
 
@@ -77,10 +85,9 @@ void dense_apply(int nt, size_type num_systems, const std::uint8_t* active,
                  const V* a, size_type rows, size_type cols, const V* b,
                  size_type vec_cols, V* x)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
+    parallel_for(nt, num_systems, [&](size_type s) {
         if (active != nullptr && !active[s]) {
-            continue;
+            return;
         }
         const V* as = a + s * rows * cols;
         const V* bs = b + s * cols * vec_cols;
@@ -96,7 +103,7 @@ void dense_apply(int nt, size_type num_systems, const std::uint8_t* active,
                 xs[r * vec_cols + c] = V{acc};
             }
         }
-    }
+    });
 }
 
 
@@ -105,13 +112,12 @@ template <typename V>
 void copy(int nt, size_type num_systems, const std::uint8_t* active,
           const V* b, V* x, size_type elems)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
+    parallel_for(nt, num_systems, [&](size_type s) {
         if (active != nullptr && !active[s]) {
-            continue;
+            return;
         }
         std::copy_n(b + s * elems, elems, x + s * elems);
-    }
+    });
 }
 
 
@@ -123,10 +129,9 @@ void add_scaled(int nt, size_type num_systems, const std::uint8_t* active,
                 const double* alpha, const V* b, V* x, size_type elems,
                 bool subtract)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
+    parallel_for(nt, num_systems, [&](size_type s) {
         if (active != nullptr && !active[s]) {
-            continue;
+            return;
         }
         const V a = static_cast<V>(subtract ? -alpha[s] : alpha[s]);
         const V* bs = b + s * elems;
@@ -134,7 +139,7 @@ void add_scaled(int nt, size_type num_systems, const std::uint8_t* active,
         for (size_type i = 0; i < elems; ++i) {
             xs[i] += a * bs[i];
         }
-    }
+    });
 }
 
 
@@ -143,10 +148,9 @@ template <typename V>
 void scale_add(int nt, size_type num_systems, const std::uint8_t* active,
                const double* beta, const V* b, V* x, size_type elems)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
+    parallel_for(nt, num_systems, [&](size_type s) {
         if (active != nullptr && !active[s]) {
-            continue;
+            return;
         }
         const V bt = static_cast<V>(beta[s]);
         const V* bs = b + s * elems;
@@ -154,7 +158,7 @@ void scale_add(int nt, size_type num_systems, const std::uint8_t* active,
         for (size_type i = 0; i < elems; ++i) {
             xs[i] = bs[i] + bt * xs[i];
         }
-    }
+    });
 }
 
 
@@ -164,10 +168,9 @@ template <typename V>
 void dot(int nt, size_type num_systems, const std::uint8_t* active,
          const V* a, const V* b, size_type elems, double* result)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
+    parallel_for(nt, num_systems, [&](size_type s) {
         if (active != nullptr && !active[s]) {
-            continue;
+            return;
         }
         const V* as = a + s * elems;
         const V* bs = b + s * elems;
@@ -177,7 +180,7 @@ void dot(int nt, size_type num_systems, const std::uint8_t* active,
                    static_cast<double>(to_float(bs[i]));
         }
         result[s] = acc;
-    }
+    });
 }
 
 
@@ -186,10 +189,9 @@ template <typename V>
 void norm2(int nt, size_type num_systems, const std::uint8_t* active,
            const V* a, size_type elems, double* result)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
+    parallel_for(nt, num_systems, [&](size_type s) {
         if (active != nullptr && !active[s]) {
-            continue;
+            return;
         }
         const V* as = a + s * elems;
         double acc = 0.0;
@@ -198,7 +200,7 @@ void norm2(int nt, size_type num_systems, const std::uint8_t* active,
             acc += v * v;
         }
         result[s] = std::sqrt(acc);
-    }
+    });
 }
 
 
@@ -209,23 +211,20 @@ void csr_residual(int nt, size_type num_systems, const std::uint8_t* active,
                   size_type rows, size_type nnz, const V* b, const V* x,
                   V* r)
 {
-#pragma omp parallel for collapse(2) num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
-        for (size_type row = 0; row < rows; ++row) {
-            if (active != nullptr && !active[s]) {
-                continue;
-            }
-            const V* vals = values + s * nnz;
-            const V* xs = x + s * rows;
-            using acc_t = accumulate_t<V>;
-            acc_t acc{};
-            for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
-                acc += static_cast<acc_t>(vals[k]) *
-                       static_cast<acc_t>(xs[col_idxs[k]]);
-            }
-            r[s * rows + row] = b[s * rows + row] - V{acc};
+    for_system_rows(nt, num_systems, rows, [&](size_type s, size_type row) {
+        if (active != nullptr && !active[s]) {
+            return;
         }
-    }
+        const V* vals = values + s * nnz;
+        const V* xs = x + s * rows;
+        using acc_t = accumulate_t<V>;
+        acc_t acc{};
+        for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+            acc += static_cast<acc_t>(vals[k]) *
+                   static_cast<acc_t>(xs[col_idxs[k]]);
+        }
+        r[s * rows + row] = b[s * rows + row] - V{acc};
+    });
 }
 
 
@@ -235,23 +234,20 @@ template <typename V>
 void dense_residual(int nt, size_type num_systems, const std::uint8_t* active,
                     const V* a, size_type rows, const V* b, const V* x, V* r)
 {
-#pragma omp parallel for collapse(2) num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
-        for (size_type row = 0; row < rows; ++row) {
-            if (active != nullptr && !active[s]) {
-                continue;
-            }
-            const V* as = a + s * rows * rows;
-            const V* xs = x + s * rows;
-            using acc_t = accumulate_t<V>;
-            acc_t acc{};
-            for (size_type k = 0; k < rows; ++k) {
-                acc += static_cast<acc_t>(as[row * rows + k]) *
-                       static_cast<acc_t>(xs[k]);
-            }
-            r[s * rows + row] = b[s * rows + row] - V{acc};
+    for_system_rows(nt, num_systems, rows, [&](size_type s, size_type row) {
+        if (active != nullptr && !active[s]) {
+            return;
         }
-    }
+        const V* as = a + s * rows * rows;
+        const V* xs = x + s * rows;
+        using acc_t = accumulate_t<V>;
+        acc_t acc{};
+        for (size_type k = 0; k < rows; ++k) {
+            acc += static_cast<acc_t>(as[row * rows + k]) *
+                   static_cast<acc_t>(xs[k]);
+        }
+        r[s * rows + row] = b[s * rows + row] - V{acc};
+    });
 }
 
 
@@ -260,10 +256,9 @@ template <typename V>
 void jacobi_apply(int nt, size_type num_systems, const std::uint8_t* active,
                   const V* inv_diag, const V* b, V* x, size_type elems)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_systems; ++s) {
+    parallel_for(nt, num_systems, [&](size_type s) {
         if (active != nullptr && !active[s]) {
-            continue;
+            return;
         }
         const V* ds = inv_diag + s * elems;
         const V* bs = b + s * elems;
@@ -271,7 +266,7 @@ void jacobi_apply(int nt, size_type num_systems, const std::uint8_t* active,
         for (size_type i = 0; i < elems; ++i) {
             xs[i] = ds[i] * bs[i];
         }
-    }
+    });
 }
 
 

@@ -1,14 +1,66 @@
-// Shared helpers for kernel implementations: column tiling and SimClock
-// ticking.
+// Shared helpers for kernel implementations: the one place a kernel forks
+// threads, column tiling and SimClock ticking.
 #pragma once
 
+#include <algorithm>
 #include <type_traits>
+#include <utility>
+
+#include <omp.h>
 
 #include "core/executor.hpp"
 #include "log/work_model.hpp"
 #include "sim/cost_model.hpp"
 
 namespace mgko::kernels {
+
+
+/// Runs `body(tid, threads)` once on every thread of a team of `nt`: the
+/// only OpenMP region in the library.  A one-thread launch calls
+/// `body(0, 1)` on the calling thread and never enters the OpenMP runtime,
+/// whose serialized-region entry would cost more than a small body.  A
+/// body takes its thread's share and its per-thread slot from `tid` and
+/// `threads`, never from omp_get_thread_num(): a caller may itself run
+/// inside a parallel region.
+template <typename Body>
+inline void parallel_team(int nt, Body&& body)
+{
+    if (nt <= 1) {
+        body(0, 1);
+        return;
+    }
+#pragma omp parallel num_threads(nt)
+    body(omp_get_thread_num(), omp_get_num_threads());
+}
+
+
+/// Thread `tid`'s contiguous block of [0, n) under schedule(static): the
+/// first n % threads threads take one index more.  This is the partition
+/// libgomp gives a `parallel for schedule(static)`, so a reduction over
+/// the blocks adds its terms in the same order it always did.
+inline std::pair<size_type, size_type> static_block(size_type n, int tid,
+                                                    int threads)
+{
+    const auto t = static_cast<size_type>(tid);
+    const auto q = n / static_cast<size_type>(threads);
+    const auto r = n % static_cast<size_type>(threads);
+    const auto begin = q * t + std::min(t, r);
+    return {begin, begin + q + (t < r ? 1 : 0)};
+}
+
+
+/// Runs `body(i)` for every i in [0, n) on `nt` threads, each thread over
+/// its static_block in ascending order; one thread runs a plain loop.
+template <typename Body>
+inline void parallel_for(int nt, size_type n, Body&& body)
+{
+    parallel_team(nt, [&](int tid, int threads) {
+        const auto [begin, end] = static_block(n, tid, threads);
+        for (auto i = begin; i < end; ++i) {
+            body(i);
+        }
+    });
+}
 
 
 /// Widest column tile the block kernels (gemm, gemv_t, n x k CSR SpMV) keep

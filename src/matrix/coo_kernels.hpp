@@ -6,10 +6,7 @@
 // split is forced, independent of the host's core count.
 #pragma once
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
+#include "core/kernel_utils.hpp"
 #include "core/math.hpp"
 #include "core/types.hpp"
 
@@ -40,15 +37,7 @@ void spmv_flat(int nt, const V* values, const I* row_idxs, const I* col_idxs,
                size_type nnz, const V* b, size_type b_stride, V* x,
                size_type x_stride, size_type vec_cols)
 {
-#pragma omp parallel num_threads(nt) if (nt > 1)
-    {
-#ifdef _OPENMP
-        const int tid = omp_get_thread_num();
-        const int threads = omp_get_num_threads();
-#else
-        const int tid = 0;
-        const int threads = 1;
-#endif
+    parallel_team(nt, [&](int tid, int threads) {
         const size_type begin = nnz * tid / threads;
         const size_type end = nnz * (tid + 1) / threads;
         size_type k = begin;
@@ -90,7 +79,7 @@ void spmv_flat(int nt, const V* values, const I* row_idxs, const I* col_idxs,
                 ++k;
             }
         }
-    }
+    });
 }
 
 

@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include <omp.h>
-
 #include "core/kernel_utils.hpp"
 #include "core/math.hpp"
 #include "matrix/coo.hpp"
@@ -104,10 +102,10 @@ inline void spmv_single(const V* values, const I* col_idxs, const I* row_ptrs,
 template <typename Body>
 void rows_classical(int nt, size_type rows, Body body)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
-    for (size_type row = 0; row < rows; ++row) {
-        body(row, row + 1);
-    }
+    parallel_team(nt, [&](int tid, int threads) {
+        const auto [begin, end] = static_block(rows, tid, threads);
+        body(begin, end);
+    });
 }
 
 
@@ -119,15 +117,7 @@ template <typename I, typename Body>
 void rows_balanced(int nt, const I* row_ptrs, size_type rows, Body body)
 {
     const auto nnz = static_cast<size_type>(row_ptrs[rows]);
-#pragma omp parallel num_threads(nt) if (nt > 1)
-    {
-#ifdef _OPENMP
-        const int tid = omp_get_thread_num();
-        const int threads = omp_get_num_threads();
-#else
-        const int tid = 0;
-        const int threads = 1;
-#endif
+    parallel_team(nt, [&](int tid, int threads) {
         const auto target_begin = nnz * tid / threads;
         const auto target_end = nnz * (tid + 1) / threads;
         // Thread t owns the rows whose start offset falls in
@@ -145,7 +135,7 @@ void rows_balanced(int nt, const I* row_ptrs, size_type rows, Body body)
                                        static_cast<I>(target_end)) -
                       row_ptrs);
         body(row_begin, row_end);
-    }
+    });
 }
 
 
@@ -156,11 +146,13 @@ void rows_wavefront(int nt, size_type rows, Body body)
 {
     const size_type chunk = 64;
     const size_type num_chunks = ceildiv(rows, chunk);
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static, 1)
-    for (size_type c = 0; c < num_chunks; ++c) {
-        const size_type begin = c * chunk;
-        body(begin, std::min(rows, begin + chunk));
-    }
+    parallel_team(nt, [&](int tid, int threads) {
+        for (auto c = static_cast<size_type>(tid); c < num_chunks;
+             c += threads) {
+            const size_type begin = c * chunk;
+            body(begin, std::min(rows, begin + chunk));
+        }
+    });
 }
 
 }  // namespace kernels::csr
@@ -190,7 +182,8 @@ void check_index_range(dim2 size, size_type nnz)
 /// One pass over the triplets on `nt` threads: the position of the first
 /// entry whose row or column lies outside the size, compared in int64
 /// (num_stored() when there is none), and whether every entry's (row,
-/// column) is greater than the one before it.
+/// column) is greater than the one before it.  Each thread scans its
+/// static_block into its own slot; the slots are combined after the join.
 template <typename V, typename I>
 std::pair<size_type, bool> scan_triplets(const matrix_data<V, I>& data,
                                          int nt)
@@ -199,24 +192,34 @@ std::pair<size_type, bool> scan_triplets(const matrix_data<V, I>& data,
     const auto* entries = data.entries.data();
     const auto rows = data.size.rows;
     const auto cols = data.size.cols;
-    size_type first_bad = nnz;
-    bool row_major = true;
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static) \
-    reduction(min : first_bad) reduction(&& : row_major)
-    for (size_type i = 0; i < nnz; ++i) {
-        const auto row = static_cast<int64>(entries[i].row);
-        const auto col = static_cast<int64>(entries[i].col);
-        if (row < 0 || row >= rows || col < 0 || col >= cols) {
-            first_bad = std::min(first_bad, i);
+    std::vector<std::pair<size_type, bool>> slots(
+        static_cast<std::size_t>(std::max(nt, 1)), {nnz, true});
+    kernels::parallel_team(nt, [&](int tid, int threads) {
+        const auto [begin, end] = kernels::static_block(nnz, tid, threads);
+        size_type first_bad = nnz;
+        bool row_major = true;
+        for (auto i = begin; i < end; ++i) {
+            const auto row = static_cast<int64>(entries[i].row);
+            const auto col = static_cast<int64>(entries[i].col);
+            if (first_bad == nnz &&
+                (row < 0 || row >= rows || col < 0 || col >= cols)) {
+                first_bad = i;
+            }
+            if (i > 0) {
+                const auto& prev = entries[i - 1];
+                row_major = row_major && (prev.row != entries[i].row
+                                              ? prev.row < entries[i].row
+                                              : prev.col < entries[i].col);
+            }
         }
-        if (i > 0) {
-            const auto& prev = entries[i - 1];
-            row_major = row_major && (prev.row != entries[i].row
-                                          ? prev.row < entries[i].row
-                                          : prev.col < entries[i].col);
-        }
+        slots[static_cast<std::size_t>(tid)] = {first_bad, row_major};
+    });
+    std::pair<size_type, bool> result{nnz, true};
+    for (const auto& [first_bad, row_major] : slots) {
+        result.first = std::min(result.first, first_bad);
+        result.second = result.second && row_major;
     }
-    return {first_bad, row_major};
+    return result;
 }
 
 
@@ -243,8 +246,7 @@ void fill_row_major(const matrix_data<SourceValue, SourceIndex>& data,
 {
     const auto nnz = data.num_stored();
     const auto* entries = data.entries.data();
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
-    for (size_type i = 0; i <= nnz; ++i) {
+    kernels::parallel_for(nt, nnz + 1, [&](size_type i) {
         const auto first_row =
             i == 0 ? size_type{0}
                    : static_cast<size_type>(entries[i - 1].row) + 1;
@@ -258,7 +260,7 @@ void fill_row_major(const matrix_data<SourceValue, SourceIndex>& data,
             col_idxs[i] = static_cast<I>(entries[i].col);
             values[i] = narrow<V>(entries[i].value);
         }
-    }
+    });
 }
 
 }  // namespace
@@ -586,12 +588,14 @@ Csr<ValueType, IndexType>::transpose() const
     };
     std::vector<IndexType> next(static_cast<std::size_t>(blocks * cols));
     auto for_each_block = [&](auto body) {
-#pragma omp parallel for num_threads(static_cast<int>(blocks)) \
-    if (blocks > 1) schedule(static, 1)
-        for (size_type b = 0; b < blocks; ++b) {
-            const auto end = b + 1 == blocks ? rows : block_begin(b + 1);
-            body(block_begin(b), end, next.data() + b * cols);
-        }
+        kernels::parallel_team(static_cast<int>(blocks), [&](int tid,
+                                                             int threads) {
+            for (auto b = static_cast<size_type>(tid); b < blocks;
+                 b += threads) {
+                const auto end = b + 1 == blocks ? rows : block_begin(b + 1);
+                body(block_begin(b), end, next.data() + b * cols);
+            }
+        });
     };
     for_each_block([&](size_type begin, size_type end, IndexType* count) {
         for (auto k = row_ptrs[begin]; k < row_ptrs[end]; ++k) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include <omp.h>
-
 #include "core/kernel_utils.hpp"
 
 namespace mgko {
@@ -26,16 +24,11 @@ void fill(const Executor* exec, V* values, size_type rows, size_type cols,
 {
     const int nt = exec->real_threads();
     if (stride == cols) {
-        const size_type n = rows * cols;
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type i = 0; i < n; ++i) {
-            values[i] = value;
-        }
+        parallel_for(nt, rows * cols, [&](size_type i) { values[i] = value; });
     } else {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type r = 0; r < rows; ++r) {
+        parallel_for(nt, rows, [&](size_type r) {
             std::fill_n(values + r * stride, cols, value);
-        }
+        });
     }
     kernels::tick(exec, sim::profile_stream(
                             static_cast<double>(rows * cols * sizeof(V)), 0.0));
@@ -48,18 +41,13 @@ void scale(const Executor* exec, V* x, size_type rows, size_type cols,
     const int nt = exec->real_threads();
     if (alpha_cols == 1 && stride == cols) {
         const V a = alpha[0];
-        const size_type n = rows * cols;
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type i = 0; i < n; ++i) {
-            x[i] *= a;
-        }
+        parallel_for(nt, rows * cols, [&](size_type i) { x[i] *= a; });
     } else {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type r = 0; r < rows; ++r) {
+        parallel_for(nt, rows, [&](size_type r) {
             for (size_type c = 0; c < cols; ++c) {
                 x[r * stride + c] *= alpha[alpha_cols == 1 ? 0 : c];
             }
-        }
+        });
     }
     const double bytes = static_cast<double>(2 * rows * cols * sizeof(V));
     kernels::tick(exec, sim::profile_stream(bytes,
@@ -82,19 +70,15 @@ void add_scaled(const Executor* exec, V* x, const V* b, size_type rows,
     const int nt = exec->real_threads();
     if (alpha_cols == 1 && x_stride == cols && b_stride == cols) {
         const V a = alpha[0];
-        const size_type n = rows * cols;
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type i = 0; i < n; ++i) {
-            update(x[i], a * b[i]);
-        }
+        parallel_for(nt, rows * cols,
+                     [&](size_type i) { update(x[i], a * b[i]); });
     } else {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type r = 0; r < rows; ++r) {
+        parallel_for(nt, rows, [&](size_type r) {
             for (size_type c = 0; c < cols; ++c) {
                 update(x[r * x_stride + c],
                        alpha[alpha_cols == 1 ? 0 : c] * b[r * b_stride + c]);
             }
-        }
+        });
     }
     const double bytes = static_cast<double>(3 * rows * cols * sizeof(V));
     kernels::tick(exec, sim::profile_stream(
@@ -102,10 +86,10 @@ void add_scaled(const Executor* exec, V* x, const V* b, size_type rows,
 }
 
 // dot and norm2 are bitwise reproducible at a fixed thread count: each
-// thread sums its schedule(static) block of rows into its own stack slot,
-// and the slots are added in thread order after the region, so the result
-// does not depend on which thread finishes first.  No allocation and no
-// barrier beyond the region's own join.  `finish(c, sum)` stores column c.
+// thread sums its static_block of rows into its own stack slot, and the
+// slots are added in thread order after the region, so the result does not
+// depend on which thread finishes first.  No allocation and no barrier
+// beyond the region's own join.  `finish(c, sum)` stores column c.
 template <typename Term, typename Finish>
 void ordered_column_sums(int nt, size_type rows, size_type cols, Term term,
                          Finish finish)
@@ -119,18 +103,16 @@ void ordered_column_sums(int nt, size_type rows, size_type cols, Term term,
     for (size_type c0 = 0; c0 < cols; c0 += chunk) {
         const size_type width = std::min(chunk, cols - c0);
         std::fill_n(partial, width * nt, 0.0);
-#pragma omp parallel num_threads(nt) if (nt > 1)
-        {
-            const int t = omp_get_thread_num();
+        parallel_team(nt, [&](int t, int threads) {
+            const auto [begin, end] = static_block(rows, t, threads);
             for (size_type c = 0; c < width; ++c) {
                 double acc = 0.0;
-#pragma omp for schedule(static) nowait
-                for (size_type r = 0; r < rows; ++r) {
+                for (size_type r = begin; r < end; ++r) {
                     acc += term(r, c0 + c);
                 }
                 partial[c * nt + t] = acc;
             }
-        }
+        });
         for (size_type c = 0; c < width; ++c) {
             double sum = 0.0;
             for (int t = 0; t < nt; ++t) {
@@ -222,14 +204,12 @@ void gemm(const Executor* exec, const V* a, const V* b, V* x, size_type m,
     // dispatch in its row loop.
     const int nt = exec->real_threads();
     if (n == 1) {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type i = 0; i < m; ++i) {
+        parallel_for(nt, m, [&](size_type i) {
             gemm_row_tile<1>(a + i * a_stride, b, x + i * x_stride, k,
                              b_stride, alpha, beta);
-        }
+        });
     } else {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-        for (size_type i = 0; i < m; ++i) {
+        parallel_for(nt, m, [&](size_type i) {
             for (size_type j0 = 0; j0 < n; j0 += tile_cols) {
                 with_width<tile_cols>(std::min(tile_cols, n - j0),
                                       [&](auto w) {
@@ -239,7 +219,7 @@ void gemm(const Executor* exec, const V* a, const V* b, V* x, size_type m,
                                               b_stride, alpha, beta);
                                       });
             }
-        }
+        });
     }
     const double bytes =
         static_cast<double>((m * k + k * n + 2 * m * n) * sizeof(V));
@@ -284,8 +264,7 @@ void gemv_t_tiles(int nt, const V* a, const V* b, V* x, size_type m,
 {
     const size_type i_tiles = ceildiv(k, TI);
     const size_type j_tiles = ceildiv(n, TJ);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type t = 0; t < i_tiles * j_tiles; ++t) {
+    parallel_for(nt, i_tiles * j_tiles, [&](size_type t) {
         const size_type i0 = t / j_tiles * TI;
         const size_type j0 = t % j_tiles * TJ;
         with_width<TI>(std::min(TI, k - i0), [&](auto ti) {
@@ -295,7 +274,7 @@ void gemv_t_tiles(int nt, const V* a, const V* b, V* x, size_type m,
                     b_stride, x_stride);
             });
         });
-    }
+    });
 }
 
 template <typename V>

@@ -57,9 +57,7 @@ void diagonal_apply(const Executor* exec, const V* diag, const Dense<V>* b,
                     Dense<V>* x, size_type n, bool advanced, V alpha, V beta)
 {
     const auto vec_cols = b->get_size().cols;
-    const int nt = exec->real_threads();
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type i = 0; i < n; ++i) {
+    kernels::parallel_for(exec->real_threads(), n, [&](size_type i) {
         for (size_type c = 0; c < vec_cols; ++c) {
             const V term =
                 diag[i] *
@@ -69,7 +67,7 @@ void diagonal_apply(const Executor* exec, const V* diag, const Dense<V>* b,
                   : beta == zero<V>() ? alpha * term
                                       : alpha * term + beta * out;
         }
-    }
+    });
     kernels::tick(exec,
                   sim::profile_stream(
                       static_cast<double>((3 * n * vec_cols + n) * sizeof(V)),

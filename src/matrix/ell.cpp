@@ -18,8 +18,7 @@ void spmv(int nt, const V* values, const I* col_idxs, size_type rows,
           size_type x_stride, size_type vec_cols, bool advanced, V alpha,
           V beta)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type row = 0; row < rows; ++row) {
+    parallel_for(nt, rows, [&](size_type row) {
         for (size_type c = 0; c < vec_cols; ++c) {
             using acc_t = accumulate_t<V>;
             acc_t acc{};
@@ -35,7 +34,7 @@ void spmv(int nt, const V* values, const I* col_idxs, size_type rows,
                   : beta == zero<V>() ? alpha * V{acc}
                                       : alpha * V{acc} + beta * out;
         }
-    }
+    });
 }
 
 }  // namespace kernels::ell

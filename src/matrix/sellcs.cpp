@@ -25,8 +25,7 @@ void spmv(int nt, const V* values, const I* col_idxs, const I* slice_sets,
           size_type x_stride, size_type vec_cols, bool advanced, V alpha,
           V beta)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_slices; ++s) {
+    parallel_for(nt, num_slices, [&](size_type s) {
         using acc_t = accumulate_t<V>;
         const auto set = static_cast<size_type>(slice_sets[s]);
         const auto width = static_cast<size_type>(slice_sets[s + 1]) - set;
@@ -56,7 +55,7 @@ void spmv(int nt, const V* values, const I* col_idxs, const I* slice_sets,
                                           : alpha * V{acc[i]} + beta * out;
             }
         }
-    }
+    });
 }
 
 }  // namespace kernels::sellcs

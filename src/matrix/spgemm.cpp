@@ -1,9 +1,9 @@
 #include "matrix/spgemm.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <numeric>
 #include <vector>
-
-#include <omp.h>
 
 #include "core/kernel_utils.hpp"
 #include "core/math.hpp"
@@ -51,12 +51,24 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
         std::vector<double> accumulator(slots, 0.0);
         std::vector<unsigned char> touched(slots, 0);
         std::vector<size_type> row_nnz(static_cast<std::size_t>(m));
-        size_type products = 0;
-#pragma omp parallel num_threads(nt) if (nt > 1) reduction(+ : products)
-        {
-            auto* last_row = marker.data() + width * omp_get_thread_num();
-#pragma omp for schedule(dynamic, 64)
-            for (size_type row = 0; row < m; ++row) {
+        std::vector<size_type> thread_products(static_cast<std::size_t>(nt));
+        // Both passes hand out rows in chunks of 64 to whichever thread
+        // asks next, as schedule(dynamic, 64) does.
+        constexpr size_type chunk = 64;
+        auto for_dynamic_rows = [&](std::atomic<size_type>& next, auto body) {
+            for (auto begin = next.fetch_add(chunk); begin < m;
+                 begin = next.fetch_add(chunk)) {
+                for (auto row = begin; row < std::min(m, begin + chunk);
+                     ++row) {
+                    body(row);
+                }
+            }
+        };
+        std::atomic<size_type> symbolic_next{0};
+        kernels::parallel_team(nt, [&](int tid, int) {
+            auto* last_row = marker.data() + width * tid;
+            size_type products = 0;
+            for_dynamic_rows(symbolic_next, [&](size_type row) {
                 size_type count = 0;
                 for (auto ka = a_ptrs[row]; ka < a_ptrs[row + 1]; ++ka) {
                     const auto inner = static_cast<size_type>(a_cols[ka]);
@@ -71,21 +83,23 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
                     }
                 }
                 row_nnz[static_cast<std::size_t>(row)] = count;
-            }
-        }
+            });
+            thread_products[static_cast<std::size_t>(tid)] = products;
+        });
+        const auto products = std::accumulate(
+            thread_products.begin(), thread_products.end(), size_type{0});
 
         product = Csr<ValueType, IndexType>::create_with_row_counts(
             exec, dim2{m, n}, row_nnz);
         const auto* c_ptrs = product->get_const_row_ptrs();
         auto* c_cols = product->get_col_idxs();
         auto* c_vals = product->get_values();
-#pragma omp parallel num_threads(nt) if (nt > 1)
-        {
-            const auto offset = width * omp_get_thread_num();
+        std::atomic<size_type> numeric_next{0};
+        kernels::parallel_team(nt, [&](int tid, int) {
+            const auto offset = width * tid;
             auto* acc = accumulator.data() + offset;
             auto* seen = touched.data() + offset;
-#pragma omp for schedule(dynamic, 64)
-            for (size_type row = 0; row < m; ++row) {
+            for_dynamic_rows(numeric_next, [&](size_type row) {
                 auto out = c_ptrs[row];
                 for (auto ka = a_ptrs[row]; ka < a_ptrs[row + 1]; ++ka) {
                     const auto inner = static_cast<size_type>(a_cols[ka]);
@@ -107,8 +121,8 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
                     acc[col] = 0.0;
                     seen[col] = 0;
                 }
-            }
-        }
+            });
+        });
         const auto work = log::spgemm_work(
             a->get_num_stored_elements(), b->get_num_stored_elements(),
             product->get_num_stored_elements(),

@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include <omp.h>
-
 #include "core/kernel_utils.hpp"
 #include "core/math.hpp"
 #include "matrix/spgemm.hpp"
@@ -61,14 +59,13 @@ std::vector<double> stored_diagonal(const Csr<ValueType, IndexType>* a)
     const auto* col_idxs = a->get_const_col_idxs();
     const auto* values = a->get_const_values();
     std::vector<double> diag(static_cast<std::size_t>(n), 0.0);
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
-    for (size_type row = 0; row < n; ++row) {
+    kernels::parallel_for(nt, n, [&](size_type row) {
         for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
             if (static_cast<size_type>(col_idxs[k]) == row) {
                 diag[static_cast<std::size_t>(row)] = to_float(values[k]);
             }
         }
-    }
+    });
     return diag;
 }
 
@@ -90,8 +87,7 @@ std::vector<unsigned char> strength_mask(const Csr<ValueType, IndexType>* a,
     const auto* values = a->get_const_values();
     std::vector<unsigned char> strong(
         static_cast<std::size_t>(a->get_num_stored_elements()));
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
-    for (size_type row = 0; row < n; ++row) {
+    kernels::parallel_for(nt, n, [&](size_type row) {
         for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
             const auto col = static_cast<size_type>(col_idxs[k]);
             strong[static_cast<std::size_t>(k)] =
@@ -100,7 +96,7 @@ std::vector<unsigned char> strength_mask(const Csr<ValueType, IndexType>* a,
                     theta * std::sqrt(std::abs(diag[row]) *
                                       std::abs(diag[col]));
         }
-    }
+    });
     return strong;
 }
 
@@ -206,11 +202,10 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
     std::vector<double> filtered_diag(static_cast<std::size_t>(n));
     std::vector<size_type> counts(static_cast<std::size_t>(n));
     std::vector<double> thread_rho(static_cast<std::size_t>(nt), 0.0);
-#pragma omp parallel num_threads(nt) if (nt > 1)
-    {
+    kernels::parallel_team(nt, [&](int tid, int threads) {
+        const auto [begin, end] = kernels::static_block(n, tid, threads);
         double rho = 0.0;
-#pragma omp for schedule(static) nowait
-        for (size_type row = 0; row < n; ++row) {
+        for (auto row = begin; row < end; ++row) {
             double filtered = diag[static_cast<std::size_t>(row)];
             double strong_abs = 0.0;
             size_type kept = 1;
@@ -234,8 +229,8 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
                 rho = std::max(rho, (d + strong_abs) / d);
             }
         }
-        thread_rho[static_cast<std::size_t>(omp_get_thread_num())] = rho;
-    }
+        thread_rho[static_cast<std::size_t>(tid)] = rho;
+    });
     double rho = 0.0;
     for (const double r : thread_rho) {
         rho = std::max(rho, r);
@@ -248,8 +243,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
     auto* m_cols = m->get_col_idxs();
     auto* m_vals = m->get_values();
     std::vector<unsigned char> out_of_order(static_cast<std::size_t>(n), 0);
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
-    for (size_type row = 0; row < n; ++row) {
+    kernels::parallel_for(nt, n, [&](size_type row) {
         double df = filtered_diag[static_cast<std::size_t>(row)];
         if (df == 0.0) {
             df = diag[static_cast<std::size_t>(row)] != 0.0
@@ -281,7 +275,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
             std::adjacent_find(m_cols + m_ptrs[row], m_cols + m_ptrs[row + 1],
                                std::greater_equal<>{}) !=
             m_cols + m_ptrs[row + 1];
-    }
+    });
 
     std::vector<std::pair<IndexType, ValueType>> row_buffer;
     for (size_type row = 0; row < n; ++row) {
@@ -482,20 +476,18 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
         exec_->run("amg_jacobi_relax", [&](const Executor* e) {
             const int nt = e->real_threads();
             if (x_zero) {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-                for (size_type i = 0; i < n; ++i) {
+                kernels::parallel_for(nt, n, [&](size_type i) {
                     auto xi = zero<ValueType>();
                     xi += static_cast<ValueType>(w * to_float(inv_diag[i]) *
                                                  to_float(bv[i * b_stride]));
                     xv[i * x_stride] = xi;
-                }
+                });
             } else {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-                for (size_type i = 0; i < n; ++i) {
+                kernels::parallel_for(nt, n, [&](size_type i) {
                     xv[i * x_stride] += static_cast<ValueType>(
                         w * to_float(inv_diag[i]) *
                         (to_float(bv[i * b_stride]) - to_float(tv[i])));
-                }
+                });
             }
             // From zero only b and 1/a_ii are read and x written, and the
             // subtraction is gone.

@@ -148,23 +148,26 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
     const auto vec_cols = dense_b->get_size().cols;
     const auto bs = block_size_;
     const auto* inv = inv_data_.get_const_data();
+    const auto* bv = dense_b->get_const_values();
+    auto* xv = dense_x->get_values();
+    const auto b_stride = dense_b->get_stride();
+    const auto x_stride = dense_x->get_stride();
 
     get_executor()->run("jacobi_apply", [&](const Executor* e) {
         const int nt = e->real_threads();
-        if (bs == 1) {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-            for (size_type row = 0; row < n; ++row) {
+        if (bs == 1 && vec_cols == 1 && b_stride == 1 && x_stride == 1) {
+            // One contiguous column: a flat loop.
+            kernels::parallel_for(nt, n, [&](size_type row) {
+                xv[row] = inv[row] * bv[row];
+            });
+        } else if (bs == 1) {
+            kernels::parallel_for(nt, n, [&](size_type row) {
                 for (size_type c = 0; c < vec_cols; ++c) {
-                    dense_x->get_values()[row * dense_x->get_stride() + c] =
-                        inv[row] *
-                        dense_b->get_const_values()
-                            [row * dense_b->get_stride() + c];
+                    xv[row * x_stride + c] = inv[row] * bv[row * b_stride + c];
                 }
-            }
+            });
         } else {
-            const auto num_blocks = ceildiv(n, bs);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-            for (size_type blk = 0; blk < num_blocks; ++blk) {
+            kernels::parallel_for(nt, ceildiv(n, bs), [&](size_type blk) {
                 const auto begin = blk * bs;
                 const auto end = std::min(n, begin + bs);
                 const auto* binv = inv + blk * bs * bs;
@@ -175,15 +178,12 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
                         for (size_type j = begin; j < end; ++j) {
                             acc += static_cast<acc_t>(
                                        binv[(r - begin) * bs + (j - begin)]) *
-                                   static_cast<acc_t>(
-                                       dense_b->get_const_values()
-                                           [j * dense_b->get_stride() + c]);
+                                   static_cast<acc_t>(bv[j * b_stride + c]);
                         }
-                        dense_x->get_values()[r * dense_x->get_stride() + c] =
-                            ValueType{acc};
+                        xv[r * x_stride + c] = ValueType{acc};
                     }
                 }
-            }
+            });
         }
         kernels::tick(
             e, sim::profile_stream(

@@ -1,6 +1,8 @@
 #include "solver/triangular.hpp"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/kernel_utils.hpp"
 #include "core/math.hpp"
@@ -33,17 +35,28 @@ void TriangularSolver<ValueType, IndexType, Lower>::build_level_schedule()
     const auto* col_idxs = matrix_->get_const_col_idxs();
 
     // level[row] = 1 + max(level[dependency]); dependencies are the strictly
-    // lower (upper) entries of the row.
+    // lower (upper) entries of the row.  The walk visits rows in sweep
+    // order, so a missing diagonal is reported at the first row the sweep
+    // would divide by it.
     std::vector<size_type> level(static_cast<std::size_t>(n), 0);
     size_type max_level = 0;
     auto visit = [&](size_type row) {
         size_type lvl = 0;
+        bool has_diag = false;
         for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
             const auto col = static_cast<size_type>(col_idxs[k]);
+            has_diag = has_diag || col == row;
             const bool is_dep = Lower ? col < row : col > row;
             if (is_dep) {
                 lvl = std::max(lvl, level[static_cast<std::size_t>(col)] + 1);
             }
+        }
+        if (!has_diag && !params_.unit_diagonal) {
+            throw NumericalError(
+                __FILE__, __LINE__,
+                "triangular solve requires a stored diagonal entry in every "
+                "row (missing at row " +
+                    std::to_string(row) + ")");
         }
         level[static_cast<std::size_t>(row)] = lvl;
         max_level = std::max(max_level, lvl);
@@ -57,25 +70,7 @@ void TriangularSolver<ValueType, IndexType, Lower>::build_level_schedule()
             visit(row);
         }
     }
-
-    // Bucket rows by level (counting sort keeps it O(n + nnz)).
-    level_offsets_.assign(static_cast<std::size_t>(max_level) + 2, 0);
-    for (size_type row = 0; row < n; ++row) {
-        ++level_offsets_[static_cast<std::size_t>(
-            level[static_cast<std::size_t>(row)] + 1)];
-    }
-    for (std::size_t l = 1; l < level_offsets_.size(); ++l) {
-        level_offsets_[l] += level_offsets_[l - 1];
-    }
-    level_rows_.resize(static_cast<std::size_t>(n));
-    std::vector<size_type> cursor(level_offsets_.begin(),
-                                  level_offsets_.end() - 1);
-    for (size_type row = 0; row < n; ++row) {
-        auto& pos = cursor[static_cast<std::size_t>(
-            level[static_cast<std::size_t>(row)])];
-        level_rows_[static_cast<std::size_t>(pos++)] =
-            static_cast<IndexType>(row);
-    }
+    num_levels_ = max_level + 1;
 }
 
 
@@ -120,27 +115,13 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
     const auto* values = matrix_->get_const_values();
     const auto* col_idxs = matrix_->get_const_col_idxs();
     const auto* row_ptrs = matrix_->get_const_row_ptrs();
+    const auto* bv = dense_b->get_const_values();
+    auto* xv = dense_x->get_values();
+    const auto b_stride = dense_b->get_stride();
+    const auto x_stride = dense_x->get_stride();
     const auto n = matrix_->get_size().rows;
     const auto nnz = matrix_->get_num_stored_elements();
     const bool unit = params_.unit_diagonal;
-
-    auto serial_sweep = [&] {
-        if (Lower) {
-            for (size_type row = 0; row < n; ++row) {
-                trs_kernels::solve_row<ValueType, IndexType, Lower>(
-                    values, col_idxs, row_ptrs, dense_b->get_const_values(),
-                    dense_b->get_stride(), dense_x->get_values(),
-                    dense_x->get_stride(), row, vec_cols, unit);
-            }
-        } else {
-            for (size_type row = n; row-- > 0;) {
-                trs_kernels::solve_row<ValueType, IndexType, Lower>(
-                    values, col_idxs, row_ptrs, dense_b->get_const_values(),
-                    dense_b->get_stride(), dense_x->get_values(),
-                    dense_x->get_stride(), row, vec_cols, unit);
-            }
-        }
-    };
 
     // Cost: stream the factor once and b and x once per right-hand side.
     auto profile = [&](double efficiency) {
@@ -152,32 +133,33 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
             2.0 * static_cast<double>(nnz) * static_cast<double>(vec_cols),
             efficiency);
     };
-    // The reference executor sweeps the rows in order; every other backend
-    // runs the level-scheduled sweep.
+    // Every backend sweeps the rows in order on the calling thread.  A row
+    // reads only rows that are already final and sums its own entries in
+    // stored order, so the answer is bitwise that of a level-by-level sweep,
+    // which was no faster on the host in 10 of 12 measured cases (DESIGN.md
+    // section 3).  The reference executor charges the sweep itself; the
+    // others charge the level-scheduled sweep a device would run, one launch
+    // per level beyond the first.
     get_executor()->run("trs_solve", [&](const Executor* e) {
+        auto solve = [&](size_type row) {
+            trs_kernels::solve_row<ValueType, IndexType, Lower>(
+                values, col_idxs, row_ptrs, bv, b_stride, xv, x_stride, row,
+                vec_cols, unit);
+        };
+        if (Lower) {
+            for (size_type row = 0; row < n; ++row) {
+                solve(row);
+            }
+        } else {
+            for (size_type row = n; row-- > 0;) {
+                solve(row);
+            }
+        }
         if (e->kind() == exec_kind::reference) {
-            serial_sweep();
             mgko::kernels::tick(e, profile(0.7));
             return;
         }
-        const int nt = e->real_threads();
         const auto levels = num_levels();
-        for (size_type l = 0; l < levels; ++l) {
-            const auto begin = level_offsets_[static_cast<std::size_t>(l)];
-            const auto end = level_offsets_[static_cast<std::size_t>(l + 1)];
-#pragma omp parallel for num_threads(nt) if (nt > 1 && end - begin > 64)
-            for (size_type i = begin; i < end; ++i) {
-                trs_kernels::solve_row<ValueType, IndexType, Lower>(
-                    values, col_idxs, row_ptrs, dense_b->get_const_values(),
-                    dense_b->get_stride(), dense_x->get_values(),
-                    dense_x->get_stride(),
-                    static_cast<size_type>(
-                        level_rows_[static_cast<std::size_t>(i)]),
-                    vec_cols, unit);
-            }
-        }
-        // One launch per level beyond the first: the latency wall of
-        // sparse triangular solves.
         auto level_profile = profile(0.6);
         level_profile.extra_launches =
             static_cast<int>(levels > 0 ? levels - 1 : 0);

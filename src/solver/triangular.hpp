@@ -2,15 +2,16 @@
 // the ILU and IC preconditioners (paper Figure 2 lists triangular solvers
 // among the explicitly bound solvers).
 //
-// The reference backend runs the sequential substitution sweep; parallel
-// backends use level scheduling: rows are grouped into dependency levels,
-// each level is one parallel kernel.  On the simulated devices every level
-// costs a kernel launch, which models why sparse triangular solves are
-// latency-bound on GPUs.
+// Every backend runs the substitution sweep in row order on the calling
+// thread (ascending rows for lower, descending for upper).  The level
+// schedule (rows grouped into dependency levels) is still computed: the
+// parallel backends charge the SimClock a level-scheduled sweep, one
+// launch per level, which models why sparse triangular solves are
+// latency-bound on GPUs.  A non-unit solver refuses, at generate, a row
+// with no stored diagonal.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/lin_op.hpp"
 #include "core/types.hpp"
@@ -75,7 +76,7 @@ private:
 };
 
 
-/// Common state: the factor matrix plus its level schedule.
+/// Common state: the factor matrix plus its level count.
 template <typename ValueType, typename IndexType, bool Lower>
 class TriangularSolver : public LinOp {
 public:
@@ -86,10 +87,7 @@ public:
     {
         return matrix_;
     }
-    size_type num_levels() const
-    {
-        return static_cast<size_type>(level_offsets_.size()) - 1;
-    }
+    size_type num_levels() const { return num_levels_; }
     bool unit_diagonal() const { return params_.unit_diagonal; }
 
 protected:
@@ -106,10 +104,8 @@ private:
 
     triangular_parameters params_;
     std::shared_ptr<const Csr<ValueType, IndexType>> matrix_;
-    /// Rows permuted so each level is contiguous; level l spans
-    /// [level_offsets_[l], level_offsets_[l+1]).
-    std::vector<IndexType> level_rows_;
-    std::vector<size_type> level_offsets_;
+    /// Dependency levels of the level-scheduled sweep the SimClock charges.
+    size_type num_levels_{};
     /// Cached temporary of the advanced apply, reused across calls.
     mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
 };

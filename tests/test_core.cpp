@@ -2,8 +2,10 @@
 // executors (memory spaces, dispatch, SimClock), and arrays.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include <omp.h>
 
@@ -11,6 +13,7 @@
 #include "core/exception.hpp"
 #include "core/executor.hpp"
 #include "core/half.hpp"
+#include "core/kernel_utils.hpp"
 #include "core/math.hpp"
 #include "core/types.hpp"
 #include "tests/test_utils.hpp"
@@ -172,6 +175,83 @@ TEST(Executor, RealThreadsAreFixedAtCreation)
     EXPECT_EQ(hip->real_threads(), hw);
     EXPECT_EQ(CudaExecutor::create()->real_threads(), hw + 1);
     omp_set_num_threads(hw);
+}
+
+TEST(ParallelTeam, OneThreadRunsTheBodyOnTheCallingThread)
+{
+    int calls = 0;
+    kernels::parallel_team(1, [&](int tid, int threads) {
+        ++calls;
+        EXPECT_EQ(tid, 0);
+        EXPECT_EQ(threads, 1);
+        // No region was opened, not even a serialized one.
+        EXPECT_EQ(omp_get_level(), 0);
+    });
+    EXPECT_EQ(calls, 1);
+    // Launched from a thread of the caller's own team, the body is still
+    // thread 0 of 1 and runs at the caller's level.
+    std::atomic<int> inner{0};
+    std::atomic<int> wrong{0};
+    int outer = 0;
+#pragma omp parallel num_threads(2)
+    {
+#pragma omp single
+        outer = omp_get_num_threads();
+        kernels::parallel_team(1, [&](int tid, int threads) {
+            ++inner;
+            if (tid != 0 || threads != 1 || omp_get_level() != 1) {
+                ++wrong;
+            }
+        });
+    }
+    EXPECT_EQ(inner.load(), outer);
+    EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ParallelTeam, MoreThreadsRunTheBodyOnceOnEveryThreadOfOneTeam)
+{
+    for (const int nt : {2, 4}) {
+        std::vector<std::atomic<int>> calls(static_cast<std::size_t>(nt));
+        std::atomic<int> wrong{0};
+        kernels::parallel_team(nt, [&](int tid, int threads) {
+            if (threads != nt || omp_get_num_threads() != nt ||
+                omp_get_level() != 1 || tid != omp_get_thread_num()) {
+                ++wrong;
+            }
+            ++calls[static_cast<std::size_t>(tid)];
+        });
+        EXPECT_EQ(wrong.load(), 0) << nt;
+        for (const auto& c : calls) {
+            EXPECT_EQ(c.load(), 1) << nt;
+        }
+    }
+}
+
+TEST(ParallelTeam, StaticBlocksAreTheOpenMpStaticScheduleAndCoverEachIndexOnce)
+{
+    for (const size_type n : {0, 1, 3, 64, 1001}) {
+        for (const int nt : {1, 2, 3, 4}) {
+            std::vector<int> owner(static_cast<std::size_t>(n), -1);
+#pragma omp parallel for num_threads(nt) schedule(static)
+            for (size_type i = 0; i < n; ++i) {
+                owner[static_cast<std::size_t>(i)] = omp_get_thread_num();
+            }
+            for (int t = 0; t < nt; ++t) {
+                const auto [begin, end] = kernels::static_block(n, t, nt);
+                for (auto i = begin; i < end; ++i) {
+                    EXPECT_EQ(owner[static_cast<std::size_t>(i)], t)
+                        << "n " << n << ", " << nt << " threads, index " << i;
+                }
+            }
+            std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+            kernels::parallel_for(nt, n, [&](size_type i) {
+                ++hits[static_cast<std::size_t>(i)];
+            });
+            for (const auto& h : hits) {
+                EXPECT_EQ(h.load(), 1) << "n " << n << ", " << nt;
+            }
+        }
+    }
 }
 
 TEST(Executor, CrossSpaceCopyChargesTransfer)

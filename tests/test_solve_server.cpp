@@ -1156,6 +1156,26 @@ TEST(SolveServer, ProcessWideSwitchKeysAnswer400AndChangeNothing)
 }
 
 
+TEST(SolveServer, InlineTriangularSolveWithoutDiagonalAnswers400)
+{
+    // U = [[2, 1], [0, .]]: a non-unit sweep would divide row 1 by an
+    // absent diagonal, and U x = b would not hold for the answer.
+    auto server = serve::SolveServer::start({});
+    serve::HttpRequest request;
+    request.method = "POST";
+    request.target = "/v1/solve";
+    request.body =
+        R"({"triplet": {"rows": 2, "cols": 2, "entries": [[0, 0, 2.0], )"
+        R"([0, 1, 1.0]]}, "b": [3.0, 3.0], )"
+        R"("config": {"type": "solver::UpperTrs"}})";
+    const auto response = server->handle(request);
+    EXPECT_EQ(status_of(response), 400) << response;
+    EXPECT_NE(body_of(response).find("missing at row 1"), std::string::npos)
+        << response;
+    server->stop();
+}
+
+
 TEST(SolveServer, NumbersOutsideInt64AndPartialMtxTokensAnswer400)
 {
     // A real where an integer is read must fit int64 (1e300, or an

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "config/config_solver.hpp"
 #include "factorization/ilu.hpp"
@@ -440,6 +442,39 @@ TEST(Triangular, UpperSolveAndUnitDiagonal)
     EXPECT_NEAR(x->at(0, 0), 1.0, 1e-14);
 }
 
+/// Textbook substitution in the order every backend's sweep must match:
+/// rows ascending (lower) or descending (upper), each row's entries in
+/// stored order, the last stored diagonal entry as divisor.
+template <bool Lower>
+std::vector<double> substitute(const Mtx* t, const Vec* b, bool unit)
+{
+    const auto n = t->get_size().rows;
+    const auto cols = b->get_size().cols;
+    const auto* row_ptrs = t->get_const_row_ptrs();
+    const auto* col_idxs = t->get_const_col_idxs();
+    const auto* values = t->get_const_values();
+    std::vector<double> x(static_cast<std::size_t>(n * cols));
+    for (size_type i = 0; i < n; ++i) {
+        const auto row = Lower ? i : n - 1 - i;
+        for (size_type c = 0; c < cols; ++c) {
+            double acc = b->at(row, c);
+            double diag = 1.0;
+            for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
+                const auto col = static_cast<size_type>(col_idxs[k]);
+                if (col == row) {
+                    diag = values[k];
+                } else if (Lower ? col < row : col > row) {
+                    acc -= values[k] *
+                           x[static_cast<std::size_t>(col * cols + c)];
+                }
+            }
+            x[static_cast<std::size_t>(row * cols + c)] =
+                unit ? acc : acc / diag;
+        }
+    }
+    return x;
+}
+
 TEST(Triangular, LevelScheduleCoversAllRowsOnce)
 {
     auto exec = ReferenceExecutor::create();
@@ -458,7 +493,7 @@ TEST(Triangular, LevelScheduleCoversAllRowsOnce)
         dynamic_cast<solver::LowerTrs<double, int32>*>(solver.get());
     EXPECT_GE(trs->num_levels(), 1);
     EXPECT_LE(trs->num_levels(), 50);
-    // Solving against L * ones must recover ones on every executor.
+    // Solving against L * ones must recover ones.
     auto ones = Vec::create_filled(exec, dim2{50, 1}, 1.0);
     auto b = Vec::create(exec, dim2{50, 1});
     l->apply(ones.get(), b.get());
@@ -466,6 +501,155 @@ TEST(Triangular, LevelScheduleCoversAllRowsOnce)
     solver->apply(b.get(), x.get());
     for (size_type i = 0; i < 50; ++i) {
         EXPECT_NEAR(x->at(i, 0), 1.0, 1e-12);
+    }
+
+    // Every backend solves each row once, in sweep order, so its answer is
+    // the textbook substitution's bit for bit: the ILU(0) factors of a
+    // power-law operator (many narrow levels) and of a 20^3 7-point
+    // stencil (fewer, wider levels), lower and upper, unit and non-unit,
+    // 1, 3 and 8 right-hand sides, contiguous and strided operands, and
+    // NaN entries in b.
+    std::vector<std::shared_ptr<const Executor>> execs{
+        exec,
+        OmpExecutor::create(1),
+        OmpExecutor::create(2),
+        OmpExecutor::create(4),
+        CudaExecutor::create(),
+        HipExecutor::create()};
+    const matrix_data<double, int64> operators[] = {
+        matgen::power_law_rows(3136, 6, 1.6, 1),
+        matgen::stencil_3d_7pt(20, 20, 20)};
+    for (const auto& op : operators) {
+        auto a = Mtx::create_from_data(exec, op);
+        const auto factors = factorization::factorize_ilu0(a.get());
+        const auto n = a->get_size().rows;
+        for (const size_type cols : {1, 3, 8}) {
+            auto b_host = Vec::create(exec, dim2{n, cols});
+            for (size_type r = 0; r < n; ++r) {
+                for (size_type c = 0; c < cols; ++c) {
+                    b_host->at(r, c) =
+                        std::sin(0.37 * static_cast<double>(r) +
+                                 static_cast<double>(c)) +
+                        0.5;
+                }
+            }
+            b_host->at(n / 3, 0) = std::nan("");
+            b_host->at(n - 7, cols - 1) = std::nan("");
+            for (const bool unit : {false, true}) {
+                for (const bool is_lower : {true, false}) {
+                    const auto* factor =
+                        is_lower ? factors.lower.get() : factors.upper.get();
+                    const auto expected =
+                        is_lower ? substitute<true>(factor, b_host.get(), unit)
+                                 : substitute<false>(factor, b_host.get(),
+                                                     unit);
+                    for (const auto& e : execs) {
+                        auto t = std::shared_ptr<Mtx>{Mtx::create_from_data(
+                            e, factor->to_data())};
+                        std::unique_ptr<LinOp> sweep;
+                        if (is_lower) {
+                            sweep = solver::LowerTrs<double, int32>::build()
+                                        .with_unit_diagonal(unit)
+                                        .on(e)
+                                        ->generate(t);
+                        } else {
+                            sweep = solver::UpperTrs<double, int32>::build()
+                                        .with_unit_diagonal(unit)
+                                        .on(e)
+                                        ->generate(t);
+                        }
+                        for (const bool strided : {false, true}) {
+                            // Strided operands are views into blocks two
+                            // columns wider than the right-hand side.
+                            const size_type stride = strided ? cols + 2 : cols;
+                            std::vector<double> b_buf(
+                                static_cast<std::size_t>(n * stride), 0.0);
+                            std::vector<double> x_buf(
+                                static_cast<std::size_t>(n * stride), 0.0);
+                            auto b = Vec::create_view(e, dim2{n, cols},
+                                                      b_buf.data(), stride);
+                            auto xv = Vec::create_view(e, dim2{n, cols},
+                                                       x_buf.data(), stride);
+                            for (size_type r = 0; r < n; ++r) {
+                                for (size_type c = 0; c < cols; ++c) {
+                                    b->at(r, c) = b_host->at(r, c);
+                                }
+                            }
+                            sweep->apply(b.get(), xv.get());
+                            size_type mismatches = 0;
+                            for (size_type r = 0; r < n; ++r) {
+                                for (size_type c = 0; c < cols; ++c) {
+                                    const double got = xv->at(r, c);
+                                    mismatches +=
+                                        std::memcmp(
+                                            &got,
+                                            &expected[static_cast<std::size_t>(
+                                                r * cols + c)],
+                                            sizeof(double)) != 0;
+                                }
+                            }
+                            EXPECT_EQ(mismatches, 0)
+                                << e->name() << " " << n << " rows, "
+                                << (is_lower ? "lower" : "upper")
+                                << (unit ? " unit" : "") << ", " << cols
+                                << " columns" << (strided ? ", strided" : "");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Triangular, NonUnitSolverRefusesRowWithoutDiagonal)
+{
+    for (const auto& exec :
+         std::vector<std::shared_ptr<const Executor>>{
+             ReferenceExecutor::create(), OmpExecutor::create(1),
+             OmpExecutor::create(4)}) {
+        // U = [[2, 1], [0, .]] and L = [[., 0], [1, 2]]: row 1 (upper) and
+        // row 0 (lower) store no diagonal, which a non-unit sweep would
+        // read as 1.
+        matrix_data<double, int32> upper{dim2{2, 2}};
+        upper.add(0, 0, 2.0);
+        upper.add(0, 1, 1.0);
+        matrix_data<double, int32> lower{dim2{2, 2}};
+        lower.add(1, 0, 1.0);
+        lower.add(1, 1, 2.0);
+        auto u = std::shared_ptr<Mtx>{Mtx::create_from_data(exec, upper)};
+        auto l = std::shared_ptr<Mtx>{Mtx::create_from_data(exec, lower)};
+        auto expect_refused = [&](auto&& generate, const char* row) {
+            try {
+                generate();
+                ADD_FAILURE() << exec->name() << ": generate did not throw";
+            } catch (const NumericalError& e) {
+                EXPECT_NE(std::string{e.what()}.find(
+                              std::string{"missing at row "} + row),
+                          std::string::npos)
+                    << e.what();
+            }
+        };
+        expect_refused(
+            [&] {
+                solver::UpperTrs<double, int32>::build().on(exec)->generate(u);
+            },
+            "1");
+        expect_refused(
+            [&] {
+                solver::LowerTrs<double, int32>::build().on(exec)->generate(l);
+            },
+            "0");
+        // A unit-diagonal solver never reads the diagonal: U x = [3, 3]
+        // with unit diagonal is x = [0, 3].
+        auto unit = solver::UpperTrs<double, int32>::build()
+                        .with_unit_diagonal(true)
+                        .on(exec)
+                        ->generate(u);
+        auto b = Vec::create_filled(exec, dim2{2, 1}, 3.0);
+        auto x = Vec::create(exec, dim2{2, 1});
+        unit->apply(b.get(), x.get());
+        EXPECT_EQ(x->at(0, 0), 0.0) << exec->name();
+        EXPECT_EQ(x->at(1, 0), 3.0) << exec->name();
     }
 }
 
@@ -702,6 +886,39 @@ TEST(Ic0, ThrowsOnIndefiniteMatrix)
 
 // --- preconditioners --------------------------------------------------------------
 
+/// Applies `precond` on `exec` to b (n x cols, entry (r, c) from `entry`),
+/// once with contiguous operands and once with column views into blocks
+/// two columns wider, and checks every result bitwise against `expected`.
+template <typename Entry, typename Expected>
+void expect_jacobi_bits(const LinOp* precond,
+                        std::shared_ptr<const Executor> exec, size_type n,
+                        size_type cols, Entry entry, Expected expected)
+{
+    for (const bool view : {false, true}) {
+        const size_type stride = view ? cols + 2 : cols;
+        std::vector<double> b_buf(static_cast<std::size_t>(n * stride), 0.0);
+        std::vector<double> x_buf(static_cast<std::size_t>(n * stride), 0.0);
+        auto b = Vec::create_view(exec, dim2{n, cols}, b_buf.data(), stride);
+        auto x = Vec::create_view(exec, dim2{n, cols}, x_buf.data(), stride);
+        for (size_type r = 0; r < n; ++r) {
+            for (size_type c = 0; c < cols; ++c) {
+                b->at(r, c) = entry(r, c);
+            }
+        }
+        precond->apply(b.get(), x.get());
+        for (size_type r = 0; r < n; ++r) {
+            for (size_type c = 0; c < cols; ++c) {
+                const double got = x->at(r, c);
+                const double want = expected(b.get(), r, c);
+                EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+                    << exec->name() << ", " << cols << " columns"
+                    << (view ? ", view" : "") << ", row " << r << ": " << got
+                    << " vs " << want;
+            }
+        }
+    }
+}
+
 TEST(Jacobi, ScalarAppliesInverseDiagonal)
 {
     auto exec = ReferenceExecutor::create();
@@ -715,6 +932,33 @@ TEST(Jacobi, ScalarAppliesInverseDiagonal)
     EXPECT_DOUBLE_EQ(x->at(0, 0), 4.0);
     EXPECT_DOUBLE_EQ(x->at(1, 0), 2.0);
     EXPECT_DOUBLE_EQ(x->at(2, 0), 1.0);
+
+    // On every backend, for one and three right-hand sides, contiguous or
+    // column views: x(r, c) = (1 / a_rr) * b(r, c), bit for bit.
+    const size_type n = 1001;
+    std::vector<double> diag(static_cast<std::size_t>(n));
+    for (size_type r = 0; r < n; ++r) {
+        diag[static_cast<std::size_t>(r)] = 1.5 + std::sin(0.1 * r);
+    }
+    for (const auto& e : std::vector<std::shared_ptr<const Executor>>{
+             exec, OmpExecutor::create(1), OmpExecutor::create(4),
+             CudaExecutor::create(), HipExecutor::create()}) {
+        auto m = std::shared_ptr<Mtx>{Mtx::create_from_data(
+            e, matrix_data<double, int32>::diag(diag))};
+        auto jacobi =
+            preconditioner::Jacobi<double, int32>::build().on(e)->generate(m);
+        for (const size_type cols : {1, 3}) {
+            expect_jacobi_bits(
+                jacobi.get(), e, n, cols,
+                [](size_type r, size_type c) {
+                    return std::cos(0.3 * r + c);
+                },
+                [&](const Vec* bv, size_type r, size_type c) {
+                    return (1.0 / diag[static_cast<std::size_t>(r)]) *
+                           bv->at(r, c);
+                });
+        }
+    }
 }
 
 TEST(Jacobi, ScalarHandlesZeroDiagonalSafely)
@@ -758,6 +1002,66 @@ TEST(Jacobi, BlockInvertsDiagonalBlocks)
     precond->apply(b.get(), x.get());
     for (size_type i = 0; i < 4; ++i) {
         EXPECT_NEAR(x->at(i, 0), 1.0, 1e-14);
+    }
+
+    // On every backend, for one and three right-hand sides, contiguous or
+    // column views: each row is its block's inverse row times b, summed in
+    // ascending column order, bit for bit.  The inverse is read back from
+    // the reference preconditioner applied to unit vectors.  Blocks of 3
+    // over 1000 rows leave a partial trailing block.
+    const size_type n = 1000;
+    const size_type bs = 3;
+    matrix_data<double, int32> blocks{dim2{n, n}};
+    for (size_type r = 0; r < n; ++r) {
+        const auto begin = r / bs * bs;
+        for (auto c = begin; c < std::min(n, begin + bs); ++c) {
+            blocks.add(static_cast<int32>(r), static_cast<int32>(c),
+                       r == c ? 4.0 + std::sin(0.7 * r)
+                              : 0.5 + 0.1 * static_cast<double>(c % 5));
+        }
+    }
+    auto ref_block = std::shared_ptr<Mtx>{Mtx::create_from_data(exec, blocks)};
+    auto ref_jacobi = preconditioner::Jacobi<double, int32>::build()
+                          .with_max_block_size(bs)
+                          .on(exec)
+                          ->generate(ref_block);
+    std::vector<double> inverse(static_cast<std::size_t>(n * bs));
+    for (size_type j = 0; j < bs; ++j) {
+        auto unit = Vec::create_filled(exec, dim2{n, 1}, 0.0);
+        for (size_type r = j; r < n; r += bs) {
+            unit->at(r, 0) = 1.0;
+        }
+        auto column = Vec::create(exec, dim2{n, 1});
+        ref_jacobi->apply(unit.get(), column.get());
+        for (size_type r = 0; r < n; ++r) {
+            inverse[static_cast<std::size_t>(r * bs + j)] = column->at(r, 0);
+        }
+    }
+    for (const auto& e : std::vector<std::shared_ptr<const Executor>>{
+             exec, OmpExecutor::create(1), OmpExecutor::create(4),
+             CudaExecutor::create(), HipExecutor::create()}) {
+        auto m = std::shared_ptr<Mtx>{Mtx::create_from_data(e, blocks)};
+        auto jacobi = preconditioner::Jacobi<double, int32>::build()
+                          .with_max_block_size(bs)
+                          .on(e)
+                          ->generate(m);
+        for (const size_type cols : {1, 3}) {
+            expect_jacobi_bits(
+                jacobi.get(), e, n, cols,
+                [](size_type r, size_type c) {
+                    return std::cos(0.3 * r + c);
+                },
+                [&](const Vec* bv, size_type r, size_type c) {
+                    const auto begin = r / bs * bs;
+                    double acc = 0.0;
+                    for (auto j = begin; j < std::min(n, begin + bs); ++j) {
+                        acc += inverse[static_cast<std::size_t>(
+                                   r * bs + (j - begin))] *
+                               bv->at(j, c);
+                    }
+                    return acc;
+                });
+        }
     }
 }
 
