@@ -159,10 +159,8 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
             mgko::kernels::tick(e, profile(0.7));
             return;
         }
-        const auto levels = num_levels();
         auto level_profile = profile(0.6);
-        level_profile.extra_launches =
-            static_cast<int>(levels > 0 ? levels - 1 : 0);
+        level_profile.extra_launches = static_cast<int>(num_levels() - 1);
         mgko::kernels::tick(e, level_profile);
     });
 }
