@@ -51,13 +51,17 @@ inline std::pair<size_type, size_type> static_block(size_type n, int tid,
 
 /// Runs `body(i)` for every i in [0, n) on `nt` threads, each thread over
 /// its static_block in ascending order; one thread runs a plain loop.
+/// Each thread calls its own copy of `body`, so what a body captures by
+/// value stays in registers even where the body stores bytes, which may
+/// alias anything: a body that stores chars captures its operands by value.
 template <typename Body>
-inline void parallel_for(int nt, size_type n, Body&& body)
+inline void parallel_for(int nt, size_type n, const Body& body)
 {
     parallel_team(nt, [&](int tid, int threads) {
         const auto [begin, end] = static_block(n, tid, threads);
+        auto row_body = body;
         for (auto i = begin; i < end; ++i) {
-            body(i);
+            row_body(i);
         }
     });
 }

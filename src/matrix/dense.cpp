@@ -24,7 +24,7 @@ void fill(const Executor* exec, V* values, size_type rows, size_type cols,
 {
     const int nt = exec->real_threads();
     if (stride == cols) {
-        parallel_for(nt, rows * cols, [&](size_type i) { values[i] = value; });
+        parallel_for(nt, rows * cols, [=](size_type i) { values[i] = value; });
     } else {
         parallel_for(nt, rows, [&](size_type r) {
             std::fill_n(values + r * stride, cols, value);
@@ -41,7 +41,7 @@ void scale(const Executor* exec, V* x, size_type rows, size_type cols,
     const int nt = exec->real_threads();
     if (alpha_cols == 1 && stride == cols) {
         const V a = alpha[0];
-        parallel_for(nt, rows * cols, [&](size_type i) { x[i] *= a; });
+        parallel_for(nt, rows * cols, [=](size_type i) { x[i] *= a; });
     } else {
         parallel_for(nt, rows, [&](size_type r) {
             for (size_type c = 0; c < cols; ++c) {
@@ -71,7 +71,7 @@ void add_scaled(const Executor* exec, V* x, const V* b, size_type rows,
     if (alpha_cols == 1 && x_stride == cols && b_stride == cols) {
         const V a = alpha[0];
         parallel_for(nt, rows * cols,
-                     [&](size_type i) { update(x[i], a * b[i]); });
+                     [=](size_type i) { update(x[i], a * b[i]); });
     } else {
         parallel_for(nt, rows, [&](size_type r) {
             for (size_type c = 0; c < cols; ++c) {

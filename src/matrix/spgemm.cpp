@@ -52,14 +52,17 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
         std::vector<unsigned char> touched(slots, 0);
         std::vector<size_type> row_nnz(static_cast<std::size_t>(m));
         std::vector<size_type> thread_products(static_cast<std::size_t>(nt));
+        auto* counts = row_nnz.data();
         // Both passes hand out rows in chunks of 64 to whichever thread
-        // asks next, as schedule(dynamic, 64) does.
+        // asks next, as schedule(dynamic, 64) does.  The row bodies capture
+        // their operands by value: they store bytes or size_type, which
+        // would otherwise make every operand a reload through the closure.
         constexpr size_type chunk = 64;
-        auto for_dynamic_rows = [&](std::atomic<size_type>& next, auto body) {
+        auto for_dynamic_rows = [m](std::atomic<size_type>& next, auto body) {
             for (auto begin = next.fetch_add(chunk); begin < m;
                  begin = next.fetch_add(chunk)) {
-                for (auto row = begin; row < std::min(m, begin + chunk);
-                     ++row) {
+                const auto end = std::min(m, begin + chunk);
+                for (auto row = begin; row < end; ++row) {
                     body(row);
                 }
             }
@@ -68,7 +71,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
         kernels::parallel_team(nt, [&](int tid, int) {
             auto* last_row = marker.data() + width * tid;
             size_type products = 0;
-            for_dynamic_rows(symbolic_next, [&](size_type row) {
+            for_dynamic_rows(symbolic_next, [=, &products](size_type row) {
                 size_type count = 0;
                 for (auto ka = a_ptrs[row]; ka < a_ptrs[row + 1]; ++ka) {
                     const auto inner = static_cast<size_type>(a_cols[ka]);
@@ -82,7 +85,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
                         }
                     }
                 }
-                row_nnz[static_cast<std::size_t>(row)] = count;
+                counts[row] = count;
             });
             thread_products[static_cast<std::size_t>(tid)] = products;
         });
@@ -99,7 +102,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> spgemm(
             const auto offset = width * tid;
             auto* acc = accumulator.data() + offset;
             auto* seen = touched.data() + offset;
-            for_dynamic_rows(numeric_next, [&](size_type row) {
+            for_dynamic_rows(numeric_next, [=](size_type row) {
                 auto out = c_ptrs[row];
                 for (auto ka = a_ptrs[row]; ka < a_ptrs[row + 1]; ++ka) {
                     const auto inner = static_cast<size_type>(a_cols[ka]);

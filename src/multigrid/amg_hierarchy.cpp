@@ -87,14 +87,14 @@ std::vector<unsigned char> strength_mask(const Csr<ValueType, IndexType>* a,
     const auto* values = a->get_const_values();
     std::vector<unsigned char> strong(
         static_cast<std::size_t>(a->get_num_stored_elements()));
-    kernels::parallel_for(nt, n, [&](size_type row) {
+    const auto* d = diag.data();
+    auto* s = strong.data();
+    kernels::parallel_for(nt, n, [=](size_type row) {
         for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
             const auto col = static_cast<size_type>(col_idxs[k]);
-            strong[static_cast<std::size_t>(k)] =
-                col != row && col < n &&
-                std::abs(to_float(values[k])) >=
-                    theta * std::sqrt(std::abs(diag[row]) *
-                                      std::abs(diag[col]));
+            s[k] = col != row && col < n &&
+                   std::abs(to_float(values[k])) >=
+                       theta * std::sqrt(std::abs(d[row]) * std::abs(d[col]));
         }
     });
     return strong;
@@ -243,12 +243,14 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
     auto* m_cols = m->get_col_idxs();
     auto* m_vals = m->get_values();
     std::vector<unsigned char> out_of_order(static_cast<std::size_t>(n), 0);
-    kernels::parallel_for(nt, n, [&](size_type row) {
-        double df = filtered_diag[static_cast<std::size_t>(row)];
+    const auto* d = diag.data();
+    const auto* fd = filtered_diag.data();
+    const auto* s = strong.data();
+    auto* unsorted = out_of_order.data();
+    kernels::parallel_for(nt, n, [=](size_type row) {
+        double df = fd[row];
         if (df == 0.0) {
-            df = diag[static_cast<std::size_t>(row)] != 0.0
-                     ? diag[static_cast<std::size_t>(row)]
-                     : 1.0;
+            df = d[row] != 0.0 ? d[row] : 1.0;
         }
         auto out = m_ptrs[row];
         auto put = [&](size_type col, double v) {
@@ -258,7 +260,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
         };
         bool diagonal_written = false;
         for (auto k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
-            if (!strong[static_cast<std::size_t>(k)]) {
+            if (!s[k]) {
                 continue;
             }
             const auto col = static_cast<size_type>(col_idxs[k]);
@@ -271,7 +273,7 @@ std::unique_ptr<Csr<ValueType, IndexType>> prolongation_smoother(
         if (!diagonal_written) {
             put(row, 1.0 - omega);
         }
-        out_of_order[static_cast<std::size_t>(row)] =
+        unsorted[row] =
             std::adjacent_find(m_cols + m_ptrs[row], m_cols + m_ptrs[row + 1],
                                std::greater_equal<>{}) !=
             m_cols + m_ptrs[row + 1];
@@ -476,14 +478,14 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
         exec_->run("amg_jacobi_relax", [&](const Executor* e) {
             const int nt = e->real_threads();
             if (x_zero) {
-                kernels::parallel_for(nt, n, [&](size_type i) {
+                kernels::parallel_for(nt, n, [=](size_type i) {
                     auto xi = zero<ValueType>();
                     xi += static_cast<ValueType>(w * to_float(inv_diag[i]) *
                                                  to_float(bv[i * b_stride]));
                     xv[i * x_stride] = xi;
                 });
             } else {
-                kernels::parallel_for(nt, n, [&](size_type i) {
+                kernels::parallel_for(nt, n, [=](size_type i) {
                     xv[i * x_stride] += static_cast<ValueType>(
                         w * to_float(inv_diag[i]) *
                         (to_float(bv[i * b_stride]) - to_float(tv[i])));
