@@ -62,9 +62,9 @@ inline std::pair<size_type, size_type> static_block(size_type n, int tid,
 
 /// Runs `body(i)` for every i in [0, n) on `nt` threads, each thread over
 /// its static_block in ascending order; one thread runs a plain loop.
-/// Each thread calls its own copy of `body`, so what a body captures by
-/// value stays in registers even where the body stores bytes, which may
-/// alias anything: a body that stores chars captures its operands by value.
+/// Each thread calls its own copy of `body`.  A body that stores bytes,
+/// which may alias anything, captures its operands by value: the
+/// per-thread copy then keeps them in registers.
 template <typename Body>
 inline void parallel_for(int nt, size_type n, const Body& body)
 {
