@@ -44,12 +44,31 @@ inline size_type count_active(const std::uint8_t* active,
 
 /// Runs `body(s, row)` over every (system, row) pair on `nt` threads,
 /// split as one flat range of num_systems * rows, as collapse(2) splits it.
+/// Each thread divides once to find its first pair, then steps the row and
+/// carries into the system.  A pair is a few flops behind the inactive-system
+/// check, so bodies capture their operands by value: through a by-reference
+/// closure every operand is reloaded per pair.
 template <typename Body>
 void for_system_rows(int nt, size_type num_systems, size_type rows,
-                     Body body)
+                     const Body& body)
 {
-    parallel_for(nt, num_systems * rows,
-                 [&](size_type i) { body(i / rows, i % rows); });
+    parallel_team(nt, [&](int tid, int threads) {
+        const auto [begin, end] =
+            static_block(num_systems * rows, tid, threads);
+        if (begin == end) {
+            return;
+        }
+        auto pair_body = body;
+        auto s = begin / rows;
+        auto row = begin % rows;
+        for (auto i = begin; i < end; ++i) {
+            pair_body(s, row);
+            if (++row == rows) {
+                row = 0;
+                ++s;
+            }
+        }
+    });
 }
 
 
@@ -61,7 +80,7 @@ void csr_spmv(int nt, size_type num_systems, const std::uint8_t* active,
               const I* row_ptrs, const I* col_idxs, const V* values,
               size_type rows, size_type nnz, const V* b, V* x)
 {
-    for_system_rows(nt, num_systems, rows, [&](size_type s, size_type row) {
+    for_system_rows(nt, num_systems, rows, [=](size_type s, size_type row) {
         if (active != nullptr && !active[s]) {
             return;
         }
@@ -211,7 +230,7 @@ void csr_residual(int nt, size_type num_systems, const std::uint8_t* active,
                   size_type rows, size_type nnz, const V* b, const V* x,
                   V* r)
 {
-    for_system_rows(nt, num_systems, rows, [&](size_type s, size_type row) {
+    for_system_rows(nt, num_systems, rows, [=](size_type s, size_type row) {
         if (active != nullptr && !active[s]) {
             return;
         }
@@ -234,7 +253,7 @@ template <typename V>
 void dense_residual(int nt, size_type num_systems, const std::uint8_t* active,
                     const V* a, size_type rows, const V* b, const V* x, V* r)
 {
-    for_system_rows(nt, num_systems, rows, [&](size_type s, size_type row) {
+    for_system_rows(nt, num_systems, rows, [=](size_type s, size_type row) {
         if (active != nullptr && !active[s]) {
             return;
         }

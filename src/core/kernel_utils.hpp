@@ -63,8 +63,9 @@ inline std::pair<size_type, size_type> static_block(size_type n, int tid,
 /// Runs `body(i)` for every i in [0, n) on `nt` threads, each thread over
 /// its static_block in ascending order; one thread runs a plain loop.
 /// Each thread calls its own copy of `body`.  A body that stores bytes,
-/// which may alias anything, captures its operands by value: the
-/// per-thread copy then keeps them in registers.
+/// which may alias anything, or whose few flops per index sit behind a
+/// branch, captures its operands by value: the per-thread copy then keeps
+/// them in registers, where a by-reference closure reloads them per index.
 template <typename Body>
 inline void parallel_for(int nt, size_type n, const Body& body)
 {
