@@ -156,7 +156,10 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
     get_executor()->run("jacobi_apply", [&](const Executor* e) {
         const int nt = e->real_threads();
         if (bs == 1 && vec_cols == 1 && b_stride == 1 && x_stride == 1) {
-            // One contiguous column: a flat loop.
+            // One contiguous column: a flat loop, which vectorizes.  The
+            // strided loop below keeps its column loop and row strides
+            // (one-thread apply on 3136 rows 1.3-1.9 us flat against
+            // 5.2-10 us strided, alternating runs).
             kernels::parallel_for(nt, n, [&](size_type row) {
                 xv[row] = inv[row] * bv[row];
             });
