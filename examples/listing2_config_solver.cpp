@@ -48,9 +48,11 @@ int main()
 
     // Run-time experimentation, the point of the config interface: swap
     // the solver and preconditioner without touching any binding code.
-    // Config blocks are strict — each preconditioner only accepts its own
-    // keys — so the sweep replaces the whole block instead of mutating
-    // the Jacobi one (whose "max_block_size" Ic/AMG would reject).
+    // Config blocks are strict — each type only accepts the keys it reads —
+    // so the sweep drops GMRES's "krylov_dim", which CG and BiCGStab would
+    // reject, and replaces the whole preconditioner block instead of
+    // mutating the Jacobi one (whose "max_block_size" Ic/AMG would reject).
+    cfg.mutable_items().erase("krylov_dim");
     for (const char* solver_type : {"solver::Cg", "solver::Bicgstab"}) {
         for (const char* precond : {"preconditioner::Ic",
                                     "preconditioner::Jacobi", "amg"}) {

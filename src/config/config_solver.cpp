@@ -1,8 +1,9 @@
 #include "config/config_solver.hpp"
 
 #include <algorithm>
-#include <initializer_list>
+#include <iterator>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "batch/batch_bicgstab.hpp"
@@ -33,37 +34,151 @@ namespace mgko::config {
 
 namespace {
 
-/// Rejects config keys outside `valid` so a typo ("thetta") fails loudly
-/// instead of silently running with the default; the message lists every
-/// key the chosen solver/preconditioner accepts.
-void validate_config_keys(const Json& config, std::vector<std::string> valid,
-                          const std::string& context)
+// One table per slot that a "type" selects from.  A row holds the canonical
+// type, every other alias, the keys the type reads, and the kind its slot's
+// builder switches on.  lookup() reads the rows for the type lookup, the
+// messages and the key check, so a key the type would ignore is refused.
+
+enum class kind {
+    cg, cgs, bicgstab, fcg, gmres, ir, direct, lower_trs, upper_trs, amg,
+    jacobi, ilu, ic, iteration, residual_norm
+};
+
+struct row {
+    std::string_view canonical;
+    /// Every other accepted alias, space-separated.
+    std::string_view aliases;
+    /// The keys the type reads, space-separated.
+    std::string_view keys;
+    kind type;
+};
+
+// Key groups that rows share (adjacent literals concatenate): what every
+// single-system solver reads, the stopping criteria, and the AMG hierarchy.
+#define MGKO_SOLVER_KEYS \
+    "type value_type index_type format reorder slice_size sorting_window "
+#define MGKO_CRITERIA_KEYS "criteria max_iters reduction_factor baseline "
+#define MGKO_HIERARCHY_KEYS                                              \
+    "theta max_levels min_coarse_rows smoother pre_sweeps post_sweeps " \
+    "smoothed_prolongation "
+#define MGKO_KRYLOV_KEYS MGKO_SOLVER_KEYS MGKO_CRITERIA_KEYS "preconditioner "
+#define MGKO_BATCH_KEYS \
+    "type batch value_type index_type " MGKO_CRITERIA_KEYS "preconditioner"
+
+constexpr row solver_table[] = {
+    {"solver::Cg", "Cg cg", MGKO_KRYLOV_KEYS, kind::cg},
+    {"solver::Cgs", "Cgs cgs", MGKO_KRYLOV_KEYS, kind::cgs},
+    {"solver::Bicgstab", "Bicgstab bicgstab", MGKO_KRYLOV_KEYS, kind::bicgstab},
+    {"solver::Fcg", "Fcg fcg", MGKO_KRYLOV_KEYS, kind::fcg},
+    {"solver::Gmres", "Gmres gmres", MGKO_KRYLOV_KEYS "krylov_dim",
+     kind::gmres},
+    {"solver::Ir", "Ir ir richardson",
+     MGKO_KRYLOV_KEYS "relaxation_factor inner_precision", kind::ir},
+    // Direct and triangular solvers carry no criteria.
+    {"solver::Direct", "Direct direct", MGKO_SOLVER_KEYS, kind::direct},
+    {"solver::LowerTrs", "LowerTrs", MGKO_SOLVER_KEYS "unit_diagonal",
+     kind::lower_trs},
+    {"solver::UpperTrs", "UpperTrs", MGKO_SOLVER_KEYS "unit_diagonal",
+     kind::upper_trs},
+    // The V-cycle is the preconditioning, so no "preconditioner" block.
+    {"solver::Amg", "Amg amg multigrid::AmgSolver",
+     MGKO_SOLVER_KEYS MGKO_CRITERIA_KEYS MGKO_HIERARCHY_KEYS, kind::amg},
+};
+
+constexpr row preconditioner_table[] = {
+    {"preconditioner::Jacobi", "Jacobi jacobi", "type max_block_size",
+     kind::jacobi},
+    {"preconditioner::Ilu", "Ilu ilu", "type", kind::ilu},
+    {"preconditioner::Ic", "Ic ic", "type", kind::ic},
+    {"preconditioner::Amg", "Amg amg multigrid::Amg",
+     "type " MGKO_HIERARCHY_KEYS "cycles", kind::amg},
+};
+
+constexpr row batch_solver_table[] = {
+    {"solver::Cg", "Cg cg batch::Cg", MGKO_BATCH_KEYS, kind::cg},
+    {"solver::Bicgstab", "Bicgstab bicgstab batch::Bicgstab", MGKO_BATCH_KEYS,
+     kind::bicgstab},
+};
+
+/// Batched Jacobi is scalar, so its block reads no key beyond "type".
+constexpr row batch_preconditioner_table[] = {
+    {"preconditioner::Jacobi", "Jacobi jacobi", "type", kind::jacobi},
+};
+
+constexpr row criterion_table[] = {
+    {"stop::Iteration", "Iteration", "type max_iters", kind::iteration},
+    {"stop::ResidualNorm", "ResidualNorm", "type reduction_factor baseline",
+     kind::residual_norm},
+};
+
+
+/// Removes and returns the first word of a space-separated list.
+std::string_view pop_word(std::string_view& words)
 {
-    std::sort(valid.begin(), valid.end());
-    for (const auto& [key, value] : config.items()) {
-        (void)value;
-        if (!std::binary_search(valid.begin(), valid.end(), key)) {
-            std::string list;
-            for (const auto& k : valid) {
-                list += list.empty() ? k : ", " + k;
-            }
-            throw BadParameter(__FILE__, __LINE__,
-                               "unknown config key '" + key + "' for " +
-                                   context + " (valid keys: " + list + ")");
-        }
-    }
+    const auto end = std::min(words.find(' '), words.size());
+    const auto word = words.substr(0, end);
+    words.remove_prefix(std::min(end + 1, words.size()));
+    return word;
 }
 
-/// Keys every solver config accepts (dtype selection and storage/reorder
-/// transforms), plus the chosen solver's own.
-std::vector<std::string> solver_config_keys(
-    std::initializer_list<const char*> extra)
+/// True when `word` is one of the space-separated `words`.
+bool has_word(std::string_view words, std::string_view word)
 {
-    std::vector<std::string> valid{"type",      "value_type", "index_type",
-                                   "format",    "reorder",    "slice_size",
-                                   "sorting_window"};
-    valid.insert(valid.end(), extra.begin(), extra.end());
-    return valid;
+    while (!words.empty()) {
+        if (pop_word(words) == word) {
+            return true;
+        }
+    }
+    return false;
+}
+
+
+/// The kind of the row of `table` that names `config`'s "type", once
+/// `config` is checked to carry only keys that row reads.
+template <std::size_t N>
+kind lookup(const row (&table)[N], const Json& config, const char* slot)
+{
+    const auto& type = config.at("type").as_string();
+    const auto* match =
+        std::find_if(std::begin(table), std::end(table), [&](const row& r) {
+            return r.canonical == type || has_word(r.aliases, type);
+        });
+    if (match == std::end(table)) {
+        std::string known;
+        for (const auto& r : table) {
+            known += (known.empty() ? "" : ", ") + std::string{r.canonical};
+        }
+        throw BadParameter(__FILE__, __LINE__,
+                           std::string{"unknown "} + slot + " type: " + type +
+                               " (known types: " + known + ")");
+    }
+    for (const auto& [key, value] : config.items()) {
+        (void)value;
+        if (!has_word(match->keys, key)) {
+            std::string valid;
+            for (auto words = match->keys; !words.empty();) {
+                valid += (valid.empty() ? "" : ", ") +
+                         std::string{pop_word(words)};
+            }
+            throw BadParameter(
+                __FILE__, __LINE__,
+                "unknown config key '" + key + "' for " + slot + " \"" +
+                    std::string{match->canonical} + "\" (valid keys: " +
+                    valid + ")");
+        }
+    }
+    return match->type;
+}
+
+
+/// Refuses `key`, which acts only together with `needed`, if it is set.
+void refuse_key(const Json& config, const char* key, const char* needed)
+{
+    if (config.contains(key)) {
+        throw BadParameter(__FILE__, __LINE__,
+                           std::string{"config key '"} + key +
+                               "' acts only with " + needed);
+    }
 }
 
 
@@ -71,31 +186,18 @@ multigrid::amg_parameters parse_amg_parameters(const Json& config)
 {
     multigrid::amg_parameters p;
     p.theta = config.get_or("theta", Json{p.theta}).as_double();
-    p.max_levels = static_cast<size_type>(
-        config.get_or("max_levels",
-                      Json{static_cast<std::int64_t>(p.max_levels)})
-            .as_int());
-    p.min_coarse_rows = static_cast<size_type>(
-        config.get_or("min_coarse_rows",
-                      Json{static_cast<std::int64_t>(p.min_coarse_rows)})
-            .as_int());
+    p.max_levels = config.get_or("max_levels", Json{p.max_levels}).as_int();
+    p.min_coarse_rows =
+        config.get_or("min_coarse_rows", Json{p.min_coarse_rows}).as_int();
     p.smoother = multigrid::smoother_from_string(
         config.get_or("smoother", Json{multigrid::to_string(p.smoother)})
             .as_string());
-    p.pre_sweeps = static_cast<size_type>(
-        config.get_or("pre_sweeps",
-                      Json{static_cast<std::int64_t>(p.pre_sweeps)})
-            .as_int());
-    p.post_sweeps = static_cast<size_type>(
-        config.get_or("post_sweeps",
-                      Json{static_cast<std::int64_t>(p.post_sweeps)})
-            .as_int());
+    p.pre_sweeps = config.get_or("pre_sweeps", Json{p.pre_sweeps}).as_int();
+    p.post_sweeps = config.get_or("post_sweeps", Json{p.post_sweeps}).as_int();
     p.smoothed_prolongation =
         config.get_or("smoothed_prolongation", Json{p.smoothed_prolongation})
             .as_bool();
-    p.cycles = static_cast<size_type>(
-        config.get_or("cycles", Json{static_cast<std::int64_t>(p.cycles)})
-            .as_int());
+    p.cycles = config.get_or("cycles", Json{p.cycles}).as_int();
     return p;
 }
 
@@ -116,27 +218,26 @@ stop::baseline parse_baseline(const std::string& name)
 }
 
 
+std::shared_ptr<const stop::CriterionFactory> residual_criterion(
+    const Json& config)
+{
+    return stop::residual_norm(
+        config.at("reduction_factor").as_double(),
+        parse_baseline(
+            config.get_or("baseline", Json{"rhs_norm"}).as_string()));
+}
+
+
 std::vector<std::shared_ptr<const stop::CriterionFactory>> parse_criteria(
     const Json& config)
 {
     std::vector<std::shared_ptr<const stop::CriterionFactory>> result;
     if (config.contains("criteria")) {
         for (const auto& entry : config.at("criteria").elements()) {
-            const auto& type = entry.at("type").as_string();
-            if (type == "stop::Iteration" || type == "Iteration") {
-                result.push_back(
-                    stop::iteration(entry.at("max_iters").as_int()));
-            } else if (type == "stop::ResidualNorm" ||
-                       type == "ResidualNorm") {
-                result.push_back(stop::residual_norm(
-                    entry.at("reduction_factor").as_double(),
-                    parse_baseline(
-                        entry.get_or("baseline", Json{"rhs_norm"})
-                            .as_string())));
-            } else {
-                throw BadParameter(__FILE__, __LINE__,
-                                   "unknown criterion type: " + type);
-            }
+            result.push_back(
+                lookup(criterion_table, entry, "criterion") == kind::iteration
+                    ? stop::iteration(entry.at("max_iters").as_int())
+                    : residual_criterion(entry));
         }
     }
     // Listing-1-style keyword shorthands.
@@ -144,10 +245,9 @@ std::vector<std::shared_ptr<const stop::CriterionFactory>> parse_criteria(
         result.push_back(stop::iteration(config.at("max_iters").as_int()));
     }
     if (config.contains("reduction_factor")) {
-        result.push_back(stop::residual_norm(
-            config.at("reduction_factor").as_double(),
-            parse_baseline(
-                config.get_or("baseline", Json{"rhs_norm"}).as_string())));
+        result.push_back(residual_criterion(config));
+    } else {
+        refuse_key(config, "baseline", "'reduction_factor'");
     }
     if (result.empty()) {
         throw BadParameter(__FILE__, __LINE__,
@@ -160,39 +260,107 @@ std::vector<std::shared_ptr<const stop::CriterionFactory>> parse_criteria(
 
 template <typename V, typename I>
 std::shared_ptr<const LinOpFactory> parse_preconditioner(
-    const Json& config, std::shared_ptr<const Executor> exec)
+    const Json& config, const std::shared_ptr<const Executor>& exec)
 {
-    const auto& type = config.at("type").as_string();
-    if (type == "preconditioner::Jacobi" || type == "Jacobi" ||
-        type == "jacobi") {
-        validate_config_keys(config, {"type", "max_block_size"},
-                             "preconditioner \"jacobi\"");
+    switch (lookup(preconditioner_table, config, "preconditioner")) {
+    case kind::jacobi:
         return preconditioner::Jacobi<V, I>::build()
-            .with_max_block_size(config.get_or("max_block_size", Json{1})
-                                     .as_int())
-            .on(std::move(exec));
+            .with_max_block_size(
+                config.get_or("max_block_size", Json{1}).as_int())
+            .on(exec);
+    case kind::ilu:
+        return preconditioner::Ilu<V, I>::build_on(exec);
+    case kind::ic:
+        return preconditioner::Ic<V, I>::build_on(exec);
+    default:  // kind::amg
+        return std::make_shared<multigrid::AmgPreconditionerFactory<V, I>>(
+            exec, parse_amg_parameters(config));
     }
-    if (type == "preconditioner::Ilu" || type == "Ilu" || type == "ilu") {
-        validate_config_keys(config, {"type"}, "preconditioner \"ilu\"");
-        return preconditioner::Ilu<V, I>::build_on(std::move(exec));
+}
+
+
+template <typename V, typename I>
+std::shared_ptr<const LinOpFactory> parse_solver(
+    const Json& config, const std::shared_ptr<const Executor>& exec)
+{
+    // What every Krylov row reads: the criteria and the preconditioner.
+    const auto krylov = [&](auto builder) {
+        for (auto& criterion : parse_criteria(config)) {
+            builder.with_criteria(std::move(criterion));
+        }
+        if (config.contains("preconditioner") &&
+            !config.at("preconditioner").is_null()) {
+            builder.with_preconditioner(parse_preconditioner<V, I>(
+                config.at("preconditioner"), exec));
+        }
+        return builder;
+    };
+    const auto trs = [&](auto builder) {
+        return builder
+            .with_unit_diagonal(
+                config.get_or("unit_diagonal", Json{false}).as_bool())
+            .on(exec);
+    };
+    switch (lookup(solver_table, config, "solver")) {
+    case kind::cg:
+        return krylov(solver::Cg<V>::build()).on(exec);
+    case kind::cgs:
+        return krylov(solver::Cgs<V>::build()).on(exec);
+    case kind::bicgstab:
+        return krylov(solver::Bicgstab<V>::build()).on(exec);
+    case kind::fcg:
+        return krylov(solver::Fcg<V>::build()).on(exec);
+    case kind::gmres:
+        return krylov(solver::Gmres<V>::build())
+            .with_krylov_dim(config.get_or("krylov_dim", Json{30}).as_int())
+            .on(exec);
+    case kind::ir:
+        return krylov(solver::Ir<V>::build())
+            .with_relaxation_factor(
+                config.get_or("relaxation_factor", Json{1.0}).as_double())
+            .with_inner_precision(solver::precision_from_string(
+                config.get_or("inner_precision", Json{"double"}).as_string()))
+            .on(exec);
+    case kind::direct:
+        return solver::Direct<V, I>::build_on(exec);
+    case kind::lower_trs:
+        return trs(solver::LowerTrs<V, I>::build());
+    case kind::upper_trs:
+        return trs(solver::UpperTrs<V, I>::build());
+    default: {  // kind::amg
+        multigrid::amg_solver_parameters params;
+        params.criteria = parse_criteria(config);
+        params.amg = parse_amg_parameters(config);
+        return std::make_shared<multigrid::AmgSolverFactory<V, I>>(
+            exec, std::move(params));
     }
-    if (type == "preconditioner::Ic" || type == "Ic" || type == "ic") {
-        validate_config_keys(config, {"type"}, "preconditioner \"ic\"");
-        return preconditioner::Ic<V, I>::build_on(std::move(exec));
     }
-    if (type == "preconditioner::Amg" || type == "Amg" || type == "amg" ||
-        type == "multigrid::Amg") {
-        validate_config_keys(
-            config,
-            {"type", "theta", "max_levels", "min_coarse_rows", "smoother",
-             "cycles", "pre_sweeps", "post_sweeps", "smoothed_prolongation"},
-            "preconditioner \"amg\"");
-        return std::make_shared<
-            multigrid::AmgPreconditionerFactory<V, I>>(
-            std::move(exec), parse_amg_parameters(config));
-    }
-    throw BadParameter(__FILE__, __LINE__,
-                       "unknown preconditioner type: " + type);
+}
+
+
+template <typename V>
+std::shared_ptr<const batch::BatchLinOpFactory> parse_batch_solver(
+    const Json& config, const std::shared_ptr<const Executor>& exec)
+{
+    const auto expected = config.at("batch").as_int();
+    MGKO_ENSURE(expected >= 0, "'batch' must be a non-negative system count");
+    const auto configure = [&](auto builder) {
+        for (auto& criterion : parse_criteria(config)) {
+            builder.with_criteria(std::move(criterion));
+        }
+        if (config.contains("preconditioner") &&
+            !config.at("preconditioner").is_null()) {
+            lookup(batch_preconditioner_table, config.at("preconditioner"),
+                   "batched preconditioner");
+            builder.with_preconditioner(batch::Jacobi<V>::build().on(exec));
+        }
+        builder.with_batch_size(static_cast<size_type>(expected));
+        return std::shared_ptr<const batch::BatchLinOpFactory>{
+            builder.on(exec)};
+    };
+    return lookup(batch_solver_table, config, "batched solver") == kind::cg
+               ? configure(batch::Cg<V>::build())
+               : configure(batch::Bicgstab<V>::build());
 }
 
 
@@ -264,201 +432,34 @@ private:
 
 
 template <typename V, typename I>
-std::shared_ptr<const LinOpFactory> parse_factory_inner(
-    const Json& config, std::shared_ptr<const Executor> exec)
-{
-    const auto& type = config.at("type").as_string();
-
-    // Direct and triangular solvers carry no criteria.
-    if (type == "solver::Direct" || type == "Direct" || type == "direct") {
-        validate_config_keys(config, solver_config_keys({}),
-                             "solver \"direct\"");
-        return solver::Direct<V, I>::build_on(std::move(exec));
-    }
-    if (type == "solver::LowerTrs" || type == "LowerTrs") {
-        validate_config_keys(config, solver_config_keys({"unit_diagonal"}),
-                             "solver \"LowerTrs\"");
-        return solver::LowerTrs<V, I>::build()
-            .with_unit_diagonal(
-                config.get_or("unit_diagonal", Json{false}).as_bool())
-            .on(std::move(exec));
-    }
-    if (type == "solver::UpperTrs" || type == "UpperTrs") {
-        validate_config_keys(config, solver_config_keys({"unit_diagonal"}),
-                             "solver \"UpperTrs\"");
-        return solver::UpperTrs<V, I>::build()
-            .with_unit_diagonal(
-                config.get_or("unit_diagonal", Json{false}).as_bool())
-            .on(std::move(exec));
-    }
-
-    // The standalone V-cycle solver: stopping criteria plus the hierarchy
-    // knobs; the multigrid cycle itself is the preconditioning, so no
-    // "preconditioner" sub-object applies here.
-    if (type == "solver::Amg" || type == "Amg" || type == "amg" ||
-        type == "multigrid::AmgSolver") {
-        validate_config_keys(
-            config,
-            solver_config_keys({"criteria", "max_iters", "reduction_factor",
-                                "baseline", "theta", "max_levels",
-                                "min_coarse_rows", "smoother", "pre_sweeps",
-                                "post_sweeps", "smoothed_prolongation"}),
-            "solver \"amg\"");
-        multigrid::amg_solver_parameters params;
-        params.criteria = parse_criteria(config);
-        params.amg = parse_amg_parameters(config);
-        return std::make_shared<multigrid::AmgSolverFactory<V, I>>(
-            std::move(exec), std::move(params));
-    }
-
-    const bool known_iterative =
-        type == "solver::Cg" || type == "Cg" || type == "cg" ||
-        type == "solver::Cgs" || type == "Cgs" || type == "cgs" ||
-        type == "solver::Bicgstab" || type == "Bicgstab" ||
-        type == "bicgstab" || type == "solver::Fcg" || type == "Fcg" ||
-        type == "fcg" || type == "solver::Gmres" || type == "Gmres" ||
-        type == "gmres" || type == "solver::Ir" || type == "Ir" ||
-        type == "ir" || type == "richardson";
-    if (!known_iterative) {
-        throw BadParameter(__FILE__, __LINE__,
-                           "unknown solver type: " + type);
-    }
-    validate_config_keys(
-        config,
-        solver_config_keys({"criteria", "max_iters", "reduction_factor",
-                            "baseline", "preconditioner", "krylov_dim",
-                            "relaxation_factor", "inner_precision"}),
-        "solver \"" + type + "\"");
-
-    auto criteria = parse_criteria(config);
-    std::shared_ptr<const LinOpFactory> precond;
-    if (config.contains("preconditioner") &&
-        !config.at("preconditioner").is_null()) {
-        precond =
-            parse_preconditioner<V, I>(config.at("preconditioner"), exec);
-    }
-
-    auto configure = [&](auto builder) {
-        for (auto& c : criteria) {
-            builder.with_criteria(c);
-        }
-        if (precond) {
-            builder.with_preconditioner(precond);
-        }
-        builder.with_krylov_dim(config.get_or("krylov_dim", Json{30}).as_int());
-        builder.with_relaxation_factor(
-            config.get_or("relaxation_factor", Json{1.0}).as_double());
-        builder.with_inner_precision(solver::precision_from_string(
-            config.get_or("inner_precision", Json{"double"}).as_string()));
-        return std::shared_ptr<const LinOpFactory>{builder.on(exec)};
-    };
-
-    if (type == "solver::Cg" || type == "Cg" || type == "cg") {
-        return configure(solver::Cg<V>::build());
-    }
-    if (type == "solver::Cgs" || type == "Cgs" || type == "cgs") {
-        return configure(solver::Cgs<V>::build());
-    }
-    if (type == "solver::Bicgstab" || type == "Bicgstab" ||
-        type == "bicgstab") {
-        return configure(solver::Bicgstab<V>::build());
-    }
-    if (type == "solver::Fcg" || type == "Fcg" || type == "fcg") {
-        return configure(solver::Fcg<V>::build());
-    }
-    if (type == "solver::Gmres" || type == "Gmres" || type == "gmres") {
-        return configure(solver::Gmres<V>::build());
-    }
-    if (type == "solver::Ir" || type == "Ir" || type == "ir" ||
-        type == "richardson") {
-        return configure(solver::Ir<V>::build());
-    }
-    throw BadParameter(__FILE__, __LINE__, "unknown solver type: " + type);
-}
-
-
-template <typename V, typename I>
 std::shared_ptr<const LinOpFactory> parse_factory_typed(
     const Json& config, std::shared_ptr<const Executor> exec)
 {
-    auto factory = parse_factory_inner<V, I>(config, exec);
+    auto factory = parse_solver<V, I>(config, exec);
     // Storage-format and reordering transforms apply uniformly to every
     // solver type; both strings are validated here even at their defaults.
     const auto format = format_from_string(
         config.get_or("format", Json{"csr"}).as_string());
     const auto strategy = reorder::strategy_from_string(
         config.get_or("reorder", Json{"none"}).as_string());
+    if (format != mat_format::sellcs) {
+        refuse_key(config, "slice_size", "\"format\": \"sellcs\"");
+        refuse_key(config, "sorting_window", "\"format\": \"sellcs\"");
+    }
     if (format == mat_format::csr && strategy == reorder::strategy::none) {
         return factory;
     }
-    const auto slice_size = static_cast<size_type>(
-        config.get_or("slice_size",
-                      Json{static_cast<std::int64_t>(
-                          SellCs<V, I>::default_slice_size)})
-            .as_int());
-    const auto sorting_window = static_cast<size_type>(
-        config.get_or("sorting_window",
-                      Json{static_cast<std::int64_t>(
-                          SellCs<V, I>::default_sorting_window)})
-            .as_int());
+    const auto slice_size =
+        config.get_or("slice_size", Json{SellCs<V, I>::default_slice_size})
+            .as_int();
+    const auto sorting_window =
+        config
+            .get_or("sorting_window",
+                    Json{SellCs<V, I>::default_sorting_window})
+            .as_int();
     return std::make_shared<TransformedFactory<V, I>>(
         std::move(exec), std::move(factory), format, strategy, slice_size,
         sorting_window);
-}
-
-
-template <typename V>
-std::shared_ptr<const batch::BatchLinOpFactory> parse_batch_factory_typed(
-    const Json& config, std::shared_ptr<const Executor> exec)
-{
-    const auto& type = config.at("type").as_string();
-    const auto expected = config.at("batch").as_int();
-    MGKO_ENSURE(expected >= 0, "'batch' must be a non-negative system count");
-    validate_config_keys(
-        config,
-        {"type", "batch", "value_type", "index_type", "criteria", "max_iters",
-         "reduction_factor", "baseline", "preconditioner"},
-        "batched solver \"" + type + "\"");
-
-    auto criteria = parse_criteria(config);
-    std::shared_ptr<const batch::BatchLinOpFactory> precond;
-    if (config.contains("preconditioner") &&
-        !config.at("preconditioner").is_null()) {
-        const auto& ptype = config.at("preconditioner").at("type").as_string();
-        if (ptype == "preconditioner::Jacobi" || ptype == "Jacobi" ||
-            ptype == "jacobi") {
-            precond = batch::Jacobi<V>::build().on(exec);
-        } else {
-            throw BadParameter(__FILE__, __LINE__,
-                               "unknown batched preconditioner type: " +
-                                   ptype +
-                                   " (batched configs support Jacobi)");
-        }
-    }
-
-    auto configure = [&](auto builder) {
-        for (auto& c : criteria) {
-            builder.with_criteria(c);
-        }
-        if (precond) {
-            builder.with_preconditioner(precond);
-        }
-        builder.with_batch_size(static_cast<size_type>(expected));
-        return std::shared_ptr<const batch::BatchLinOpFactory>{
-            builder.on(exec)};
-    };
-
-    if (type == "solver::Cg" || type == "Cg" || type == "cg" ||
-        type == "batch::Cg") {
-        return configure(batch::Cg<V>::build());
-    }
-    if (type == "solver::Bicgstab" || type == "Bicgstab" ||
-        type == "bicgstab" || type == "batch::Bicgstab") {
-        return configure(batch::Bicgstab<V>::build());
-    }
-    throw BadParameter(__FILE__, __LINE__,
-                       "unknown batched solver type: " + type +
-                           " (batched configs support Cg and Bicgstab)");
 }
 
 }  // namespace
@@ -482,13 +483,6 @@ std::shared_ptr<const LinOpFactory> parse_factory(
     const Json& config, std::shared_ptr<const Executor> exec)
 {
     MGKO_ENSURE(config.is_object(), "solver config must be a JSON object");
-    if (config.contains("batch")) {
-        throw BadParameter(
-            __FILE__, __LINE__,
-            "config carries a 'batch' key: batched configurations go "
-            "through parse_batch_factory / batch_config_solver, which "
-            "generate from a batch::Csr or batch::Dense system");
-    }
     return dispatch_value_index(
         config_value_type(config), config_index_type(config),
         [&](auto v, auto i) -> std::shared_ptr<const LinOpFactory> {
@@ -600,13 +594,11 @@ std::shared_ptr<const batch::BatchLinOpFactory> parse_batch_factory(
     const Json& config, std::shared_ptr<const Executor> exec)
 {
     MGKO_ENSURE(config.is_object(), "solver config must be a JSON object");
-    MGKO_ENSURE(config.contains("batch"),
-                "batched solver config requires a 'batch' key");
     return dispatch_value_index(
         config_value_type(config), config_index_type(config),
         [&](auto v, auto) -> std::shared_ptr<const batch::BatchLinOpFactory> {
             using V = typename decltype(v)::type;
-            return parse_batch_factory_typed<V>(config, exec);
+            return parse_batch_solver<V>(config, exec);
         });
 }
 

@@ -9,7 +9,7 @@
 // Schema (Listing 2 of the paper, normalized):
 // {
 //   "type": "solver::Gmres",              // or Cg/Cgs/Bicgstab/Fcg/Ir/
-//                                         //    LowerTrs/UpperTrs
+//                                         //    Direct/LowerTrs/UpperTrs/Amg
 //   "value_type": "float64",              // half|float32|float64 (default)
 //   "index_type": "int32",                // int32 (default) | int64
 //   "krylov_dim": 30,                     // GMRES only
@@ -24,7 +24,10 @@
 //   "preconditioner": {"type": "preconditioner::Jacobi", "max_block_size": 1}
 // }
 //
-// A "batch": N key routes the configuration to the batched solvers
+// Each type reads only its own keys (README.md lists them).  A key that the
+// chosen type would ignore throws BadParameter, as do "slice_size" without
+// "format": "sellcs" and "baseline" without "reduction_factor".  A
+// "batch": N key routes the configuration to the batched solvers
 // (batch::Cg / batch::Bicgstab over a batch::Csr or batch::Dense system of
 // N systems); see parse_batch_factory below.
 #pragma once

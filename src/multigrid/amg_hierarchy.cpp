@@ -345,6 +345,13 @@ Hierarchy<ValueType, IndexType>::Hierarchy(
     MGKO_ENSURE(params_.theta >= 0.0 && params_.theta < 1.0,
                 "AMG strength threshold theta must be in [0, 1)");
     MGKO_ENSURE(params_.max_levels >= 1, "AMG needs at least one level");
+    MGKO_ENSURE(params_.min_coarse_rows >= 0,
+                "AMG min_coarse_rows must be non-negative, got " +
+                    std::to_string(params_.min_coarse_rows));
+    MGKO_ENSURE(params_.pre_sweeps >= 0 && params_.post_sweeps >= 0,
+                "AMG sweep counts must be non-negative, got pre_sweeps " +
+                    std::to_string(params_.pre_sweeps) + " and post_sweeps " +
+                    std::to_string(params_.post_sweeps));
     log::ScopedSpan setup_span{nullptr, exec_.get(), "amg.setup"};
 
     levels_.push_back(level{});

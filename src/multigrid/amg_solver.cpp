@@ -97,7 +97,7 @@ template <typename ValueType, typename IndexType>
 AmgPreconditioner<ValueType, IndexType>::AmgPreconditioner(
     std::shared_ptr<const Executor> exec, amg_parameters params,
     std::shared_ptr<const Csr<ValueType, IndexType>> system)
-    : LinOp{exec, system->get_size()},
+    : solver::EnableAdvancedApply<ValueType>{exec, system->get_size()},
       params_{params},
       hierarchy_{std::make_unique<Hierarchy<ValueType, IndexType>>(
           exec, params, std::move(system))}
@@ -118,21 +118,6 @@ void AmgPreconditioner<ValueType, IndexType>::apply_impl(const LinOp* b,
     for (size_type c = 1; c < params_.cycles; ++c) {
         hierarchy_->cycle(dense_b, dense_x, this);
     }
-}
-
-
-template <typename ValueType, typename IndexType>
-void AmgPreconditioner<ValueType, IndexType>::apply_impl(const LinOp* alpha,
-                                                         const LinOp* b,
-                                                         const LinOp* beta,
-                                                         LinOp* x) const
-{
-    auto dense_x = as_dense<ValueType>(x);
-    auto* tmp = solver::detail::ensure_vec(adv_tmp_, get_executor(),
-                                           dense_x->get_size());
-    apply_impl(b, tmp);
-    dense_x->scale(as_dense<ValueType>(beta));
-    dense_x->add_scaled(as_dense<ValueType>(alpha), tmp);
 }
 
 

@@ -209,7 +209,7 @@ public:
 /// operator, symmetric for the symmetric smoothing schemes above, so it
 /// plugs into CG/FCG/GMRES/BiCGStab wherever Jacobi/ILU do.
 template <typename ValueType = double, typename IndexType = int32>
-class AmgPreconditioner : public LinOp {
+class AmgPreconditioner : public solver::EnableAdvancedApply<ValueType> {
 public:
     using value_type = ValueType;
     using index_type = IndexType;
@@ -229,14 +229,11 @@ protected:
                       std::shared_ptr<const Csr<ValueType, IndexType>> system);
 
     void apply_impl(const LinOp* b, LinOp* x) const override;
-    void apply_impl(const LinOp* alpha, const LinOp* b, const LinOp* beta,
-                    LinOp* x) const override;
+    using solver::EnableAdvancedApply<ValueType>::apply_impl;
 
 private:
     amg_parameters params_;
     std::unique_ptr<const Hierarchy<ValueType, IndexType>> hierarchy_;
-    /// Cached temporary of the advanced apply, reused across calls.
-    mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
 };
 
 

@@ -7,7 +7,7 @@ template <typename ValueType, typename IndexType>
 Ilu<ValueType, IndexType>::Ilu(
     std::shared_ptr<const Executor> exec,
     std::shared_ptr<const Csr<ValueType, IndexType>> system)
-    : LinOp{exec, system->get_size()},
+    : solver::EnableAdvancedApply<ValueType>{exec, system->get_size()},
       factors_{factorization::factorize_ilu0(system.get())}
 {
     lower_solve_ = solver::LowerTrs<ValueType, IndexType>::build()
@@ -23,22 +23,10 @@ template <typename ValueType, typename IndexType>
 void Ilu<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
 {
     auto* y = solver::detail::ensure_vec(
-        mid_, get_executor(), dim2{get_size().rows, b->get_size().cols});
+        mid_, this->get_executor(),
+        dim2{this->get_size().rows, b->get_size().cols});
     lower_solve_->apply(b, y);
     upper_solve_->apply(y, x);
-}
-
-
-template <typename ValueType, typename IndexType>
-void Ilu<ValueType, IndexType>::apply_impl(const LinOp* alpha, const LinOp* b,
-                                           const LinOp* beta, LinOp* x) const
-{
-    auto dense_x = as_dense<ValueType>(x);
-    auto* tmp = solver::detail::ensure_vec(adv_tmp_, get_executor(),
-                                           dense_x->get_size());
-    apply_impl(b, tmp);
-    dense_x->scale(as_dense<ValueType>(beta));
-    dense_x->add_scaled(as_dense<ValueType>(alpha), tmp);
 }
 
 
@@ -61,7 +49,7 @@ template <typename ValueType, typename IndexType>
 Ic<ValueType, IndexType>::Ic(
     std::shared_ptr<const Executor> exec,
     std::shared_ptr<const Csr<ValueType, IndexType>> system)
-    : LinOp{exec, system->get_size()},
+    : solver::EnableAdvancedApply<ValueType>{exec, system->get_size()},
       lower_{factorization::factorize_ic0(system.get())}
 {
     upper_ = lower_->transpose();
@@ -76,22 +64,10 @@ template <typename ValueType, typename IndexType>
 void Ic<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
 {
     auto* y = solver::detail::ensure_vec(
-        mid_, get_executor(), dim2{get_size().rows, b->get_size().cols});
+        mid_, this->get_executor(),
+        dim2{this->get_size().rows, b->get_size().cols});
     lower_solve_->apply(b, y);
     upper_solve_->apply(y, x);
-}
-
-
-template <typename ValueType, typename IndexType>
-void Ic<ValueType, IndexType>::apply_impl(const LinOp* alpha, const LinOp* b,
-                                          const LinOp* beta, LinOp* x) const
-{
-    auto dense_x = as_dense<ValueType>(x);
-    auto* tmp = solver::detail::ensure_vec(adv_tmp_, get_executor(),
-                                           dense_x->get_size());
-    apply_impl(b, tmp);
-    dense_x->scale(as_dense<ValueType>(beta));
-    dense_x->add_scaled(as_dense<ValueType>(alpha), tmp);
 }
 
 

@@ -16,7 +16,7 @@ namespace mgko::preconditioner {
 
 /// Applies (LU)^{-1}: y = L^{-1} b (unit diagonal), x = U^{-1} y.
 template <typename ValueType = double, typename IndexType = int32>
-class Ilu : public LinOp {
+class Ilu : public solver::EnableAdvancedApply<ValueType> {
 public:
     using value_type = ValueType;
     using index_type = IndexType;
@@ -60,23 +60,20 @@ protected:
         std::shared_ptr<const Csr<ValueType, IndexType>> system);
 
     void apply_impl(const LinOp* b, LinOp* x) const override;
-    void apply_impl(const LinOp* alpha, const LinOp* b, const LinOp* beta,
-                    LinOp* x) const override;
+    using solver::EnableAdvancedApply<ValueType>::apply_impl;
 
 private:
     factorization::lu_factors<ValueType, IndexType> factors_;
     std::unique_ptr<LinOp> lower_solve_;
     std::unique_ptr<LinOp> upper_solve_;
-    /// Cached intermediate (y = L^{-1} b) and advanced-apply temporary,
-    /// reused across calls.
+    /// Cached intermediate (y = L^{-1} b), reused across calls.
     mutable std::unique_ptr<Dense<ValueType>> mid_;
-    mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
 };
 
 
 /// Applies (L Lᵀ)^{-1} for SPD systems.
 template <typename ValueType = double, typename IndexType = int32>
-class Ic : public LinOp {
+class Ic : public solver::EnableAdvancedApply<ValueType> {
 public:
     using value_type = ValueType;
     using index_type = IndexType;
@@ -115,18 +112,15 @@ protected:
        std::shared_ptr<const Csr<ValueType, IndexType>> system);
 
     void apply_impl(const LinOp* b, LinOp* x) const override;
-    void apply_impl(const LinOp* alpha, const LinOp* b, const LinOp* beta,
-                    LinOp* x) const override;
+    using solver::EnableAdvancedApply<ValueType>::apply_impl;
 
 private:
     std::shared_ptr<Csr<ValueType, IndexType>> lower_;
     std::shared_ptr<Csr<ValueType, IndexType>> upper_;  // Lᵀ
     std::unique_ptr<LinOp> lower_solve_;
     std::unique_ptr<LinOp> upper_solve_;
-    /// Cached intermediate (y = L^{-1} b) and advanced-apply temporary,
-    /// reused across calls.
+    /// Cached intermediate (y = L^{-1} b), reused across calls.
     mutable std::unique_ptr<Dense<ValueType>> mid_;
-    mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
 };
 
 

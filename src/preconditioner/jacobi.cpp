@@ -1,6 +1,7 @@
 #include "preconditioner/jacobi.hpp"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/kernel_utils.hpp"
@@ -70,10 +71,13 @@ template <typename ValueType, typename IndexType>
 Jacobi<ValueType, IndexType>::Jacobi(
     std::shared_ptr<const Executor> exec, jacobi_parameters params,
     std::shared_ptr<const Csr<ValueType, IndexType>> system)
-    : LinOp{exec, system->get_size()},
-      block_size_{std::max<size_type>(params.max_block_size, 1)},
+    : solver::EnableAdvancedApply<ValueType>{exec, system->get_size()},
+      block_size_{params.max_block_size},
       inv_data_{exec}
 {
+    MGKO_ENSURE(block_size_ >= 1,
+                "Jacobi max_block_size must be at least 1, got " +
+                    std::to_string(block_size_));
     MGKO_ENSURE(system->get_size().rows == system->get_size().cols,
                 "Jacobi requires a square system");
     const auto n = system->get_size().rows;
@@ -144,7 +148,7 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
 {
     auto dense_b = as_dense<ValueType>(b);
     auto dense_x = as_dense<ValueType>(x);
-    const auto n = get_size().rows;
+    const auto n = this->get_size().rows;
     const auto vec_cols = dense_b->get_size().cols;
     const auto bs = block_size_;
     const auto* inv = inv_data_.get_const_data();
@@ -153,7 +157,7 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
     const auto b_stride = dense_b->get_stride();
     const auto x_stride = dense_x->get_stride();
 
-    get_executor()->run("jacobi_apply", [&](const Executor* e) {
+    this->get_executor()->run("jacobi_apply", [&](const Executor* e) {
         const int nt = e->real_threads();
         if (bs == 1 && vec_cols == 1 && b_stride == 1 && x_stride == 1) {
             // One contiguous column: a flat loop, which vectorizes.  The
@@ -197,21 +201,6 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
                        static_cast<double>(vec_cols),
                    0.85));
     });
-}
-
-
-template <typename ValueType, typename IndexType>
-void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* alpha,
-                                              const LinOp* b,
-                                              const LinOp* beta,
-                                              LinOp* x) const
-{
-    auto dense_x = as_dense<ValueType>(x);
-    auto* tmp = solver::detail::ensure_vec(adv_tmp_, get_executor(),
-                                           dense_x->get_size());
-    apply_impl(b, tmp);
-    dense_x->scale(as_dense<ValueType>(beta));
-    dense_x->add_scaled(as_dense<ValueType>(alpha), tmp);
 }
 
 

@@ -60,7 +60,7 @@ public:
 
 
 template <typename ValueType = double, typename IndexType = int32>
-class Jacobi : public LinOp {
+class Jacobi : public solver::EnableAdvancedApply<ValueType> {
 public:
     using value_type = ValueType;
     using index_type = IndexType;
@@ -75,16 +75,13 @@ protected:
            std::shared_ptr<const Csr<ValueType, IndexType>> system);
 
     void apply_impl(const LinOp* b, LinOp* x) const override;
-    void apply_impl(const LinOp* alpha, const LinOp* b, const LinOp* beta,
-                    LinOp* x) const override;
+    using solver::EnableAdvancedApply<ValueType>::apply_impl;
 
 private:
     size_type block_size_;
     /// Scalar path: 1/diag per row.  Block path: inverted bs x bs blocks,
     /// stored contiguously block after block (row-major within a block).
     array<ValueType> inv_data_;
-    /// Cached temporary of the advanced apply, reused across calls.
-    mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
 };
 
 

@@ -13,7 +13,7 @@ template <typename ValueType, typename IndexType>
 Direct<ValueType, IndexType>::Direct(
     std::shared_ptr<const Executor> exec,
     std::shared_ptr<const Csr<ValueType, IndexType>> system)
-    : LinOp{exec, system->get_size()}
+    : EnableAdvancedApply<ValueType>{exec, system->get_size()}
 {
     const auto n = system->get_size().rows;
     MGKO_ENSURE(system->get_size().rows == system->get_size().cols,
@@ -77,7 +77,7 @@ void Direct<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
                                "solver.direct.apply"};
     auto dense_b = as_dense<ValueType>(b);
     auto dense_x = as_dense<ValueType>(x);
-    const auto n = get_size().rows;
+    const auto n = this->get_size().rows;
     const auto vec_cols = dense_b->get_size().cols;
     dense_x->copy_from(dense_b);
     auto* xv = dense_x->get_values();
@@ -85,7 +85,7 @@ void Direct<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
     const auto* a = lu_->get_const_values();
     const auto stride = lu_->get_stride();
 
-    get_executor()->run("direct_solve", [&](const Executor* e) {
+    this->get_executor()->run("direct_solve", [&](const Executor* e) {
         // apply the pivot permutation
         for (size_type col = 0; col < n; ++col) {
             const auto p = pivots_[static_cast<std::size_t>(col)];
@@ -127,21 +127,6 @@ void Direct<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
                                        static_cast<double>(vec_cols),
                                    0.8));
     });
-}
-
-
-template <typename ValueType, typename IndexType>
-void Direct<ValueType, IndexType>::apply_impl(const LinOp* alpha,
-                                              const LinOp* b,
-                                              const LinOp* beta,
-                                              LinOp* x) const
-{
-    auto dense_x = as_dense<ValueType>(x);
-    auto* tmp = detail::ensure_vec(adv_tmp_, get_executor(),
-                                   dense_x->get_size());
-    apply_impl(b, tmp);
-    dense_x->scale(as_dense<ValueType>(beta));
-    dense_x->add_scaled(as_dense<ValueType>(alpha), tmp);
 }
 
 

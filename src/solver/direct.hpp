@@ -20,7 +20,7 @@ namespace mgko::solver {
 
 
 template <typename ValueType = double, typename IndexType = int32>
-class Direct : public LinOp {
+class Direct : public EnableAdvancedApply<ValueType> {
 public:
     using value_type = ValueType;
     using index_type = IndexType;
@@ -51,15 +51,12 @@ protected:
            std::shared_ptr<const Csr<ValueType, IndexType>> system);
 
     void apply_impl(const LinOp* b, LinOp* x) const override;
-    void apply_impl(const LinOp* alpha, const LinOp* b, const LinOp* beta,
-                    LinOp* x) const override;
+    using EnableAdvancedApply<ValueType>::apply_impl;
 
 private:
     /// Packed LU factors (unit lower + upper) and the pivot permutation.
     std::unique_ptr<Dense<ValueType>> lu_;
     std::vector<size_type> pivots_;
-    /// Cached temporary of the advanced apply, reused across calls.
-    mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
 };
 
 

@@ -42,8 +42,9 @@ std::string to_string(precision p);
 precision precision_from_string(const std::string& name);
 
 
-/// Parameters shared by the iterative solvers.  Unknown fields are ignored
-/// by solvers that do not use them (krylov_dim by CG, etc.).
+/// Parameters shared by the iterative solvers.  Solvers ignore the fields
+/// they do not use (krylov_dim by CG, etc.); the config layer refuses a key
+/// that the chosen solver would ignore (config/config_solver.cpp).
 struct iterative_parameters {
     std::vector<std::shared_ptr<const stop::CriterionFactory>> criteria;
     /// Generated per system matrix at generate() time.
@@ -130,7 +131,7 @@ private:
 
 /// Common state and helpers of the iterative solvers.
 template <typename ValueType>
-class IterativeSolver : public LinOp {
+class IterativeSolver : public EnableAdvancedApply<ValueType, true> {
 public:
     using value_type = ValueType;
 
@@ -151,7 +152,7 @@ protected:
     IterativeSolver(std::shared_ptr<const Executor> exec,
                     iterative_parameters params,
                     std::shared_ptr<const LinOp> system)
-        : LinOp{exec, system->get_size()},
+        : EnableAdvancedApply<ValueType, true>{exec, system->get_size()},
           params_{std::move(params)},
           system_{std::move(system)},
           logger_{std::make_shared<log::ConvergenceLogger>()},
@@ -235,25 +236,6 @@ protected:
         logger_->update_last(residual_norm);
     }
 
-    // Un-hide the two-argument overload so the advanced apply below can
-    // dispatch to the concrete solver's implementation.
-    using LinOp::apply_impl;
-
-    /// Common advanced apply: x = alpha * solve(b) + beta * x.  The
-    /// temporary solution is cached across calls (separately from the
-    /// solver's workspace_, whose slots the nested apply_impl uses).
-    void apply_impl(const LinOp* alpha, const LinOp* b, const LinOp* beta,
-                    LinOp* x) const override
-    {
-        auto dense_x = as_dense<ValueType>(x);
-        auto* tmp = detail::ensure_vec(adv_tmp_, this->get_executor(),
-                                       dense_x->get_size());
-        tmp->copy_from(dense_x);
-        this->apply_impl(b, tmp);
-        dense_x->scale(as_dense<ValueType>(beta));
-        dense_x->add_scaled(as_dense<ValueType>(alpha), tmp);
-    }
-
     /// Krylov solvers here handle one right-hand side per apply.
     static void validate_single_column(const Dense<ValueType>* b)
     {
@@ -271,9 +253,6 @@ protected:
     /// reused by every subsequent one (resized only when the system
     /// dimension changes).  Mutable because apply() is logically const.
     mutable Workspace<ValueType> workspace_;
-    /// Cached temporary of the advanced apply (x-sized; kept out of
-    /// workspace_ because the nested plain apply uses the workspace slots).
-    mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
 };
 
 

@@ -15,7 +15,7 @@ template <typename ValueType, typename IndexType, bool Lower>
 TriangularSolver<ValueType, IndexType, Lower>::TriangularSolver(
     std::shared_ptr<const Executor> exec, triangular_parameters params,
     std::shared_ptr<const Csr<ValueType, IndexType>> matrix)
-    : LinOp{std::move(exec), matrix->get_size()},
+    : EnableAdvancedApply<ValueType>{std::move(exec), matrix->get_size()},
       params_{params},
       matrix_{std::move(matrix)}
 {
@@ -140,7 +140,7 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
     // section 3).  The reference executor charges the sweep itself; the
     // others charge the level-scheduled sweep a device would run, one launch
     // per level beyond the first.
-    get_executor()->run("trs_solve", [&](const Executor* e) {
+    this->get_executor()->run("trs_solve", [&](const Executor* e) {
         auto solve = [&](size_type row) {
             trs_kernels::solve_row<ValueType, IndexType, Lower>(
                 values, col_idxs, row_ptrs, bv, b_stride, xv, x_stride, row,
@@ -163,19 +163,6 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
         level_profile.extra_launches = static_cast<int>(num_levels() - 1);
         mgko::kernels::tick(e, level_profile);
     });
-}
-
-
-template <typename ValueType, typename IndexType, bool Lower>
-void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
-    const LinOp* alpha, const LinOp* b, const LinOp* beta, LinOp* x) const
-{
-    auto dense_x = as_dense<ValueType>(x);
-    auto* tmp = detail::ensure_vec(adv_tmp_, get_executor(),
-                                   dense_x->get_size());
-    apply_impl(b, tmp);
-    dense_x->scale(as_dense<ValueType>(beta));
-    dense_x->add_scaled(as_dense<ValueType>(alpha), tmp);
 }
 
 

@@ -78,7 +78,7 @@ private:
 
 /// Common state: the factor matrix plus its level count.
 template <typename ValueType, typename IndexType, bool Lower>
-class TriangularSolver : public LinOp {
+class TriangularSolver : public EnableAdvancedApply<ValueType> {
 public:
     using value_type = ValueType;
     using index_type = IndexType;
@@ -96,8 +96,7 @@ protected:
                      std::shared_ptr<const Csr<ValueType, IndexType>> matrix);
 
     void apply_impl(const LinOp* b, LinOp* x) const override;
-    void apply_impl(const LinOp* alpha, const LinOp* b, const LinOp* beta,
-                    LinOp* x) const override;
+    using EnableAdvancedApply<ValueType>::apply_impl;
 
 private:
     void build_level_schedule();
@@ -106,8 +105,6 @@ private:
     std::shared_ptr<const Csr<ValueType, IndexType>> matrix_;
     /// Dependency levels of the level-scheduled sweep the SimClock charges.
     size_type num_levels_{};
-    /// Cached temporary of the advanced apply, reused across calls.
-    mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
 };
 
 

@@ -101,4 +101,36 @@ Dense<ValueType>* ensure_vec(std::unique_ptr<Dense<ValueType>>& slot,
 }  // namespace detail
 
 
+/// The advanced apply x = alpha * op(b) + beta * x of every solver and
+/// preconditioner: the plain apply writes op(b) into a cached x-sized
+/// temporary, then x = beta * x + alpha * tmp.  An iterative solver reads
+/// x as its initial guess, so it sets `SeedFromX` and the temporary starts
+/// as a copy of x.
+template <typename ValueType, bool SeedFromX = false>
+class EnableAdvancedApply : public LinOp {
+protected:
+    using LinOp::LinOp;
+    using LinOp::apply_impl;
+
+    void apply_impl(const LinOp* alpha, const LinOp* b, const LinOp* beta,
+                    LinOp* x) const override
+    {
+        auto dense_x = as_dense<ValueType>(x);
+        auto* tmp = detail::ensure_vec(adv_tmp_, this->get_executor(),
+                                       dense_x->get_size());
+        if constexpr (SeedFromX) {
+            tmp->copy_from(dense_x);
+        }
+        this->apply_impl(b, tmp);
+        dense_x->scale(as_dense<ValueType>(beta));
+        dense_x->add_scaled(as_dense<ValueType>(alpha), tmp);
+    }
+
+private:
+    /// Kept apart from any solver workspace, whose slots the nested plain
+    /// apply uses.
+    mutable std::unique_ptr<Dense<ValueType>> adv_tmp_;
+};
+
+
 }  // namespace mgko::solver

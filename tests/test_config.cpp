@@ -1,23 +1,42 @@
 // JSON parser/serializer and generic config-solver tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
+#include <typeindex>
+#include <utility>
 #include <vector>
 
+#include "batch/batch_bicgstab.hpp"
+#include "batch/batch_cg.hpp"
 #include "batch/batch_csr.hpp"
+#include "batch/batch_jacobi.hpp"
 #include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
+#include "multigrid/amg_solver.hpp"
+#include "preconditioner/ilu.hpp"
+#include "preconditioner/jacobi.hpp"
+#include "solver/bicgstab.hpp"
 #include "solver/cg.hpp"
+#include "solver/cgs.hpp"
+#include "solver/direct.hpp"
+#include "solver/fcg.hpp"
 #include "solver/gmres.hpp"
+#include "solver/ir.hpp"
+#include "solver/triangular.hpp"
+#include "stop/criterion.hpp"
+#include "tests/config_types.hpp"
 #include "tests/test_utils.hpp"
 
 namespace {
@@ -583,6 +602,327 @@ TEST_F(ConfigSolver, ProcessWideSwitchesAreUnknownKeys)
         expect_rejected(key, [&] {
             config::batch_config_solver(batched, exec_, batch_system);
         });
+    }
+}
+
+
+TEST_F(ConfigSolver, KeysThatActOnlyWithAnAbsentKeyAreRefused)
+{
+    // slice_size and sorting_window set SELL-C-σ's shape; baseline is the
+    // reduction factor's.  Without what they modify they would do nothing.
+    const auto expect_refused = [&](const char* text, const char* key) {
+        try {
+            config::parse_factory(Json::parse(text), exec_);
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const BadParameter& e) {
+            EXPECT_NE(std::string{e.what()}.find(std::string{"'"} + key +
+                                                 "' acts only with"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_refused(R"({"type": "cg", "max_iters": 5, "slice_size": 4})",
+                   "slice_size");
+    expect_refused(R"({"type": "cg", "max_iters": 5, "format": "ell",
+                       "sorting_window": 16})",
+                   "sorting_window");
+    expect_refused(R"({"type": "cg", "max_iters": 5, "reorder": "rcm",
+                       "slice_size": 4})",
+                   "slice_size");
+    expect_refused(R"({"type": "cg", "max_iters": 50,
+                       "baseline": "absolute"})",
+                   "baseline");
+    EXPECT_NO_THROW(config::parse_factory(
+        Json::parse(R"({"type": "cg", "max_iters": 5, "format": "sellcs",
+                        "slice_size": 4, "sorting_window": 16})"),
+        exec_));
+    EXPECT_NO_THROW(config::parse_factory(
+        Json::parse(R"({"type": "cg", "reduction_factor": 1e-8,
+                        "baseline": "absolute"})"),
+        exec_));
+}
+
+TEST_F(ConfigSolver, NegativeCountsAreRefusedNamingTheValue)
+{
+    // size_type is signed: -1 sweeps used to run as 0, and a Jacobi block
+    // size of 0 was clamped to 1.  0 sweeps and block size 1 stay legal.
+    const auto expect_refused = [&](const std::string& text,
+                                    const std::string& named) {
+        try {
+            config::config_solver(Json::parse(text), exec_, spd_);
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const BadParameter& e) {
+            EXPECT_NE(std::string{e.what()}.find(named), std::string::npos)
+                << e.what();
+        }
+    };
+    expect_refused(R"({"type": "amg", "max_iters": 5, "pre_sweeps": -1})",
+                   "pre_sweeps -1");
+    expect_refused(R"({"type": "cg", "max_iters": 5, "preconditioner":
+                       {"type": "amg", "post_sweeps": -1}})",
+                   "post_sweeps -1");
+    expect_refused(R"({"type": "amg", "max_iters": 5,
+                       "min_coarse_rows": -1})",
+                   "got -1");
+    for (const char* size : {"0", "-3"}) {
+        expect_refused(R"({"type": "cg", "max_iters": 5, "preconditioner":
+                           {"type": "jacobi", "max_block_size": )" +
+                           std::string{size} + "}}",
+                       std::string{"got "} + size);
+    }
+    EXPECT_NO_THROW(config::config_solver(
+        Json::parse(R"({"type": "amg", "max_iters": 5, "pre_sweeps": 0,
+                        "post_sweeps": 0, "min_coarse_rows": 0})"),
+        exec_, spd_));
+    EXPECT_NO_THROW(config::config_solver(
+        Json::parse(R"({"type": "cg", "max_iters": 5, "preconditioner":
+                        {"type": "jacobi", "max_block_size": 1}})"),
+        exec_, spd_));
+}
+
+
+// --- the config table ------------------------------------------------------
+//
+// test::config_types() lists every type the config layer accepts, with its
+// aliases and the keys it reads, written apart from the library's table.
+
+/// A config that selects `type` in `row`'s slot and builds: the slot's
+/// surroundings, the keys the type needs, and `own`'s keys set on the
+/// object that carries the type's keys.
+Json slot_config(const test::config_type& row, const std::string& type,
+                 const Json& own_keys)
+{
+    const auto reads = [&](const char* key) {
+        return std::count(row.keys.begin(), row.keys.end(), key) > 0;
+    };
+    auto own = Json::make_object();
+    own["type"] = Json{type};
+    if (row.slot == "criterion" && reads("max_iters")) {
+        own["max_iters"] = Json{5};
+    } else if (row.slot == "criterion") {
+        own["reduction_factor"] = Json{1e-8};
+    } else if (reads("batch")) {
+        own["batch"] = Json{2};
+        own["max_iters"] = Json{5};
+    } else if (reads("max_iters")) {
+        own["max_iters"] = Json{5};
+    }
+    for (const auto& [key, value] : own_keys.items()) {
+        own[key] = value;
+    }
+    if (row.slot == "solver" || row.slot == "batched solver") {
+        return own;
+    }
+    if (row.slot == "criterion") {
+        auto outer = Json::parse(R"({"type": "cg"})");
+        outer["criteria"].push_back(own);
+        return outer;
+    }
+    auto outer = Json::parse(row.slot == "preconditioner"
+                                 ? R"({"type": "cg", "max_iters": 5})"
+                                 : R"({"type": "cg", "batch": 2,
+                                      "max_iters": 5})");
+    outer["preconditioner"] = own;
+    return outer;
+}
+
+bool batched(const test::config_type& row)
+{
+    return row.slot.rfind("batched", 0) == 0;
+}
+
+/// The dynamic type of what `config` builds in `row`'s slot.
+std::type_index built_type(const test::config_type& row, const Json& config)
+{
+    auto exec = ReferenceExecutor::create();
+    if (batched(row)) {
+        const auto factory = config::parse_batch_factory(config, exec);
+        if (row.slot == "batched solver") {
+            return typeid(*factory);
+        }
+        const auto& precond =
+            dynamic_cast<const batch::BatchSolverFactory<batch::Cg<double>>&>(
+                *factory)
+                .get_parameters()
+                .preconditioner;
+        return typeid(*precond);
+    }
+    const auto factory = config::parse_factory(config, exec);
+    if (row.slot == "solver") {
+        return typeid(*factory);
+    }
+    const auto& params =
+        dynamic_cast<const solver::SolverFactory<solver::Cg<double>>&>(
+            *factory)
+            .get_parameters();
+    if (row.slot == "preconditioner") {
+        return typeid(*params.preconditioner);
+    }
+    return typeid(*params.criteria.front());
+}
+
+TEST(ConfigTable, EachTypeBuildsWithEveryKeyItReadsAndRefusesEveryOther)
+{
+    auto exec = ReferenceExecutor::create();
+    const auto values = test::config_key_values();
+    std::set<std::string> all_keys;
+    for (const auto& row : test::config_types()) {
+        all_keys.insert(row.keys.begin(), row.keys.end());
+    }
+    for (const auto& row : test::config_types()) {
+        const auto& type = row.aliases.front();
+        for (const auto& key : all_keys) {
+            if (key == "type") {
+                continue;
+            }
+            auto own = Json::make_object();
+            own[key] = Json::parse(values.at(key));
+            const auto parse = [&] {
+                const auto config = slot_config(row, type, own);
+                if (batched(row)) {
+                    config::parse_batch_factory(config, exec);
+                } else {
+                    config::parse_factory(config, exec);
+                }
+            };
+            if (std::count(row.keys.begin(), row.keys.end(), key) > 0) {
+                // Keys that act only together with another get it too.
+                if (key == "slice_size" || key == "sorting_window") {
+                    own["format"] = Json{"sellcs"};
+                }
+                if (key == "baseline") {
+                    own["reduction_factor"] = Json{1e-8};
+                }
+                EXPECT_NO_THROW(parse())
+                    << row.slot << " " << type << " with " << key;
+                continue;
+            }
+            try {
+                parse();
+                ADD_FAILURE() << row.slot << " " << type << " accepted "
+                              << key;
+            } catch (const BadParameter& e) {
+                EXPECT_NE(std::string{e.what()}.find("'" + key + "'"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+TEST(ConfigTable, EveryAliasBuildsItsTypeAndUnlistedAliasesAreRefused)
+{
+    using I = int32;
+    const std::map<std::pair<std::string, std::string>, std::type_index>
+        expected{
+            {{"solver", "solver::Cg"},
+             typeid(solver::SolverFactory<solver::Cg<double>>)},
+            {{"solver", "solver::Cgs"},
+             typeid(solver::SolverFactory<solver::Cgs<double>>)},
+            {{"solver", "solver::Bicgstab"},
+             typeid(solver::SolverFactory<solver::Bicgstab<double>>)},
+            {{"solver", "solver::Fcg"},
+             typeid(solver::SolverFactory<solver::Fcg<double>>)},
+            {{"solver", "solver::Gmres"},
+             typeid(solver::SolverFactory<solver::Gmres<double>>)},
+            {{"solver", "solver::Ir"},
+             typeid(solver::SolverFactory<solver::Ir<double>>)},
+            {{"solver", "solver::Direct"},
+             typeid(solver::Direct<double, I>::Factory)},
+            {{"solver", "solver::LowerTrs"},
+             typeid(solver::TrsFactory<solver::LowerTrs<double, I>>)},
+            {{"solver", "solver::UpperTrs"},
+             typeid(solver::TrsFactory<solver::UpperTrs<double, I>>)},
+            {{"solver", "solver::Amg"},
+             typeid(multigrid::AmgSolverFactory<double, I>)},
+            {{"preconditioner", "preconditioner::Jacobi"},
+             typeid(preconditioner::JacobiFactory<double, I>)},
+            {{"preconditioner", "preconditioner::Ilu"},
+             typeid(preconditioner::Ilu<double, I>::Factory)},
+            {{"preconditioner", "preconditioner::Ic"},
+             typeid(preconditioner::Ic<double, I>::Factory)},
+            {{"preconditioner", "preconditioner::Amg"},
+             typeid(multigrid::AmgPreconditionerFactory<double, I>)},
+            {{"batched solver", "solver::Cg"},
+             typeid(batch::BatchSolverFactory<batch::Cg<double>>)},
+            {{"batched solver", "solver::Bicgstab"},
+             typeid(batch::BatchSolverFactory<batch::Bicgstab<double>>)},
+            {{"batched preconditioner", "preconditioner::Jacobi"},
+             typeid(batch::JacobiFactory<double>)},
+            {{"criterion", "stop::Iteration"}, typeid(stop::Iteration)},
+            {{"criterion", "stop::ResidualNorm"}, typeid(stop::ResidualNorm)},
+        };
+    const auto types = test::config_types();
+    for (const auto& row : types) {
+        const auto& want = expected.at({row.slot, row.aliases.front()});
+        for (const auto& alias : row.aliases) {
+            EXPECT_EQ(built_type(row, slot_config(row, alias,
+                                                  Json::make_object())),
+                      want)
+                << row.slot << " " << alias;
+        }
+    }
+    // An unknown type names its slot's canonical types.
+    const std::vector<std::pair<std::string, std::string>> unlisted{
+        {"solver", "lowertrs"},
+        {"solver", "uppertrs"},
+        {"solver", "CG"},
+        {"solver", "minres"},
+        {"solver", "batch::Cg"},
+        {"solver", "multigrid::Amg"},
+        {"preconditioner", "ILU"},
+        {"preconditioner", "multigrid::AmgSolver"},
+        {"batched solver", "gmres"},
+        {"batched preconditioner", "ilu"},
+        {"criterion", "iteration"},
+        {"criterion", "stop::Time"}};
+    for (const auto& [slot, alias] : unlisted) {
+        const auto row = *std::find_if(
+            types.begin(), types.end(),
+            [&](const test::config_type& t) { return t.slot == slot; });
+        try {
+            built_type(row, slot_config(row, alias, Json::make_object()));
+            ADD_FAILURE() << slot << " accepted " << alias;
+        } catch (const BadParameter& e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("unknown " + slot + " type: " + alias),
+                      std::string::npos)
+                << message;
+            for (const auto& t : types) {
+                if (t.slot == slot) {
+                    EXPECT_NE(message.find(t.aliases.front()),
+                              std::string::npos)
+                        << message;
+                }
+            }
+        }
+    }
+}
+
+TEST(ConfigTable, RefusedKeysNameTheTypesValidKeys)
+{
+    // {"type": "cg", "krylov_dim": 2, "relaxation_factor": 9.0,
+    //  "inner_precision": "half"} used to solve as plain CG in double.
+    auto exec = ReferenceExecutor::create();
+    try {
+        config::parse_factory(
+            Json::parse(R"({"type": "cg", "max_iters": 5, "krylov_dim": 2})"),
+            exec);
+        FAIL() << "cg accepted krylov_dim";
+    } catch (const BadParameter& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("unknown config key 'krylov_dim' for solver "
+                               "\"solver::Cg\" (valid keys: "),
+                  std::string::npos)
+            << message;
+        for (const auto& row : test::config_types()) {
+            if (row.slot == "solver" && row.aliases.front() == "solver::Cg") {
+                for (const auto& key : row.keys) {
+                    EXPECT_NE(message.find(key), std::string::npos)
+                        << key << ": " << message;
+                }
+            }
+        }
     }
 }
 

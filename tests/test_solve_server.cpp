@@ -1156,6 +1156,32 @@ TEST(SolveServer, ProcessWideSwitchKeysAnswer400AndChangeNothing)
 }
 
 
+TEST(SolveServer, KeyTheSolverWouldIgnoreAnswers400NamingValidKeys)
+{
+    // CG has no restart length: the key used to be accepted and ignored.
+    auto server = serve::SolveServer::start({});
+    Json body = Json::make_object();
+    body["triplet"] = laplacian_triplet(4);
+    body["config"] = cg_config();
+    body["config"]["krylov_dim"] = Json{2};
+    serve::HttpRequest request;
+    request.method = "POST";
+    request.target = "/v1/solve";
+    request.body = body.dump();
+    const auto response = server->handle(request);
+    EXPECT_EQ(status_of(response), 400) << response;
+    const auto error = body_of(response);
+    EXPECT_NE(error.find("unknown config key 'krylov_dim' for solver "),
+              std::string::npos)
+        << response;
+    for (const char* key : {"max_iters", "reduction_factor", "criteria",
+                            "preconditioner", "format", "reorder"}) {
+        EXPECT_NE(error.find(key), std::string::npos) << key << ": " << error;
+    }
+    server->stop();
+}
+
+
 TEST(SolveServer, InlineTriangularSolveWithoutDiagonalAnswers400)
 {
     // U = [[2, 1], [0, .]]: a non-unit sweep would divide row 1 by an

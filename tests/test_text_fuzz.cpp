@@ -1,22 +1,30 @@
-// Deterministic mutation tests of the two text readers: Json::parse and
-// read_mtx.  Seeded byte flips, insertions and truncations of valid
-// documents must each end in a value or in the reader's own exception
-// (BadParameter / FileError), never in a crash, another exception type or
-// a sanitizer report; what is accepted must also hold together.  Run under
+// Deterministic mutation tests of the two text readers, Json::parse and
+// read_mtx, and of the config layer, config::parse_factory and
+// config::parse_batch_factory.  Seeded byte flips, insertions and
+// truncations of valid documents must each end in a value or in the
+// reader's own exception (BadParameter / FileError), never in a crash,
+// another exception type or a sanitizer report; what is accepted must also
+// hold together.  Seeded structural mutants of valid solver configs must
+// each build or throw mgko::Error.  Run under
 // -DMGKO_SANITIZE=address,undefined to check the memory side (ctest -L fuzz).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "core/exception.hpp"
 #include "core/mtx_io.hpp"
+#include "tests/config_types.hpp"
 
 namespace {
 
@@ -25,6 +33,7 @@ using config::Json;
 
 
 constexpr int mutants_per_document = 3000;
+constexpr int config_mutants_per_document = 1000;
 
 /// Bytes the readers treat specially, so that mutants reach their branches
 /// more often than uniformly random bytes would.
@@ -202,6 +211,154 @@ TEST(TextFuzz, MtxMutantsReadOrThrowFileError)
         }
     }
     EXPECT_EQ(failures, 0);
+}
+
+
+/// A random element of `items`.
+template <typename Container>
+const auto& pick(const Container& items, std::mt19937_64& rng)
+{
+    return *std::next(items.begin(),
+                      static_cast<std::ptrdiff_t>(rng() % items.size()));
+}
+
+/// Runs `edit` on one object of `config`, chosen by `rng`: the config
+/// itself, its preconditioner block or one of its criterion entries.
+template <typename Edit>
+void edit_an_object(Json& config, std::mt19937_64& rng, Edit&& edit)
+{
+    const bool block = config.contains("preconditioner") &&
+                       config.at("preconditioner").is_object();
+    const bool list =
+        config.contains("criteria") && config.at("criteria").is_array();
+    const auto entries = list ? config.at("criteria").size() : 0;
+    const auto choice = static_cast<size_type>(
+        rng() % static_cast<std::uint64_t>(1 + block + entries));
+    if (choice == 0) {
+        edit(config);
+    } else if (block && choice == 1) {
+        edit(config["preconditioner"]);
+    } else {
+        auto criteria = Json::make_array();
+        size_type index = 1 + block;
+        for (auto entry : config.at("criteria").elements()) {
+            if (index++ == choice && entry.is_object()) {
+                edit(entry);
+            }
+            criteria.push_back(std::move(entry));
+        }
+        config["criteria"] = std::move(criteria);
+    }
+}
+
+/// Applies one to three seeded structural mutations: a type swapped for
+/// another alias, a key of another type inserted, a key dropped, or a
+/// value replaced by one of another JSON kind.  Names, keys and values
+/// come from the test's own table (tests/config_types.hpp).
+Json mutate_config(Json config, std::mt19937_64& rng)
+{
+    static const auto types = test::config_types();
+    static const auto values = test::config_key_values();
+    static const std::vector<std::string> other_kinds{
+        "null", "true", "-1", "0", "100000000", "-2.5", "1e300", "\"\"",
+        "\"x\"", "[]", "[1, 2]", "{}", R"({"type": "jacobi"})"};
+    const int count = 1 + static_cast<int>(rng() % 3);
+    for (int m = 0; m < count; ++m) {
+        edit_an_object(config, rng, [&](Json& target) {
+            const auto& items = target.items();
+            switch (rng() % 4) {
+            case 0:
+                target["type"] = Json{pick(pick(types, rng).aliases, rng)};
+                break;
+            case 1: {
+                const auto& key = pick(pick(types, rng).keys, rng);
+                target[key] = Json::parse(values.at(key));
+                break;
+            }
+            case 2:
+                if (!items.empty()) {
+                    const auto key = pick(items, rng).first;
+                    target.mutable_items().erase(key);
+                }
+                break;
+            default:
+                if (!items.empty()) {
+                    const auto key = pick(items, rng).first;
+                    target[key] = Json::parse(pick(other_kinds, rng));
+                }
+            }
+        });
+    }
+    return config;
+}
+
+TEST(TextFuzz, ConfigMutantsBuildOrThrowMgkoError)
+{
+    // Configs of the shapes the tests, benches, examples and perfbench
+    // commit.  Mutants are only parsed: a solve with, say, 10^8 sweeps
+    // would not finish.
+    const std::vector<std::string> documents = {
+        R"({"type": "solver::Cg", "max_iters": 200, "reduction_factor": 1e-8,
+            "preconditioner": {"type": "preconditioner::Jacobi",
+                               "max_block_size": 1}})",
+        R"({"type": "solver::Gmres", "krylov_dim": 30,
+            "criteria": [{"type": "stop::Iteration", "max_iters": 1000},
+                         {"type": "stop::ResidualNorm",
+                          "reduction_factor": 1e-8, "baseline": "rhs_norm"}],
+            "preconditioner": {"type": "preconditioner::Ilu"}})",
+        R"({"type": "ir", "max_iters": 500, "reduction_factor": 1e-8,
+            "relaxation_factor": 0.9, "inner_precision": "float",
+            "preconditioner": {"type": "jacobi"}})",
+        R"({"type": "cg", "max_iters": 100, "reduction_factor": 1e-8,
+            "preconditioner": {"type": "amg", "theta": 0.02, "cycles": 1,
+                               "smoother": "gauss_seidel"}})",
+        R"({"type": "amg", "max_iters": 50, "reduction_factor": 1e-8,
+            "theta": 0.1, "pre_sweeps": 1, "post_sweeps": 1,
+            "min_coarse_rows": 32})",
+        R"({"type": "solver::Direct", "value_type": "float32"})",
+        R"({"type": "solver::LowerTrs", "unit_diagonal": true,
+            "index_type": "int64"})",
+        R"({"type": "cg", "max_iters": 100, "format": "sellcs",
+            "slice_size": 8, "sorting_window": 16, "reorder": "rcm"})",
+        R"({"type": "solver::Cg", "batch": 4, "max_iters": 200,
+            "reduction_factor": 1e-8,
+            "preconditioner": {"type": "preconditioner::Jacobi"}})",
+        R"({"type": "bicgstab", "batch": 0, "value_type": "float",
+            "criteria": [{"type": "Iteration", "max_iters": 50}]})"};
+    auto exec = ReferenceExecutor::create();
+    std::mt19937_64 rng{0x636667};
+    int failures = 0;
+    int built = 0;
+    for (const auto& document : documents) {
+        const auto config = Json::parse(document);
+        ASSERT_NO_THROW(config.contains("batch")
+                            ? (void)config::parse_batch_factory(config, exec)
+                            : (void)config::parse_factory(config, exec))
+            << document;
+        for (int i = 0; i < config_mutants_per_document && failures < 5;
+             ++i) {
+            const auto mutant = mutate_config(config, rng);
+            for (const bool batched : {false, true}) {
+                try {
+                    if (batched) {
+                        config::parse_batch_factory(mutant, exec);
+                    } else {
+                        config::parse_factory(mutant, exec);
+                    }
+                    ++built;
+                } catch (const Error&) {
+                } catch (const std::exception& e) {
+                    ++failures;
+                    ADD_FAILURE() << "config parse threw " << e.what()
+                                  << " on " << mutant.dump();
+                }
+            }
+        }
+    }
+    EXPECT_EQ(failures, 0);
+    // Some mutants (a key dropped or retyped that a type does not need)
+    // still build, so the fuzz reaches the builders, not just the checks.
+    EXPECT_GT(built, 0);
 }
 
 

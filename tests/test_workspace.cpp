@@ -4,16 +4,21 @@
 // guarantee the pooled allocator + workspace design exists for.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "matgen/matgen.hpp"
+#include "multigrid/amg_solver.hpp"
 #include "preconditioner/ilu.hpp"
 #include "preconditioner/jacobi.hpp"
 #include "solver/bicgstab.hpp"
 #include "solver/cg.hpp"
 #include "solver/cgs.hpp"
+#include "solver/direct.hpp"
 #include "solver/fcg.hpp"
 #include "solver/gmres.hpp"
 #include "solver/ir.hpp"
@@ -265,6 +270,121 @@ TEST(SolverWorkspace, WorkspaceResizesWhenRightHandSideGrows)
     x_large->fill(0.0);
     solver_large->apply(b_large.get(), x_large.get());
     EXPECT_EQ(exec->num_allocations(), system_allocs);
+}
+
+TEST(SolverWorkspace, EveryAdvancedApplyIsPlainApplyScaleAddScaled)
+{
+    // x = alpha * op(b) + beta * x is one implementation for every solver
+    // and preconditioner: the plain apply into a temporary (seeded from x
+    // when x is the solver's initial guess), then scale and add_scaled.
+    const auto data = matgen::stencil_2d_5pt(12, 12);
+    matrix_data<double, int64> lower{data.size};
+    matrix_data<double, int64> upper{data.size};
+    for (const auto& e : data.entries) {
+        if (e.col <= e.row) {
+            lower.entries.push_back(e);
+        }
+        if (e.col >= e.row) {
+            upper.entries.push_back(e);
+        }
+    }
+    using make_fn = std::function<std::unique_ptr<LinOp>(
+        std::shared_ptr<const Executor>, std::shared_ptr<const Mtx>)>;
+    const auto on = [](auto factory_of, const matrix_data<double, int64>& m) {
+        return [=](std::shared_ptr<const Executor> exec,
+                   std::shared_ptr<const Mtx>) -> std::unique_ptr<LinOp> {
+            return factory_of(exec)->generate(
+                std::shared_ptr<Mtx>{Mtx::create_from_data(exec, m)});
+        };
+    };
+    const std::vector<std::tuple<std::string, bool, make_fn>> cases{
+        {"cg", true,
+         [](auto exec, auto a) {
+             return solver::Cg<double>::build()
+                 .with_criteria(stop::iteration(40))
+                 .with_criteria(stop::residual_norm(1e-10))
+                 .on(exec)
+                 ->generate(a);
+         }},
+        {"direct", false,
+         [](auto exec, auto a) {
+             return solver::Direct<double, int32>::build_on(exec)->generate(
+                 a);
+         }},
+        {"lower_trs", false,
+         on([](auto exec) {
+             return solver::LowerTrs<double, int32>::build().on(exec);
+         },
+            lower)},
+        {"upper_trs", false,
+         on([](auto exec) {
+             return solver::UpperTrs<double, int32>::build().on(exec);
+         },
+            upper)},
+        {"ilu", false,
+         [](auto exec, auto a) {
+             return preconditioner::Ilu<double, int32>::build_on(exec)
+                 ->generate(a);
+         }},
+        {"ic", false,
+         [](auto exec, auto a) {
+             return preconditioner::Ic<double, int32>::build_on(exec)
+                 ->generate(a);
+         }},
+        {"jacobi", false,
+         [](auto exec, auto a) {
+             return preconditioner::Jacobi<double, int32>::build()
+                 .on(exec)
+                 ->generate(a);
+         }},
+        {"amg_preconditioner", false,
+         [](auto exec, auto a) {
+             return multigrid::AmgPreconditioner<double, int32>::build()
+                 .with_min_coarse_rows(16)
+                 .on(exec)
+                 ->generate(a);
+         }},
+    };
+    for (const auto& exec : std::vector<std::shared_ptr<Executor>>{
+             ReferenceExecutor::create(), OmpExecutor::create(2)}) {
+        const auto n = data.size.rows;
+        std::shared_ptr<const Mtx> a = Mtx::create_from_data(exec, data);
+        const auto b = test::random_vector<double>(exec, n, 11);
+        const auto x0 = test::random_vector<double>(exec, n, 12);
+        const auto alpha = Vec::create_scalar(exec, 0.75);
+        const auto beta = Vec::create_scalar(exec, -1.5);
+        for (const auto& [name, seeds_from_x, make] : cases) {
+            const auto op = make(exec, a);
+            auto tmp = Vec::create_filled(exec, dim2{n, 1}, 0.0);
+            if (seeds_from_x) {
+                tmp->copy_from(x0.get());
+            }
+            op->apply(b.get(), tmp.get());
+            auto expected = Vec::create(exec, dim2{n, 1});
+            expected->copy_from(x0.get());
+            expected->scale(beta.get());
+            expected->add_scaled(alpha.get(), tmp.get());
+
+            auto x = Vec::create(exec, dim2{n, 1});
+            x->copy_from(x0.get());
+            op->apply(alpha.get(), b.get(), beta.get(), x.get());
+            EXPECT_EQ(std::memcmp(x->get_const_values(),
+                                  expected->get_const_values(),
+                                  sizeof(double) * static_cast<size_t>(n)),
+                      0)
+                << name;
+
+            x->copy_from(x0.get());
+            const auto system_allocs = exec->num_allocations();
+            op->apply(alpha.get(), b.get(), beta.get(), x.get());
+            EXPECT_EQ(exec->num_allocations(), system_allocs) << name;
+            EXPECT_EQ(std::memcmp(x->get_const_values(),
+                                  expected->get_const_values(),
+                                  sizeof(double) * static_cast<size_t>(n)),
+                      0)
+                << name << " (second apply)";
+        }
+    }
 }
 
 }  // namespace
