@@ -726,16 +726,11 @@ Json slot_config(const test::config_type& row, const std::string& type,
     return outer;
 }
 
-bool batched(const test::config_type& row)
-{
-    return row.slot.rfind("batched", 0) == 0;
-}
-
 /// The dynamic type of what `config` builds in `row`'s slot.
 std::type_index built_type(const test::config_type& row, const Json& config)
 {
     auto exec = ReferenceExecutor::create();
-    if (batched(row)) {
+    if (row.slot.rfind("batched", 0) == 0) {
         const auto factory = config::parse_batch_factory(config, exec);
         if (row.slot == "batched solver") {
             return typeid(*factory);
@@ -763,7 +758,6 @@ std::type_index built_type(const test::config_type& row, const Json& config)
 
 TEST(ConfigTable, EachTypeBuildsWithEveryKeyItReadsAndRefusesEveryOther)
 {
-    auto exec = ReferenceExecutor::create();
     const auto values = test::config_key_values();
     std::set<std::string> all_keys;
     for (const auto& row : test::config_types()) {
@@ -778,12 +772,7 @@ TEST(ConfigTable, EachTypeBuildsWithEveryKeyItReadsAndRefusesEveryOther)
             auto own = Json::make_object();
             own[key] = Json::parse(values.at(key));
             const auto parse = [&] {
-                const auto config = slot_config(row, type, own);
-                if (batched(row)) {
-                    config::parse_batch_factory(config, exec);
-                } else {
-                    config::parse_factory(config, exec);
-                }
+                built_type(row, slot_config(row, type, own));
             };
             if (std::count(row.keys.begin(), row.keys.end(), key) > 0) {
                 // Keys that act only together with another get it too.

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "matgen/matgen.hpp"
@@ -288,73 +287,63 @@ TEST(SolverWorkspace, EveryAdvancedApplyIsPlainApplyScaleAddScaled)
             upper.entries.push_back(e);
         }
     }
-    using make_fn = std::function<std::unique_ptr<LinOp>(
-        std::shared_ptr<const Executor>, std::shared_ptr<const Mtx>)>;
-    const auto on = [](auto factory_of, const matrix_data<double, int64>& m) {
-        return [=](std::shared_ptr<const Executor> exec,
-                   std::shared_ptr<const Mtx>) -> std::unique_ptr<LinOp> {
-            return factory_of(exec)->generate(
-                std::shared_ptr<Mtx>{Mtx::create_from_data(exec, m)});
-        };
+    using factory_fn = std::function<std::shared_ptr<const LinOpFactory>(
+        std::shared_ptr<const Executor>)>;
+    struct advanced_case {
+        std::string name;
+        bool seeds_from_x;
+        const matrix_data<double, int64>* system;
+        factory_fn factory;
     };
-    const std::vector<std::tuple<std::string, bool, make_fn>> cases{
-        {"cg", true,
-         [](auto exec, auto a) {
+    const std::vector<advanced_case> cases{
+        {"cg", true, &data,
+         [](auto exec) {
              return solver::Cg<double>::build()
                  .with_criteria(stop::iteration(40))
                  .with_criteria(stop::residual_norm(1e-10))
-                 .on(exec)
-                 ->generate(a);
+                 .on(exec);
          }},
-        {"direct", false,
-         [](auto exec, auto a) {
-             return solver::Direct<double, int32>::build_on(exec)->generate(
-                 a);
+        {"direct", false, &data,
+         [](auto exec) {
+             return solver::Direct<double, int32>::build_on(exec);
          }},
-        {"lower_trs", false,
-         on([](auto exec) {
+        {"lower_trs", false, &lower,
+         [](auto exec) {
              return solver::LowerTrs<double, int32>::build().on(exec);
-         },
-            lower)},
-        {"upper_trs", false,
-         on([](auto exec) {
+         }},
+        {"upper_trs", false, &upper,
+         [](auto exec) {
              return solver::UpperTrs<double, int32>::build().on(exec);
-         },
-            upper)},
-        {"ilu", false,
-         [](auto exec, auto a) {
-             return preconditioner::Ilu<double, int32>::build_on(exec)
-                 ->generate(a);
          }},
-        {"ic", false,
-         [](auto exec, auto a) {
-             return preconditioner::Ic<double, int32>::build_on(exec)
-                 ->generate(a);
+        {"ilu", false, &data,
+         [](auto exec) {
+             return preconditioner::Ilu<double, int32>::build_on(exec);
          }},
-        {"jacobi", false,
-         [](auto exec, auto a) {
-             return preconditioner::Jacobi<double, int32>::build()
-                 .on(exec)
-                 ->generate(a);
+        {"ic", false, &data,
+         [](auto exec) {
+             return preconditioner::Ic<double, int32>::build_on(exec);
          }},
-        {"amg_preconditioner", false,
-         [](auto exec, auto a) {
+        {"jacobi", false, &data,
+         [](auto exec) {
+             return preconditioner::Jacobi<double, int32>::build().on(exec);
+         }},
+        {"amg_preconditioner", false, &data,
+         [](auto exec) {
              return multigrid::AmgPreconditioner<double, int32>::build()
                  .with_min_coarse_rows(16)
-                 .on(exec)
-                 ->generate(a);
+                 .on(exec);
          }},
     };
     for (const auto& exec : std::vector<std::shared_ptr<Executor>>{
              ReferenceExecutor::create(), OmpExecutor::create(2)}) {
         const auto n = data.size.rows;
-        std::shared_ptr<const Mtx> a = Mtx::create_from_data(exec, data);
         const auto b = test::random_vector<double>(exec, n, 11);
         const auto x0 = test::random_vector<double>(exec, n, 12);
         const auto alpha = Vec::create_scalar(exec, 0.75);
         const auto beta = Vec::create_scalar(exec, -1.5);
-        for (const auto& [name, seeds_from_x, make] : cases) {
-            const auto op = make(exec, a);
+        for (const auto& [name, seeds_from_x, system, factory] : cases) {
+            const auto op = factory(exec)->generate(
+                std::shared_ptr<Mtx>{Mtx::create_from_data(exec, *system)});
             auto tmp = Vec::create_filled(exec, dim2{n, 1}, 0.0);
             if (seeds_from_x) {
                 tmp->copy_from(x0.get());
