@@ -1163,6 +1163,7 @@ TEST(SolveServer, KeyTheSolverWouldIgnoreAnswers400NamingValidKeys)
     Json body = Json::make_object();
     body["triplet"] = laplacian_triplet(4);
     body["config"] = cg_config();
+    body["config"]["type"] = Json{"cg"};
     body["config"]["krylov_dim"] = Json{2};
     serve::HttpRequest request;
     request.method = "POST";

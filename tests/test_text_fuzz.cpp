@@ -13,9 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
-#include <map>
 #include <random>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
